@@ -195,8 +195,9 @@ def cmd_spatial_stationary(cfg: ExperimentConfig, args, outdir: Path) -> int:
         print("refusing to report a stationary covariance: K is not Hurwitz "
               "(use --force to override)", file=sys.stderr)
         return EXIT_STABILITY
-    state = cov.stationary_covariance(vs, lam=p.lam,
-                                      check_stability=not args.force)
+    # certify has already computed K's spectral abscissa and refused an
+    # unstable K above unless --force was given.
+    state = cov.stationary_covariance(ops, lam=p.lam, check_stability=False)
     _write(outdir, "gamma_stationary.txt", sm.sparse_to_coord_text(state.gamma))
     summary = {
         "command": "spatial-stationary",
@@ -238,18 +239,25 @@ def cmd_monotonicity(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 def cmd_counterexample(cfg, args, outdir: Path) -> int:
     lam_grid = np.linspace(args.lambda_min, args.lambda_max, args.n_lambda)
+    cs = args.s * args.c
     lines = ["lambda,trace,derivative,numeric_trace"]
+    below = []
     for lam in lam_grid:
         r = cov.counterexample_trace(args.s, args.c, float(lam))
         lines.append(f"{_fmt(lam)},{_fmt(r.trace)},{_fmt(r.d_trace_d_lambda)},"
                      f"{_fmt(r.numeric_trace)}")
+        if lam < cs:
+            below.append(r.numeric_trace)
     _write(outdir, "counterexample.csv", "\n".join(lines) + "\n")
+    # Read off the numeric_trace column: null when it has fewer than two
+    # points below c*s, so no difference can be formed there.
+    negative = bool(np.all(np.diff(below) < 0.0)) if len(below) >= 2 else None
     summary = {
         "command": "counterexample",
         "s": args.s,
         "c": args.c,
-        "predicted_sign_change": args.s * args.c,
-        "derivative_negative_below_cs": True,
+        "predicted_sign_change": cs,
+        "derivative_negative_below_cs": negative,
     }
     _write(outdir, "counterexample_summary.json", _json(summary))
     return EXIT_OK

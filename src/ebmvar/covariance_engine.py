@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -123,39 +125,88 @@ def assemble_vectorised(ops: SpatialOperators) -> VectorisedSystem:
 
 def k_spectral_abscissa(vs: VectorisedSystem) -> tuple[float, str]:
     """Max real part of K's spectrum, with the route used ("dense" or
-    "iterative")."""
+    "iterative").
+
+    The iterative route starts ARPACK from the all-ones vector instead of a
+    random one, so reruns give identical digits; K is Metzler, so its
+    rightmost (Perron) eigenvector is nonnegative and not orthogonal to it.
+    """
     n = vs.K.shape[0]
     if n <= DENSE_CAP:
         return float(np.max(np.linalg.eigvals(vs.K.toarray()).real)), "dense"
-    vals = spla.eigs(vs.K, k=1, which="LR", return_eigenvectors=False,
-                     maxiter=5000)
+    try:
+        vals = spla.eigs(vs.K, k=1, which="LR", return_eigenvectors=False,
+                         maxiter=5000, v0=np.ones(n))
+    except spla.ArpackNoConvergence as exc:
+        raise SolveFailed(f"K spectral abscissa: {exc}") from exc
     return float(vals.real.max()), "iterative"
 
 
-def stationary_covariance(vs: VectorisedSystem, lam=None,
-                          check_stability=True) -> CovarianceState:
-    """Stationary covariance via the sparse direct solve (-K) q = F.
+def _lyapunov_solver(M: np.ndarray):
+    """Solver R -> X of M X + X M^T = R: one real Schur form M = U T U^T,
+    then one LAPACK trsyl on T per solve (Bartels-Stewart).
 
-    `check_stability=False` skips the Hurwitz precondition (caller override).
+    The products use scipy's BLAS, which also runs schur and trsyl: numpy
+    bundles a second OpenBLAS whose idle threads keep spinning after a call,
+    and alternating between the two stalls a call by about 0.1 s once d is
+    large enough for BLAS to use threads.
+    """
+    T, U = sla.schur(M, output="real")
+    gemm = blas.dgemm
+
+    def solve(R):
+        Y, scale, info = lapack.dtrsyl(
+            T, T, gemm(1.0, gemm(1.0, U, R, trans_a=True), U), tranb="T")
+        if info != 0:
+            raise SolveFailed("Lyapunov operator M X + X M^T is singular "
+                              "to working precision")
+        return gemm(1.0 / scale, gemm(1.0, U, Y), U, trans_b=True)
+
+    return solve
+
+
+def stationary_covariance(ops: SpatialOperators, lam=None,
+                          check_stability=True) -> CovarianceState:
+    """Stationary covariance: the solution of the generalized Lyapunov
+    equation M G + G M^T + tau C o (D G D) = -tau C o (f f^T).
+
+    With L_M(X) = M X + X M^T, GMRES solves the Lyapunov-preconditioned
+    form (I + L_M^-1 tau C o (D . D)) G = L_M^-1(-tau C o f f^T) on d x d
+    matrices (Damm 2008; Benner & Breiten 2013).  The multiplicative-noise
+    term is a small perturbation on every grid operator, so this converges
+    in one or two iterations; D = 0 makes it a plain Lyapunov solve.
+
+    `check_stability=False` skips the Hurwitz precondition on K (caller
+    override, or already checked).
     """
     if check_stability:
-        abscissa, _ = k_spectral_abscissa(vs)
+        abscissa, _ = k_spectral_abscissa(assemble_vectorised(ops))
         if abscissa >= 0.0:
             raise UnstableK(f"K spectral abscissa {abscissa:.3g} >= 0")
-    try:
-        q = spla.splu((-vs.K).tocsc()).solve(vs.F)
-    except RuntimeError as exc:
-        raise SolveFailed(str(exc)) from exc
-    resid = np.linalg.norm(vs.K @ q + vs.F, np.inf)
-    scale = np.linalg.norm(vs.F, np.inf) or 1.0
-    if resid > 1e-9 * scale:
-        raise SolveFailed(f"stationary residual {resid:.3e} too large")
-    gamma = q.reshape((vs.d, vs.d), order="F")
+    d = ops.d
+    lyap = _lyapunov_solver(ops.M.toarray())
+    noise_gain = ops.tau * ops.C * np.outer(ops.d_vec, ops.d_vec)
+    forcing = ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec)
+    op = spla.LinearOperator(
+        (d * d, d * d), dtype=float,
+        matvec=lambda x: x + lyap(noise_gain * x.reshape(d, d)).ravel())
+    # At most 10 restart cycles of 20 Lyapunov solves.  GMRES may stop just
+    # short of 1e-14 when the contraction is close to 1; the residual check
+    # below decides whether that answer stands.
+    q, info = spla.gmres(op, lyap(-forcing).ravel(), rtol=1e-14, atol=0.0,
+                         maxiter=10)
+    gamma = q.reshape(d, d)
     defect = np.max(np.abs(gamma - gamma.T))
     gscale = np.max(np.abs(gamma)) or 1.0
     if defect > 1e-10 * gscale:
         raise SolveFailed(f"symmetry defect {defect:.3e} too large")
-    return CovarianceState.from_gamma(0.5 * (gamma + gamma.T), lam=lam)
+    gamma = 0.5 * (gamma + gamma.T)
+    resid = np.max(np.abs(covariance_rhs(gamma, ops)))
+    scale = np.max(np.abs(forcing)) or 1.0
+    if resid > 1e-9 * scale:
+        raise SolveFailed(f"stationary residual {resid:.3e} too large "
+                          f"(GMRES exit status {info})")
+    return CovarianceState.from_gamma(gamma, lam=lam)
 
 
 @dataclass
@@ -211,8 +262,13 @@ def certify(ops: SpatialOperators, vs: VectorisedSystem) -> StabilityCertificate
     if n <= DENSE_CAP:
         sym_nd = bool(np.max(np.linalg.eigvalsh(sym.toarray())) < 0.0)
     else:
-        top = spla.eigsh(sym, k=1, which="LA", return_eigenvectors=False,
-                         maxiter=5000)
+        # All-ones start vector, as in k_spectral_abscissa: the symmetric
+        # part of K is Metzler too.
+        try:
+            top = spla.eigsh(sym, k=1, which="LA", return_eigenvectors=False,
+                             maxiter=5000, v0=np.ones(n))
+        except spla.ArpackNoConvergence as exc:
+            raise SolveFailed(f"top eigenvalue of sym(K): {exc}") from exc
         sym_nd = bool(top[0] < 0.0)
 
     inv_nonneg = False
@@ -306,8 +362,7 @@ class SweepReport:
 def _stationary_at(g, Q_field, theta, p, noise, lam, T_hint=None):
     T_star = solve_equilibrium_profile(g, Q_field, lam, theta, p, T0=T_hint)
     ops = build_operators(g, T_star, Q_field, p, noise)
-    vs = assemble_vectorised(ops)
-    return T_star, ops, vs, stationary_covariance(vs, lam=lam)
+    return T_star, ops, stationary_covariance(ops, lam=lam)
 
 
 def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
@@ -333,7 +388,7 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
     for lam in lambda_grid:
         hh = h_for(lam)
         try:
-            T_star, ops, vs, cs = _stationary_at(g, Q_field, theta, p, noise, lam)
+            T_star, ops, cs = _stationary_at(g, Q_field, theta, p, noise, lam)
         except Exception as exc:  # keep partial results per grid point
             points.append(SweepPoint(lam=float(lam), applicable=False,
                                      note=f"solver error: {exc}"))
@@ -352,10 +407,10 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
             why.append("noise covariance has negative entries")
 
         try:
-            Tm, _, _, cs_m = _stationary_at(g, Q_field, theta, p, noise,
-                                            lam - hh, T_hint=T_star.values)
-            Tp, _, _, cs_p = _stationary_at(g, Q_field, theta, p, noise,
-                                            lam + hh, T_hint=T_star.values)
+            Tm, _, cs_m = _stationary_at(g, Q_field, theta, p, noise,
+                                         lam - hh, T_hint=T_star.values)
+            Tp, _, cs_p = _stationary_at(g, Q_field, theta, p, noise,
+                                         lam + hh, T_hint=T_star.values)
         except Exception as exc:
             points.append(SweepPoint(lam=float(lam), applicable=False,
                                      trace=cs.spatial_variance,
@@ -419,7 +474,7 @@ def counterexample_trace(s, c, lam) -> CounterexampleResult:
     trace = (lam**2 - 2.0 * c * s * lam + 1.0) / (2.0 * (1.0 - s**2))
     deriv = (lam - c * s) / (1.0 - s**2)
     ops = counterexample_operators(s, c, lam)
-    cs = stationary_covariance(assemble_vectorised(ops), lam=lam)
+    cs = stationary_covariance(ops, lam=lam)
     return CounterexampleResult(trace=float(trace),
                                 d_trace_d_lambda=float(deriv),
                                 numeric_trace=cs.spatial_variance)

@@ -176,7 +176,7 @@ def test_criterion_06_stationary_covariance_consistency(grid16_setup):
     """RK4-integrated covariance agrees with the direct stationary solve to
     1e-6 in max norm, and the MC trace (5000 paths) is within 3 SE."""
     ops, vs = grid16_setup["with_kernel"]("exponential")
-    target = ce.stationary_covariance(vs)
+    target = ce.stationary_covariance(ops)
     state = ce.integrate_covariance(ops, T_end=8.0, dt=5e-3)
     scale = np.max(np.abs(target.gamma))
     rk4_defect = float(np.max(np.abs(state.gamma - target.gamma)))
@@ -271,7 +271,7 @@ def test_criterion_10_markov_exceedance_bound(grid16_setup):
     """Empirical stationary exceedance of max_i |Y_i| never beats the
     second-moment bound Var_sp/theta^2 by more than 3 SE."""
     ops, vs = grid16_setup["with_kernel"]("exponential")
-    var_sp = ce.stationary_covariance(vs).spatial_variance
+    var_sp = ce.stationary_covariance(ops).spatial_variance
     d = ops.d
 
     cfg = se.SimConfig(dt=0.005, n_steps=1200, n_paths=2000, seed=1010)

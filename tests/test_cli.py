@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import ebmvar
+from ebmvar import covariance_engine as cov
 from ebmvar import model_core as mc
 from ebmvar.cli import (
     EXIT_CONFIG,
@@ -84,6 +91,23 @@ class TestExitCodes:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["k_spectral_abscissa"] >= 0.0
         assert cert["m_spectral_abscissa"] < 0.0
+
+    @pytest.mark.parametrize("routine", ["eigs", "eigsh"])
+    def test_arpack_failure_is_a_numerical_error(self, tmp_path, monkeypatch,
+                                                 routine):
+        """d = 64 puts K (4096 x 4096) on the ARPACK route; a convergence
+        failure there exits with the numerical-error code, not a traceback."""
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(cov.spla, routine, no_convergence)
+        lam = _constant_profile_lam(280.0)
+        text = _model_section(lam=lam) + _spatial_sections(
+            Lx=8.0, Ly=8.0, n=9, kernel="exponential")
+        cfg = _write_cfg(tmp_path, text)
+        rc = main(["--config", cfg, "--out", str(tmp_path / "o"),
+                   "spatial-stationary"])
+        assert rc == EXIT_NUMERICAL
 
 
 class TestVarianceCurve:
@@ -214,6 +238,42 @@ class TestSpatialStationary:
             blobs.append((out / "gamma_stationary.txt").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_single_stability_eigensolve(self, tmp_path, monkeypatch):
+        """certify computes K's spectral abscissa; the stationary solve does
+        not compute it a second time."""
+        calls = []
+        original = cov.k_spectral_abscissa
+
+        def counting(vs):
+            calls.append(vs.d)
+            return original(vs)
+
+        monkeypatch.setattr(cov, "k_spectral_abscissa", counting)
+        lam = _constant_profile_lam(280.0)
+        cfg = _write_cfg(tmp_path, _model_section(lam=lam) + _spatial_sections())
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                     "spatial-stationary"]) == EXIT_OK
+        assert calls == [9]
+
+    def test_certificate_bytes_reproducible_across_processes(self, tmp_path):
+        """At d = 64 the certificate takes the ARPACK route; two fresh
+        interpreters must write the same bytes."""
+        lam = _constant_profile_lam(280.0)
+        text = _model_section(lam=lam) + _spatial_sections(
+            Lx=8.0, Ly=8.0, n=9, kernel="exponential")
+        cfg = _write_cfg(tmp_path, text)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ebmvar.__file__).resolve().parents[1]))
+        blobs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-m", "ebmvar.cli", "--config", cfg,
+                            "--out", str(out), "spatial-stationary"],
+                           env=env, check=True, timeout=300)
+            blobs.append((out / "certificate.json").read_bytes())
+        assert json.loads(blobs[0])["eig_route"] == "iterative"
+        assert blobs[0] == blobs[1]
+
 
 class TestMonotonicity:
     def test_outputs(self, tmp_path):
@@ -246,3 +306,14 @@ class TestCounterexample:
         assert all(a > b for a, b in zip(traces, traces[1:]))
         derivs = [float(l.split(",")[2]) for l in lines[1:]]
         assert all(d < 0.0 for d in derivs)
+        summary = json.loads((out / "counterexample_summary.json").read_text())
+        assert summary["derivative_negative_below_cs"] is True
+
+    def test_no_verdict_without_two_points_below_cs(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "counterexample",
+                   "--s", "0.5", "--c", "0.8", "--lambda-min", "0.3",
+                   "--lambda-max", "1.0", "--n-lambda", "3"])
+        assert rc == EXIT_OK
+        summary = json.loads((out / "counterexample_summary.json").read_text())
+        assert summary["derivative_negative_below_cs"] is None
