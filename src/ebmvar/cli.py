@@ -75,7 +75,7 @@ def _build_noise(grid, spec):
 
 def cmd_variance_curve(cfg: ExperimentConfig, args, outdir: Path) -> int:
     p = model_params(cfg)
-    grid, _ = sweep_grid(cfg)
+    grid = sweep_grid(cfg)
     points = mc.variance_curve(p, grid)
     _write(outdir, "variance_curve.csv", mc.variance_curve_csv(points))
 
@@ -102,6 +102,8 @@ def cmd_variance_curve(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 
 def cmd_wz_convergence(cfg: ExperimentConfig, args, outdir: Path) -> int:
+    if not args.t > 0.0:
+        raise ConfigError(f"--t must be > 0, got {args.t!r}")
     p = model_params(cfg)
     s = sim_config(cfg, seed_override=args.seed)
     x0 = p.Q + args.x0_offset
@@ -216,14 +218,14 @@ def cmd_monotonicity(cfg: ExperimentConfig, args, outdir: Path) -> int:
     theta = boundary_config(cfg)
     noise = _build_noise(grid, noise_spec(cfg))
     Q_field = sm.SpatialField.constant(grid, p.Q)
-    lam_grid, h = sweep_grid(cfg)
+    lam_grid = sweep_grid(cfg)
 
     def run(lam):
         return cov.monotonicity_sweep(grid, Q_field, theta, p, noise,
-                                      [lam], h=h).points[0]
+                                      [lam]).points[0]
 
     points = _parallel_map(run, list(lam_grid), args.threads)
-    report = cov.SweepReport(points=points, h=h if h is not None else -1.0)
+    report = cov.SweepReport(points=points)
     _write(outdir, "monotonicity_sweep.csv", report.to_csv())
     hypothesis_notes = sorted({pt.note for pt in points if pt.note})
     summary = {

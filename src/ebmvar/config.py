@@ -49,10 +49,7 @@ SCHEMAS = {
     },
     "sweep": {
         "lambda_min": (_FLOAT, True), "lambda_max": (_FLOAT, True),
-        "n_points": (_INT, True), "h": (_FLOAT, False),
-    },
-    "output": {
-        "directory": (_STR, False), "formats": (_STR, False),
+        "n_points": (_INT, True),
     },
 }
 
@@ -161,15 +158,19 @@ def noise_spec(cfg: ExperimentConfig) -> dict:
     kernel = s["kernel"]
     if kernel not in ("identity", "exponential"):
         raise ConfigError(f"noise.kernel: unknown kernel {kernel!r}")
-    if kernel == "exponential" and "length" not in s:
-        raise ConfigError("noise.length is required for the exponential kernel")
-    return {"kernel": kernel, "variance": s.get("variance", 1.0),
-            "length": s.get("length")}
+    variance = s.get("variance", 1.0)
+    if not variance > 0.0:
+        raise ConfigError(f"noise.variance must be > 0, got {variance!r}")
+    if kernel == "exponential":
+        if "length" not in s:
+            raise ConfigError("noise.length is required for the exponential kernel")
+        if not s["length"] > 0.0:
+            raise ConfigError(f"noise.length must be > 0, got {s['length']!r}")
+    return {"kernel": kernel, "variance": variance, "length": s.get("length")}
 
 
-def sweep_grid(cfg: ExperimentConfig) -> tuple[np.ndarray, float | None]:
+def sweep_grid(cfg: ExperimentConfig) -> np.ndarray:
     s = cfg.section("sweep")
     if s["n_points"] < 1:
         raise ConfigError("sweep.n_points must be >= 1")
-    grid = np.linspace(s["lambda_min"], s["lambda_max"], s["n_points"])
-    return grid, s.get("h")
+    return np.linspace(s["lambda_min"], s["lambda_max"], s["n_points"])

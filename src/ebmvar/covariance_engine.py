@@ -8,7 +8,7 @@ bound, and the 2x2 negative-correlation counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -18,6 +18,7 @@ from scipy.linalg import blas, lapack
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
+    EbmvarError,
     NonFiniteState,
     NonPositiveThreshold,
     ParamOutOfRange,
@@ -31,7 +32,6 @@ from .spatial_model import (
     NoiseCovariance,
     SpatialField,
     SpatialOperators,
-    assemble_laplacian,
     build_operators,
     operators_from_arrays,
     solve_equilibrium_profile,
@@ -60,10 +60,11 @@ class CovarianceState:
     def from_gamma(cls, gamma, lam=None) -> "CovarianceState":
         gamma = np.asarray(gamma, dtype=float)
         sym = 0.5 * (gamma + gamma.T)
-        min_eig = float(np.min(np.linalg.eigvalsh(sym)))
-        scale = float(np.linalg.norm(sym, 2)) or 1.0
+        w = np.linalg.eigvalsh(sym)  # ascending
+        # The spectral norm of a symmetric matrix is its largest |eigenvalue|.
+        scale = float(max(abs(w[0]), abs(w[-1]))) or 1.0
         return cls(gamma=gamma, spatial_variance=float(np.trace(gamma)),
-                   is_psd=min_eig >= -1e-8 * scale, lam=lam)
+                   is_psd=float(w[0]) >= -1e-8 * scale, lam=lam)
 
 
 def covariance_rhs(gamma, ops: SpatialOperators) -> np.ndarray:
@@ -165,48 +166,67 @@ def _lyapunov_solver(M: np.ndarray):
     return solve
 
 
+def _covariance_solver(ops: SpatialOperators):
+    """Solver R -> X of the generalized Lyapunov equation
+    M X + X M^T + tau C o (D X D) = R for symmetric R.
+
+    With L_M(X) = M X + X M^T, GMRES solves the Lyapunov-preconditioned
+    form (I + L_M^-1 tau C o (D . D)) X = L_M^-1(R) on d x d matrices
+    (Damm 2008; Benner & Breiten 2013).  The multiplicative-noise term is a
+    small perturbation on every grid operator, so this converges in one or
+    two iterations; D = 0 makes it a plain Lyapunov solve.  The Schur form
+    of M is computed once, here, and serves every right-hand side.
+    """
+    d = ops.d
+    lyap = _lyapunov_solver(ops.M.toarray())
+    noise_gain = ops.tau * ops.C * np.outer(ops.d_vec, ops.d_vec)
+    op = spla.LinearOperator(
+        (d * d, d * d), dtype=float,
+        matvec=lambda x: x + lyap(noise_gain * x.reshape(d, d)).ravel())
+
+    def solve(R):
+        # At most 10 restart cycles of 20 Lyapunov solves.  GMRES may stop
+        # just short of 1e-14 when the contraction is close to 1; the
+        # residual check below decides whether that answer stands.
+        q, info = spla.gmres(op, lyap(R).ravel(), rtol=1e-14, atol=0.0,
+                             maxiter=10)
+        X = q.reshape(d, d)
+        defect = np.max(np.abs(X - X.T))
+        xscale = np.max(np.abs(X)) or 1.0
+        if defect > 1e-10 * xscale:
+            raise SolveFailed(f"symmetry defect {defect:.3e} too large")
+        X = 0.5 * (X + X.T)
+        MX = ops.M @ X
+        resid = np.max(np.abs(MX + MX.T + noise_gain * X - R))
+        scale = np.max(np.abs(R)) or 1.0
+        if resid > 1e-9 * scale:
+            raise SolveFailed(f"generalized Lyapunov residual {resid:.3e} too "
+                              f"large (GMRES exit status {info})")
+        return X
+
+    return solve
+
+
+def _stationary(ops: SpatialOperators, lam, check_stability):
+    """The stationary covariance state and the solver that produced it."""
+    if check_stability:
+        abscissa, _ = k_spectral_abscissa(assemble_vectorised(ops))
+        if abscissa >= 0.0:
+            raise UnstableK(f"K spectral abscissa {abscissa:.3g} >= 0")
+    solve = _covariance_solver(ops)
+    gamma = solve(-ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec))
+    return CovarianceState.from_gamma(gamma, lam=lam), solve
+
+
 def stationary_covariance(ops: SpatialOperators, lam=None,
                           check_stability=True) -> CovarianceState:
     """Stationary covariance: the solution of the generalized Lyapunov
     equation M G + G M^T + tau C o (D G D) = -tau C o (f f^T).
 
-    With L_M(X) = M X + X M^T, GMRES solves the Lyapunov-preconditioned
-    form (I + L_M^-1 tau C o (D . D)) G = L_M^-1(-tau C o f f^T) on d x d
-    matrices (Damm 2008; Benner & Breiten 2013).  The multiplicative-noise
-    term is a small perturbation on every grid operator, so this converges
-    in one or two iterations; D = 0 makes it a plain Lyapunov solve.
-
     `check_stability=False` skips the Hurwitz precondition on K (caller
     override, or already checked).
     """
-    if check_stability:
-        abscissa, _ = k_spectral_abscissa(assemble_vectorised(ops))
-        if abscissa >= 0.0:
-            raise UnstableK(f"K spectral abscissa {abscissa:.3g} >= 0")
-    d = ops.d
-    lyap = _lyapunov_solver(ops.M.toarray())
-    noise_gain = ops.tau * ops.C * np.outer(ops.d_vec, ops.d_vec)
-    forcing = ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec)
-    op = spla.LinearOperator(
-        (d * d, d * d), dtype=float,
-        matvec=lambda x: x + lyap(noise_gain * x.reshape(d, d)).ravel())
-    # At most 10 restart cycles of 20 Lyapunov solves.  GMRES may stop just
-    # short of 1e-14 when the contraction is close to 1; the residual check
-    # below decides whether that answer stands.
-    q, info = spla.gmres(op, lyap(-forcing).ravel(), rtol=1e-14, atol=0.0,
-                         maxiter=10)
-    gamma = q.reshape(d, d)
-    defect = np.max(np.abs(gamma - gamma.T))
-    gscale = np.max(np.abs(gamma)) or 1.0
-    if defect > 1e-10 * gscale:
-        raise SolveFailed(f"symmetry defect {defect:.3e} too large")
-    gamma = 0.5 * (gamma + gamma.T)
-    resid = np.max(np.abs(covariance_rhs(gamma, ops)))
-    scale = np.max(np.abs(forcing)) or 1.0
-    if resid > 1e-9 * scale:
-        raise SolveFailed(f"stationary residual {resid:.3e} too large "
-                          f"(GMRES exit status {info})")
-    return CovarianceState.from_gamma(gamma, lam=lam)
+    return _stationary(ops, lam, check_stability)[0]
 
 
 @dataclass
@@ -325,18 +345,16 @@ class SweepPoint:
     note: str = ""
     trace: float | None = None
     gamma: np.ndarray | None = None
-    diff_quotient: np.ndarray | None = None
+    dgamma: np.ndarray | None = None
     min_diff_entry: float | None = None
     entrywise_positive: bool | None = None
     sensitivity: np.ndarray | None = None
     sensitivity_positive: bool | None = None
-    sensitivity_fd_reldiff: float | None = None
 
 
 @dataclass
 class SweepReport:
     points: list[SweepPoint]
-    h: float
 
     @property
     def verdict(self) -> str:
@@ -359,17 +377,18 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _stationary_at(g, Q_field, theta, p, noise, lam, T_hint=None):
-    T_star = solve_equilibrium_profile(g, Q_field, lam, theta, p, T0=T_hint)
-    ops = build_operators(g, T_star, Q_field, p, noise)
-    return T_star, ops, stationary_covariance(ops, lam=lam)
-
-
 def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
-                       p: EbmParams, noise: NoiseCovariance, lambda_grid,
-                       h=None) -> SweepReport:
-    """Central-difference test of the entrywise forcing-monotonicity of the
-    stationary covariance, with the elliptic sensitivity cross-check.
+                       p: EbmParams, noise: NoiseCovariance,
+                       lambda_grid) -> SweepReport:
+    """Entrywise forcing-monotonicity of the stationary covariance, read off
+    its exact forcing derivative.
+
+    While no node of the equilibrium profile sits on a co-albedo kink, M and
+    D do not depend on lambda.  Differentiating the equilibrium equation
+    then gives the elliptic sensitivity u = dT*/dlambda from M u = -1, so
+    df/dlambda = D u, and dGamma/dlambda solves the stationary equation with
+    right-hand side -tau C o (f' f^T + f f'^T) (Damm 2004).  Gamma and its
+    derivative share one Schur form of M.
 
     A grid point is applicable only when the equilibrium profile lies
     strictly inside the ice-sensitive band at every node, the coercivity
@@ -378,24 +397,22 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
     no verdict is asserted there.
     """
     points = []
-    s = p.slope
-    A = assemble_laplacian(g)
-    if h is None:
-        h_for = lambda lam: 1e-4 * max(1.0, abs(lam))
-    else:
-        h_for = lambda lam: h
-
+    coercive = bool(np.all(p.r1 - Q_field.values * p.slope >= 0.0))
     for lam in lambda_grid:
-        hh = h_for(lam)
+        lam = float(lam)
         try:
-            T_star, ops, cs = _stationary_at(g, Q_field, theta, p, noise, lam)
-        except Exception as exc:  # keep partial results per grid point
-            points.append(SweepPoint(lam=float(lam), applicable=False,
+            T_star = solve_equilibrium_profile(g, Q_field, lam, theta, p)
+            ops = build_operators(g, T_star, Q_field, p, noise)
+            cs, solve = _stationary(ops, lam, check_stability=True)
+            u = spla.splu(ops.M.tocsc()).solve(-np.ones(g.d))
+            f_df = np.outer(ops.f_vec, ops.d_vec * u)  # f (df/dlambda)^T
+            dgamma = solve(-ops.tau * ops.C * (f_df + f_df.T))
+        except (EbmvarError, np.linalg.LinAlgError) as exc:
+            points.append(SweepPoint(lam=lam, applicable=False,
                                      note=f"solver error: {exc}"))
             continue
 
         inside = np.all((T_star.values > p.T_l) & (T_star.values < p.T_u))
-        coercive = np.all(p.r1 - Q_field.values * s >= 0.0)
         c_nonneg = np.all(ops.C >= 0.0)
         applicable = bool(inside and coercive and c_nonneg)
         why = []
@@ -405,46 +422,15 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
             why.append("coercivity violated")
         if not c_nonneg:
             why.append("noise covariance has negative entries")
-
-        try:
-            Tm, _, cs_m = _stationary_at(g, Q_field, theta, p, noise,
-                                         lam - hh, T_hint=T_star.values)
-            Tp, _, cs_p = _stationary_at(g, Q_field, theta, p, noise,
-                                         lam + hh, T_hint=T_star.values)
-        except Exception as exc:
-            points.append(SweepPoint(lam=float(lam), applicable=False,
-                                     trace=cs.spatial_variance,
-                                     note=f"finite-difference solve failed: {exc}"))
-            continue
-
-        dgamma = (cs_p.gamma - cs_m.gamma) / (2.0 * hh)
         min_entry = float(np.min(dgamma))
-
-        if not applicable:
-            points.append(SweepPoint(
-                lam=float(lam), applicable=False,
-                trace=cs.spatial_variance, gamma=cs.gamma,
-                diff_quotient=dgamma, min_diff_entry=min_entry,
-                note="; ".join(why),
-            ))
-            continue
-
-        # Discrete sensitivity of the equilibrium profile:
-        # (A_delta - diag(r1 - Q s)) u = -1, expected u > 0 under coercivity.
-        J = A - sp.diags(p.r1 - Q_field.values * s)
-        u = spla.splu(J.tocsc()).solve(-np.ones(g.d))
-        fd_u = (Tp.values - Tm.values) / (2.0 * hh)
-        rel = float(np.max(np.abs(u - fd_u) / np.maximum(np.abs(u), 1e-300)))
-
         points.append(SweepPoint(
-            lam=float(lam), applicable=True,
+            lam=lam, applicable=applicable, note="; ".join(why),
             trace=cs.spatial_variance, gamma=cs.gamma,
-            diff_quotient=dgamma, min_diff_entry=min_entry,
-            entrywise_positive=bool(min_entry > 0.0),
+            dgamma=dgamma, min_diff_entry=min_entry,
+            entrywise_positive=bool(min_entry > 0.0) if applicable else None,
             sensitivity=u, sensitivity_positive=bool(np.min(u) > 0.0),
-            sensitivity_fd_reldiff=rel,
         ))
-    return SweepReport(points=points, h=h if h is not None else -1.0)
+    return SweepReport(points=points)
 
 
 @dataclass

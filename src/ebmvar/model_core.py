@@ -9,7 +9,7 @@ its dependence on the radiative forcing parameter.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -254,32 +254,3 @@ def variance_curve_csv(points) -> str:
         )
     return buf.getvalue()
 
-
-def params_from_mapping(section) -> EbmParams:
-    """Build EbmParams from a flat key/value mapping (config `[model]`)."""
-    keys = {"beta_min", "beta_max", "T_l", "T_u", "r0", "r1", "Q", "lambda", "tau"}
-    unknown = set(section) - keys
-    if unknown:
-        raise ValueError(f"unknown model keys: {sorted(unknown)}")
-    missing = keys - set(section)
-    if missing:
-        raise ValueError(f"missing model keys: {sorted(missing)}")
-    return EbmParams(
-        beta_min=float(section["beta_min"]),
-        beta_max=float(section["beta_max"]),
-        T_l=float(section["T_l"]),
-        T_u=float(section["T_u"]),
-        r0=float(section["r0"]),
-        r1=float(section["r1"]),
-        Q=float(section["Q"]),
-        lam=float(section["lambda"]),
-        tau=float(section["tau"]),
-    )
-
-
-def params_to_mapping(p: EbmParams) -> dict:
-    return {
-        "beta_min": p.beta_min, "beta_max": p.beta_max,
-        "T_l": p.T_l, "T_u": p.T_u, "r0": p.r0, "r1": p.r1,
-        "Q": p.Q, "lambda": p.lam, "tau": p.tau,
-    }

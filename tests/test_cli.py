@@ -69,6 +69,30 @@ class TestExitCodes:
                    "counterexample", "--s", "0.5", "--c", "0.8"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("t", ["0", "-1.0"])
+    def test_nonpositive_horizon(self, tmp_path, capsys, t):
+        cfg = _write_cfg(tmp_path, _model_section() + (
+            "[sim]\ndt = 0.001\nn_steps = 10\nn_paths = 4\nseed = 1\n"))
+        rc = main(["--config", cfg, "--out", str(tmp_path / "o"),
+                   "wz-convergence", "--t", t])
+        assert rc == EXIT_CONFIG
+        assert "--t" in capsys.readouterr().err
+
+    def test_nonpositive_noise_variance(self, tmp_path):
+        text = (_model_section() + _spatial_sections()
+                + "variance = 0.0\n")  # appended to the [noise] section
+        cfg = _write_cfg(tmp_path, text)
+        rc = main(["--config", cfg, "--out", str(tmp_path / "o"),
+                   "spatial-stationary"])
+        assert rc == EXIT_CONFIG
+
+    def test_nonpositive_noise_length(self, tmp_path):
+        text = _model_section() + _spatial_sections(kernel="exponential")
+        cfg = _write_cfg(tmp_path, text.replace("length = 0.5", "length = 0.0"))
+        rc = main(["--config", cfg, "--out", str(tmp_path / "o"),
+                   "spatial-stationary"])
+        assert rc == EXIT_CONFIG
+
     def test_numerical_error(self, tmp_path):
         rc = main(["--out", str(tmp_path / "o"), "counterexample",
                    "--s", "1.5", "--c", "0.8"])
@@ -291,6 +315,20 @@ class TestMonotonicity:
         summary = json.loads((out / "monotonicity_summary.json").read_text())
         assert summary["verdict"] == "entrywise positive"
         assert summary["n_applicable"] == 3
+
+    def test_thread_count_invariance(self, tmp_path):
+        lam0 = _constant_profile_lam(280.0)
+        text = (_model_section(lam=lam0) + _spatial_sections(kernel="exponential")
+                + f"[sweep]\nlambda_min = {lam0 - 2.0:.17g}\n"
+                  f"lambda_max = {lam0 + 2.0:.17g}\nn_points = 4\n")
+        cfg = _write_cfg(tmp_path, text)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main(["--config", cfg, "--threads", threads, "--out",
+                         str(out), "monotonicity"]) == EXIT_OK
+            outs.append((out / "monotonicity_sweep.csv").read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestCounterexample:

@@ -50,6 +50,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot parse"):
             _load(tmp_path, "[grid]\nLx = one\nLy = 1.0\nNx = 4\nNy = 4\n")
 
+    def test_output_section_is_unknown(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown config section"):
+            _load(tmp_path, "[output]\ndirectory = out\n")
+
+    def test_sweep_step_key_is_unknown(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown key"):
+            _load(tmp_path, "[sweep]\nlambda_min = 1.0\nlambda_max = 2.0\n"
+                            "n_points = 3\nh = 0.1\n")
+
     def test_missing_section_on_access(self, tmp_path):
         cfg = _load(tmp_path, MODEL)
         with pytest.raises(ConfigError, match="missing required config section"):
@@ -90,6 +99,18 @@ class TestSectionBuilders:
         with pytest.raises(ConfigError, match="length"):
             cf.noise_spec(cfg)
 
+    @pytest.mark.parametrize("variance", ["0.0", "-1.0"])
+    def test_noise_variance_must_be_positive(self, tmp_path, variance):
+        cfg = _load(tmp_path, f"[noise]\nkernel = identity\nvariance = {variance}\n")
+        with pytest.raises(ConfigError, match="variance"):
+            cf.noise_spec(cfg)
+
+    @pytest.mark.parametrize("length", ["0.0", "-0.5"])
+    def test_noise_length_must_be_positive(self, tmp_path, length):
+        cfg = _load(tmp_path, f"[noise]\nkernel = exponential\nlength = {length}\n")
+        with pytest.raises(ConfigError, match="length"):
+            cf.noise_spec(cfg)
+
     def test_noise_unknown_kernel(self, tmp_path):
         cfg = _load(tmp_path, "[noise]\nkernel = matern\n")
         with pytest.raises(ConfigError, match="unknown kernel"):
@@ -98,9 +119,8 @@ class TestSectionBuilders:
     def test_sweep_grid(self, tmp_path):
         cfg = _load(tmp_path,
                     "[sweep]\nlambda_min = 1.0\nlambda_max = 2.0\nn_points = 3\n")
-        grid, h = cf.sweep_grid(cfg)
+        grid = cf.sweep_grid(cfg)
         assert list(grid) == [1.0, 1.5, 2.0]
-        assert h is None
 
     def test_invalid_model_values(self, tmp_path):
         bad = MODEL.replace("r1 = 2.0", "r1 = -2.0")

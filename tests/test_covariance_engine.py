@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_continuous_lyapunov
 
@@ -105,6 +106,15 @@ class TestStationaryCovariance:
         ops = _random_system(rng, 4)
         cs = ce.stationary_covariance(ops)
         assert cs.is_psd
+
+    def test_psd_flag_tolerance(self):
+        """Negative eigenvalues count against PSD beyond 1e-8 of the
+        largest eigenvalue in magnitude, whichever end of the spectrum it
+        sits at."""
+        assert ce.CovarianceState.from_gamma(np.diag([1.0, -0.5e-8])).is_psd
+        assert not ce.CovarianceState.from_gamma(np.diag([1.0, -2e-8])).is_psd
+        assert not ce.CovarianceState.from_gamma(np.diag([-1.0, 0.5])).is_psd
+        assert ce.CovarianceState.from_gamma(np.zeros((2, 2))).is_psd
 
     def test_unstable_rejected(self):
         ops = sm.operators_from_arrays([[1.0]], [0.0], [0.5],
@@ -238,6 +248,20 @@ class TestMarkovBound:
             ce.markov_bound(0.3, 0.0)
 
 
+def _profile_fd_sensitivity(g, Q_field, bd, lam):
+    """Central difference of the equilibrium profile in the forcing."""
+    h = 1e-4 * max(1.0, abs(lam))
+    lo = sm.solve_equilibrium_profile(g, Q_field, lam - h, bd, DEFAULT)
+    hi = sm.solve_equilibrium_profile(g, Q_field, lam + h, bd, DEFAULT)
+    return (hi.values - lo.values) / (2.0 * h)
+
+
+def _gamma_at(g, Q_field, bd, noise, lam):
+    prof = sm.solve_equilibrium_profile(g, Q_field, lam, bd, DEFAULT)
+    ops = sm.build_operators(g, prof, Q_field, DEFAULT, noise)
+    return ce.stationary_covariance(ops).gamma
+
+
 class TestMonotonicitySweep:
     def test_ice_band_entrywise_positive(self):
         g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4)
@@ -247,8 +271,57 @@ class TestMonotonicitySweep:
         for p in rep.points:
             assert p.applicable
             assert p.min_diff_entry > 0.0
+            assert p.min_diff_entry == np.min(p.dgamma)
             assert p.sensitivity_positive
-            assert p.sensitivity_fd_reldiff <= 1e-4
+            fd_u = _profile_fd_sensitivity(g, Q_field, bd, p.lam)
+            assert np.max(np.abs(p.sensitivity - fd_u) / np.abs(p.sensitivity)) <= 1e-4
+
+    @pytest.mark.parametrize("nx", [5, 9], ids=["d16", "d64"])
+    def test_exact_derivative_matches_central_differences(self, nx):
+        """dGamma/dlambda against central differences of the stationary
+        solve at lambda +- 1e-4 lambda, on the unit square."""
+        g, bd, Q_field, lam0, noise, _ = _default_setup(nx=nx, ny=nx)
+        p = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, [lam0]).points[0]
+        assert p.applicable
+        h = 1e-4 * lam0
+        fd = (_gamma_at(g, Q_field, bd, noise, lam0 + h)
+              - _gamma_at(g, Q_field, bd, noise, lam0 - h)) / (2.0 * h)
+        scale = np.max(np.abs(p.dgamma))
+        assert np.max(np.abs(p.dgamma - fd)) <= 1e-8 * scale
+
+    def test_exact_derivative_matches_kronecker_oracle(self):
+        """At d = 16: dGamma/dlambda = -K^-1 vec(tau C o (f' f^T + f f'^T)),
+        with f' = D u and u from the explicit Jacobian of the profile."""
+        g, bd, Q_field, lam0, noise, ops = _default_setup(nx=5, ny=5)
+        p = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, [lam0]).points[0]
+        J = sm.assemble_laplacian(g) - sp.diags(DEFAULT.r1 - Q_field.values * DEFAULT.slope)
+        u = spla.splu(J.tocsc()).solve(-np.ones(g.d))
+        f_df = np.outer(ops.f_vec, ops.d_vec * u)
+        rhs = ops.tau * ops.C * (f_df + f_df.T)
+        K = ce.assemble_vectorised(ops).K
+        ref = spla.splu((-K).tocsc()).solve(rhs.flatten(order="F"))
+        ref = ref.reshape((g.d, g.d), order="F")
+        assert np.max(np.abs(p.dgamma - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_one_newton_solve_one_gate_one_schur_form_per_point(self, monkeypatch):
+        counts = {"newton": 0, "gate": 0, "schur": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(ce, "solve_equilibrium_profile",
+                            counting("newton", ce.solve_equilibrium_profile))
+        monkeypatch.setattr(ce, "k_spectral_abscissa",
+                            counting("gate", ce.k_spectral_abscissa))
+        monkeypatch.setattr(ce.sla, "schur", counting("schur", ce.sla.schur))
+        g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4)
+        lams = np.linspace(lam0 - 5.0, lam0 + 5.0, 3)
+        rep = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lams)
+        assert rep.verdict == "entrywise positive"
+        assert counts == {"newton": 3, "gate": 3, "schur": 3}
 
     def test_warm_plateau_flagged_flat(self):
         g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4, theta=305.0)
@@ -258,7 +331,7 @@ class TestMonotonicitySweep:
         assert not p.applicable
         assert "band" in p.note
         # On the plateau the noise amplitude is forcing-independent, so the
-        # diff quotients vanish.
+        # forcing derivative vanishes.
         assert abs(p.min_diff_entry) <= 1e-8
 
     def test_csv_contract(self):

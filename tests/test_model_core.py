@@ -210,16 +210,6 @@ class TestVarianceCurve:
 
 
 class TestParamsRoundTrip:
-    def test_mapping_round_trip(self):
-        m = mc.params_to_mapping(DEFAULT)
-        assert mc.params_from_mapping(m) == DEFAULT
-
-    def test_unknown_key_rejected(self):
-        m = mc.params_to_mapping(DEFAULT)
-        m["bogus"] = 1.0
-        with pytest.raises(ValueError, match="unknown"):
-            mc.params_from_mapping(m)
-
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             mc.EbmParams(0.7, 0.38, 263, 300, 0, 2, 100, 500, 0.01)
