@@ -190,8 +190,7 @@ def cmd_spatial_stationary(cfg: ExperimentConfig, args, outdir: Path) -> int:
     Q_field = sm.SpatialField.constant(grid, p.Q)
     T_star = sm.solve_equilibrium_profile(grid, Q_field, p.lam, theta, p)
     ops = sm.build_operators(grid, T_star, Q_field, p, noise)
-    vs = cov.assemble_vectorised(ops)
-    cert = cov.certify(ops, vs)
+    cert = cov.certify(ops)
     _write(outdir, "certificate.json", _json(cert.to_dict()))
     if cert.k_spectral_abscissa >= 0.0 and not args.force:
         print("refusing to report a stationary covariance: K is not Hurwitz "
@@ -240,6 +239,12 @@ def cmd_monotonicity(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 
 def cmd_counterexample(cfg, args, outdir: Path) -> int:
+    if args.n_lambda < 1:
+        raise ConfigError(f"--n-lambda must be >= 1, got {args.n_lambda}")
+    # An ascending grid: the summary reads the sign of consecutive differences.
+    if not 0.0 <= args.lambda_min <= args.lambda_max < np.inf:
+        raise ConfigError("need 0 <= --lambda-min <= --lambda-max < inf, got "
+                          f"{args.lambda_min!r} and {args.lambda_max!r}")
     lam_grid = np.linspace(args.lambda_min, args.lambda_max, args.n_lambda)
     cs = args.s * args.c
     lines = ["lambda,trace,derivative,numeric_trace"]

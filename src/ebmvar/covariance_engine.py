@@ -37,8 +37,6 @@ from .spatial_model import (
     solve_equilibrium_profile,
 )
 
-DENSE_CAP = 2500  # largest d^2 handled by dense eigensolves / explicit inverses
-
 
 @dataclass
 class VectorisedSystem:
@@ -124,23 +122,32 @@ def assemble_vectorised(ops: SpatialOperators) -> VectorisedSystem:
     return VectorisedSystem(K=K.tocsc(), F=F, d=d)
 
 
-def k_spectral_abscissa(vs: VectorisedSystem) -> tuple[float, str]:
-    """Max real part of K's spectrum, with the route used ("dense" or
-    "iterative").
+def _rightmost_eigenvalue(A, arpack, which, what) -> float:
+    """Rightmost eigenvalue of a sparse resolvent-positive A by ARPACK.
 
-    The iterative route starts ARPACK from the all-ones vector instead of a
-    random one, so reruns give identical digits; K is Metzler, so its
-    rightmost (Perron) eigenvector is nonnegative and not orthogonal to it.
+    The start vector is the all-ones vector vec(1 1^T), not a random one, so
+    reruns give identical digits.  A need not be Metzler (C may have negative
+    entries), but when C is PSD its rightmost eigenvalue is real and has the
+    vectorisation of a PSD matrix X as eigenvector (Damm 2004, ch. 3), which
+    meets the start vector with weight 1^T X 1 >= 0.
     """
-    n = vs.K.shape[0]
-    if n <= DENSE_CAP:
-        return float(np.max(np.linalg.eigvals(vs.K.toarray()).real)), "dense"
+    n = A.shape[0]
     try:
-        vals = spla.eigs(vs.K, k=1, which="LR", return_eigenvectors=False,
-                         maxiter=5000, v0=np.ones(n))
+        vals = arpack(A, k=1, which=which, return_eigenvectors=False,
+                      maxiter=5000, v0=np.ones(n))
     except spla.ArpackNoConvergence as exc:
-        raise SolveFailed(f"K spectral abscissa: {exc}") from exc
-    return float(vals.real.max()), "iterative"
+        raise SolveFailed(f"{what}: {exc}") from exc
+    return float(vals.real.max())
+
+
+def k_spectral_abscissa(vs: VectorisedSystem) -> tuple[float, str]:
+    """Max real part of K's spectrum, with the route used: "iterative"
+    (ARPACK), or "dense" for d = 1, where ARPACK cannot run and K is its
+    own eigenvalue."""
+    if vs.K.shape[0] == 1:
+        return float(vs.K[0, 0]), "dense"
+    return _rightmost_eigenvalue(vs.K, spla.eigs, "LR",
+                                 "K spectral abscissa"), "iterative"
 
 
 def _lyapunov_solver(M: np.ndarray):
@@ -208,12 +215,19 @@ def _covariance_solver(ops: SpatialOperators):
 
 
 def _stationary(ops: SpatialOperators, lam, check_stability):
-    """The stationary covariance state and the solver that produced it."""
-    if check_stability:
-        abscissa, _ = k_spectral_abscissa(assemble_vectorised(ops))
-        if abscissa >= 0.0:
-            raise UnstableK(f"K spectral abscissa {abscissa:.3g} >= 0")
+    """The stationary covariance state and the solver that produced it.
+
+    The Hurwitz gate needs C to be PSD, as every noise covariance built here
+    is.  Then X -> M X + X M^T + tau C o (D X D) is resolvent positive on the
+    PSD cone, and it is Hurwitz iff its solution of K(X) = -I is positive
+    definite (Damm 2004, ch. 3): one more solve on the same Schur form.
+    """
     solve = _covariance_solver(ops)
+    if check_stability:
+        _, info = lapack.dpotrf(solve(-np.eye(ops.d)))
+        if info != 0:
+            raise UnstableK("the solution of K(X) = -I is not positive "
+                            "definite, so K is not Hurwitz")
     gamma = solve(-ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec))
     return CovarianceState.from_gamma(gamma, lam=lam), solve
 
@@ -224,7 +238,7 @@ def stationary_covariance(ops: SpatialOperators, lam=None,
     equation M G + G M^T + tau C o (D G D) = -tau C o (f f^T).
 
     `check_stability=False` skips the Hurwitz precondition on K (caller
-    override, or already checked).
+    override, or already checked); the check assumes C is PSD.
     """
     return _stationary(ops, lam, check_stability)[0]
 
@@ -258,15 +272,17 @@ class StabilityCertificate:
         }
 
 
-def certify(ops: SpatialOperators, vs: VectorisedSystem) -> StabilityCertificate:
-    """Matrix-class certificate for the stationary solve.
+def certify(ops: SpatialOperators) -> StabilityCertificate:
+    """Matrix-class certificate for the stationary solve, read off the
+    vectorised operator K.
 
     Nonsymmetric "negative definiteness" is reported two ways: the spectral
     abscissa (Hurwitz reading, the property the ODE limit actually uses) and
-    negative definiteness of the symmetric part.  Inverse nonnegativity is
-    verified by explicit columnwise solves when d^2 <= DENSE_CAP; otherwise
-    it is asserted only through the Z-matrix + Hurwitz route.
+    negative definiteness of the symmetric part.  The sign of the inverse is
+    asserted through the M-matrix theorem only: -K a Z-matrix with K Hurwitz
+    has a nonnegative inverse, strictly positive when -K is irreducible.
     """
+    vs = assemble_vectorised(ops)
     m_absc = float(np.max(np.linalg.eigvals(ops.M.toarray()).real))
     k_absc, eig_route = k_spectral_abscissa(vs)
 
@@ -277,52 +293,24 @@ def certify(ops: SpatialOperators, vs: VectorisedSystem) -> StabilityCertificate
     n_comp, _ = connected_components(vs.K, directed=True, connection="strong")
     irreducible = n_comp == 1
 
-    sym = 0.5 * (vs.K + vs.K.T)
-    n = vs.K.shape[0]
-    if n <= DENSE_CAP:
-        sym_nd = bool(np.max(np.linalg.eigvalsh(sym.toarray())) < 0.0)
+    if vs.K.shape[0] == 1:  # d = 1: K is its own symmetric part
+        sym_top = k_absc
     else:
-        # All-ones start vector, as in k_spectral_abscissa: the symmetric
-        # part of K is Metzler too.
-        try:
-            top = spla.eigsh(sym, k=1, which="LA", return_eigenvectors=False,
-                             maxiter=5000, v0=np.ones(n))
-        except spla.ArpackNoConvergence as exc:
-            raise SolveFailed(f"top eigenvalue of sym(K): {exc}") from exc
-        sym_nd = bool(top[0] < 0.0)
+        sym_top = _rightmost_eigenvalue(0.5 * (vs.K + vs.K.T), spla.eigsh,
+                                        "LA", "top eigenvalue of sym(K)")
 
-    inv_nonneg = False
-    inv_pos = False
-    if n <= DENSE_CAP and k_absc < 0.0:
-        try:
-            lu = spla.splu((-vs.K).tocsc())
-            inv = lu.solve(np.eye(n))
-            scale = np.max(np.abs(inv)) or 1.0
-            inv_nonneg = bool(np.min(inv) >= -1e-10 * scale)
-            inv_pos = bool(np.min(inv) > 0.0)
-            inverse_route = "explicit"
-        except RuntimeError:
-            inverse_route = "failed"
-    elif k_absc < 0.0 and minus_k_is_Z:
-        # M-matrix route: Z-matrix with eigenvalues in the right half plane
-        # of -K has a nonnegative inverse; irreducibility upgrades to > 0.
-        inv_nonneg = True
-        inv_pos = irreducible
-        inverse_route = "m-matrix"
-    else:
-        inverse_route = "not-asserted"
-
+    m_matrix = k_absc < 0.0 and minus_k_is_Z  # -K a nonsingular M-matrix
     return StabilityCertificate(
         m_spectral_abscissa=m_absc,
         k_spectral_abscissa=k_absc,
         minus_k_is_Z=minus_k_is_Z,
         minus_k_irreducible=irreducible,
-        inverse_nonnegative=inv_nonneg,
-        inverse_strictly_positive=inv_pos,
+        inverse_nonnegative=m_matrix,
+        inverse_strictly_positive=m_matrix and irreducible,
         coercivity_ok=bool(np.all(ops.b_vec >= 0.0)),
-        k_symmetric_part_negative_definite=sym_nd,
+        k_symmetric_part_negative_definite=sym_top < 0.0,
         eig_route=eig_route,
-        inverse_route=inverse_route,
+        inverse_route="m-matrix" if m_matrix else "not-asserted",
     )
 
 

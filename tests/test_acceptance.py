@@ -204,7 +204,7 @@ def test_criterion_07_m_matrix_certificate(grid16_setup):
     ok, details = True, []
     for kernel in ("identity", "exponential"):
         ops, vs = grid16_setup["with_kernel"](kernel)
-        cert = ce.certify(ops, vs)
+        cert = ce.certify(ops)
         inv = spla.splu((-vs.K).tocsc()).solve(np.eye(vs.K.shape[0]))
         col_ok = bool(np.min(inv) >= -1e-10) and bool(np.min(inv) > 0.0)
         flags = (cert.minus_k_is_Z and cert.minus_k_irreducible

@@ -98,6 +98,22 @@ class TestExitCodes:
                    "--s", "1.5", "--c", "0.8"])
         assert rc == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("flags", [
+        ["--n-lambda", "-1"],
+        ["--lambda-min", "-1"],
+        ["--lambda-min", "0.35", "--lambda-max", "0", "--n-lambda", "8"],
+    ], ids=["negative-n-lambda", "negative-lambda-min", "reversed-grid"])
+    def test_counterexample_bad_grid_is_a_config_error(self, tmp_path, capsys,
+                                                       flags):
+        """A descending grid would flip the sign read off np.diff in the
+        summary, so it is refused like any other bad grid."""
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "counterexample",
+                   "--s", "0.5", "--c", "0.8", *flags])
+        assert rc == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stability_refusal(self, tmp_path):
         """Noise-induced instability: a steep co-albedo ramp with slow noise
         makes the vectorised operator non-Hurwitz even though the drift is
@@ -249,6 +265,31 @@ class TestSpatialStationary:
         assert summary["is_psd"] is True
         assert summary["trace"] > 0.0
         assert summary["d"] == 9
+
+    def test_single_node(self, tmp_path, monkeypatch):
+        """d = 1 (Nx = Ny = 2): ARPACK cannot run on the 1 x 1 operator K,
+        so its abscissa is read off K itself."""
+        seen = []
+        original = cov.certify
+
+        def recording(ops):
+            seen.append(ops)
+            return original(ops)
+
+        monkeypatch.setattr(cov, "certify", recording)
+        lam = _constant_profile_lam(280.0)
+        text = _model_section(lam=lam) + _spatial_sections(n=2)
+        cfg = _write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out),
+                     "spatial-stationary"]) == EXIT_OK
+        cert = json.loads((out / "certificate.json").read_text())
+        K = cov.assemble_vectorised(seen[0]).K.toarray()
+        assert K.shape == (1, 1)
+        assert cert["k_spectral_abscissa"] == K[0, 0] < 0.0
+        assert cert["eig_route"] == "dense"
+        summary = json.loads((out / "spatial_stationary_summary.json").read_text())
+        assert summary["d"] == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         lam = _constant_profile_lam(280.0)

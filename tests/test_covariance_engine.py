@@ -7,7 +7,12 @@ from scipy.linalg import solve_continuous_lyapunov
 from ebmvar import covariance_engine as ce
 from ebmvar import model_core as mc
 from ebmvar import spatial_model as sm
-from ebmvar.errors import NonPositiveThreshold, ParamOutOfRange, UnstableK
+from ebmvar.errors import (
+    NonPositiveThreshold,
+    ParamOutOfRange,
+    SolveFailed,
+    UnstableK,
+)
 
 DEFAULT = mc.default_params()
 
@@ -122,6 +127,43 @@ class TestStationaryCovariance:
         with pytest.raises(UnstableK):
             ce.stationary_covariance(ops)
 
+    def test_gate_agrees_with_dense_spectrum_of_k(self):
+        """The Hurwitz gate (K(X) = -I has a positive definite solution)
+        accepts exactly the systems whose K has a negative spectral
+        abscissa, by a dense eigensolve of K; an unstable system is refused
+        as unstable or as a failed solve, never accepted.  The systems mix
+        stable and unstable drifts M with multiplicative noise strong
+        enough to destabilise a stable M."""
+        rng = np.random.default_rng(12)
+        seen = {"stable": 0, "drift-unstable": 0, "noise-unstable": 0}
+        for _ in range(300):
+            d = int(rng.integers(1, 6))
+            R = rng.standard_normal((d, d))
+            M = R - (np.max(np.linalg.eigvals(R).real)
+                     + rng.uniform(-0.5, 1.5)) * np.eye(d)
+            B = rng.standard_normal((d, d))
+            C = B @ B.T + 0.1 * np.eye(d)
+            ops = sm.operators_from_arrays(
+                M, rng.uniform(0.0, 3.0) * rng.standard_normal(d),
+                rng.uniform(0.2, 0.8, d), C, np.linalg.cholesky(C), tau=0.5)
+            alpha = np.max(np.linalg.eigvals(
+                ce.assemble_vectorised(ops).K.toarray()).real)
+            if abs(alpha) < 1e-6:
+                continue
+            try:
+                ce.stationary_covariance(ops)
+                accepted = True
+            except (UnstableK, SolveFailed):
+                accepted = False
+            assert accepted == (alpha < 0.0), (d, alpha)
+            if alpha < 0.0:
+                seen["stable"] += 1
+            elif np.max(np.linalg.eigvals(M).real) >= 0.0:
+                seen["drift-unstable"] += 1
+            else:
+                seen["noise-unstable"] += 1
+        assert min(seen.values()) >= 30, seen
+
 
 class TestIntegrateCovariance:
     def test_converges_to_stationary(self):
@@ -204,8 +246,7 @@ class TestKroneckerOracle:
 class TestCertificate:
     def test_default_grid_all_green(self):
         _, _, _, _, _, ops = _default_setup()
-        vs = ce.assemble_vectorised(ops)
-        cert = ce.certify(ops, vs)
+        cert = ce.certify(ops)
         assert cert.m_spectral_abscissa < 0.0
         assert cert.k_spectral_abscissa < 0.0
         assert cert.minus_k_is_Z
@@ -214,7 +255,11 @@ class TestCertificate:
         assert cert.inverse_strictly_positive
         assert cert.coercivity_ok
         assert cert.k_symmetric_part_negative_definite
-        assert cert.inverse_route == "explicit"
+        assert cert.inverse_route == "m-matrix"
+        # The M-matrix reading against an explicit inverse of -K.
+        K = ce.assemble_vectorised(ops).K
+        inv = spla.splu((-K).tocsc()).solve(np.eye(K.shape[0]))
+        assert np.min(inv) > 0.0
         d = cert.to_dict()
         assert d["minus_k_is_Z"] is True
 
@@ -227,7 +272,7 @@ class TestCertificate:
         vs = ce.assemble_vectorised(ops)
         m_absc = np.max(np.linalg.eigvals(ops.M.toarray()).real)
         k_absc, route = ce.k_spectral_abscissa(vs)
-        assert route == "dense"
+        assert route == "iterative"
         assert k_absc == pytest.approx(2.0 * m_absc, rel=1e-8)
 
 
@@ -304,7 +349,9 @@ class TestMonotonicitySweep:
         assert np.max(np.abs(p.dgamma - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_one_newton_solve_one_gate_one_schur_form_per_point(self, monkeypatch):
-        counts = {"newton": 0, "gate": 0, "schur": 0}
+        """The Hurwitz gate is a solve on the point's Schur form: the sweep
+        neither assembles K nor computes its spectrum."""
+        counts = {"newton": 0, "assemble": 0, "abscissa": 0, "schur": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -314,14 +361,16 @@ class TestMonotonicitySweep:
 
         monkeypatch.setattr(ce, "solve_equilibrium_profile",
                             counting("newton", ce.solve_equilibrium_profile))
+        monkeypatch.setattr(ce, "assemble_vectorised",
+                            counting("assemble", ce.assemble_vectorised))
         monkeypatch.setattr(ce, "k_spectral_abscissa",
-                            counting("gate", ce.k_spectral_abscissa))
+                            counting("abscissa", ce.k_spectral_abscissa))
         monkeypatch.setattr(ce.sla, "schur", counting("schur", ce.sla.schur))
         g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4)
         lams = np.linspace(lam0 - 5.0, lam0 + 5.0, 3)
         rep = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lams)
         assert rep.verdict == "entrywise positive"
-        assert counts == {"newton": 3, "gate": 3, "schur": 3}
+        assert counts == {"newton": 3, "assemble": 0, "abscissa": 0, "schur": 3}
 
     def test_warm_plateau_flagged_flat(self):
         g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4, theta=305.0)
