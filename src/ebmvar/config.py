@@ -32,7 +32,6 @@ SCHEMAS = {
         "dt": (_FLOAT, True), "n_steps": (_INT, True),
         "n_paths": (_INT, True), "seed": (_INT, False),
         "scheme": (_STR, False), "drift_form": (_STR, False),
-        "burn_in_fraction": (_FLOAT, False),
     },
     "grid": {
         "Lx": (_FLOAT, True), "Ly": (_FLOAT, True),
@@ -70,13 +69,12 @@ class ExperimentConfig:
 
 def _parse_value(section, key, kind, raw):
     try:
-        if kind == _FLOAT:
-            return float(raw)
-        if kind == _INT:
-            return int(raw)
-        return str(raw)
+        value = {_FLOAT: float, _INT: int, _STR: str}[kind](raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {kind}") from exc
+    if kind == _FLOAT and not np.isfinite(value):
+        raise ConfigError(f"{section}.{key}: {raw!r} is not a finite number")
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -123,7 +121,6 @@ def sim_config(cfg: ExperimentConfig, seed_override=None) -> SimConfig:
             seed=seed_override if seed_override is not None else s.get("seed", 0),
             scheme=s.get("scheme", SCHEMES[0]),
             drift_form=s.get("drift_form", DRIFT_FORMS[0]),
-            burn_in_fraction=s.get("burn_in_fraction", 0.5),
         )
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc

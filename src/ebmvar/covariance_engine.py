@@ -314,11 +314,6 @@ def certify(ops: SpatialOperators) -> StabilityCertificate:
     )
 
 
-def spatial_variance(cs: CovarianceState) -> float:
-    """Trace of the covariance matrix."""
-    return float(np.trace(cs.gamma))
-
-
 def markov_bound(var_sp, threshold) -> float:
     """Second-moment exceedance bound min(1, Var_sp / theta^2)."""
     if threshold <= 0.0:

@@ -119,9 +119,6 @@ class EquilibriumReport:
     roots: tuple[EquilibriumRoot, ...]
     lam: float
 
-    def stable_roots(self):
-        return [r for r in self.roots if r.stable]
-
     def admissible_roots(self):
         return [r for r in self.roots if r.stable and r.variance_admissible]
 

@@ -13,8 +13,9 @@ the trajectory of path k depends only on (seed, k).
 from __future__ import annotations
 
 import io
+import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +41,6 @@ class SimConfig:
     seed: int = 0
     scheme: str = "euler-maruyama"
     drift_form: str = "ito"
-    burn_in_fraction: float = 0.5
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -51,8 +51,6 @@ class SimConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.drift_form not in DRIFT_FORMS:
             raise ValueError(f"drift_form must be one of {DRIFT_FORMS}")
-        if not (0.0 <= self.burn_in_fraction < 1.0):
-            raise ValueError("burn_in_fraction must lie in [0, 1)")
 
 
 @dataclass
@@ -99,8 +97,9 @@ class PathBundle:
         else:
             n_paths, n_times, d = self.values.shape
         head = _MAGIC + struct.pack("<qqqq", n_paths, n_times, d, seed)
-        body = self.times.astype("<f8").tobytes() + self.values.astype("<f8").tobytes()
-        return head + body
+        # One copy: join reads the contiguous arrays' buffers directly.
+        return b"".join([head, np.ascontiguousarray(self.times, dtype="<f8"),
+                         np.ascontiguousarray(self.values, dtype="<f8")])
 
     @classmethod
     def from_binary(cls, blob: bytes) -> "PathBundle":
@@ -132,8 +131,53 @@ def gaussian_increments(seed, path_indices, n, columns=1):
     return out
 
 
+# Normals drawn at once, at most: a batch holds this many // (n_steps *
+# normals per step) paths, and at least one.
+_BATCH_NORMALS = 20_000_000
+
+# Fine-grid resolution of the Wong-Zakai experiment: steps per unit tau.
+_WZ_STEPS_PER_TAU = 200
+
+
+def _run_paths(seed, n_paths, n_steps, init, step, shape=(), keep=None):
+    """Advance `n_paths` paths by `n_steps` steps, in batches of paths.
+
+    `init(B)` returns the start state of B paths, one row per path, and
+    `step(state, xi)` the state one step on, where `xi` holds the step's
+    raw standard normals, shape (B,) + `shape`, from each path's stream.
+    Returns the states at the steps in `keep` (default: all of them),
+    shape (n_paths, len(keep)) + state.shape[1:].  A step that acts row by
+    row gives the same paths whatever the batch size.
+    """
+    pos = {k: j for j, k in enumerate(range(n_steps + 1) if keep is None else keep)}
+    width = math.prod(shape)
+    batch = max(1, _BATCH_NORMALS // (n_steps * width))
+    values = None
+    for lo in range(0, n_paths, batch):
+        idx = range(lo, min(lo + batch, n_paths))
+        xi = gaussian_increments(seed, idx, n_steps, columns=width)
+        xi = xi.reshape((len(idx), n_steps) + shape)
+        state = init(len(idx))
+        if values is None:
+            values = np.empty((n_paths, len(pos)) + state.shape[1:])
+        rows = slice(lo, lo + len(idx))
+        if 0 in pos:
+            values[rows, pos[0]] = state
+        for k in range(n_steps):
+            state = step(state, xi[:, k])
+            if k + 1 in pos:
+                values[rows, pos[k + 1]] = state
+    return values
+
+
 def _times(cfg: SimConfig) -> np.ndarray:
     return cfg.dt * np.arange(cfg.n_steps + 1)
+
+
+def _check_step(p: EbmParams, dt):
+    guard = dt * (p.r1 + abs(p.Q) * p.slope)
+    if guard > 1.0:
+        raise StepTooLarge(f"dt*(r1 + |Q|*s) = {guard:.3g} > 1; reduce dt")
 
 
 def simulate_ou(tau, Q, x0, cfg: SimConfig, noise_scale=1.0) -> PathBundle:
@@ -146,50 +190,33 @@ def simulate_ou(tau, Q, x0, cfg: SimConfig, noise_scale=1.0) -> PathBundle:
     """
     decay = np.exp(-cfg.dt / tau)
     sd = noise_scale * np.sqrt(0.5 * (1.0 - np.exp(-2.0 * cfg.dt / tau)))
-    xi = gaussian_increments(cfg.seed, range(cfg.n_paths), cfg.n_steps)
-    values = np.empty((cfg.n_paths, cfg.n_steps + 1))
-    values[:, 0] = x0
-    x = np.full(cfg.n_paths, float(x0))
-    for k in range(cfg.n_steps):
-        x = Q + (x - Q) * decay + sd * xi[:, k]
-        values[:, k + 1] = x
+    values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
+                        lambda B: np.full(B, float(x0)),
+                        lambda x, xi: Q + (x - Q) * decay + sd * xi)
     return PathBundle(times=_times(cfg), values=values,
-                      meta={"seed": cfg.seed, "kind": "ou",
-                            "tau": tau, "Q": Q, "x0": x0, "cfg": cfg})
+                      meta={"seed": cfg.seed, "kind": "ou"})
 
 
 def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig,
                        noise_scale=1.0):
     """Coupled fast insolation / slow temperature system.
 
-    The insolation is advanced by the exact transition, the temperature by
-    explicit Euler of dT/dt = X beta(T) + lambda - (r0 + r1 T); both live on
-    the same grid and draw from the same per-path stream.
+    The insolation is `simulate_ou` with the model's tau and Q; the
+    temperature follows it by explicit Euler of
+    dT/dt = X beta(T) + lambda - (r0 + r1 T) on the same grid.
     """
-    guard = cfg.dt * (p.r1 + abs(p.Q) * p.slope)
-    if guard > 1.0:
-        raise StepTooLarge(
-            f"dt*(r1 + |Q|*s) = {guard:.3g} > 1; reduce dt"
-        )
-    decay = np.exp(-cfg.dt / p.tau)
-    sd = noise_scale * np.sqrt(0.5 * (1.0 - np.exp(-2.0 * cfg.dt / p.tau)))
-    xi = gaussian_increments(cfg.seed, range(cfg.n_paths), cfg.n_steps)
-    xs = np.empty((cfg.n_paths, cfg.n_steps + 1))
+    _check_step(p, cfg.dt)
+    xs = simulate_ou(p.tau, p.Q, x0, cfg, noise_scale).values
     ts = np.empty_like(xs)
-    xs[:, 0] = x0
     ts[:, 0] = theta0
-    x = np.full(cfg.n_paths, float(x0))
     T = np.full(cfg.n_paths, float(theta0))
     for k in range(cfg.n_steps):
-        drift = x * co_albedo(T, p) + p.lam - (p.r0 + p.r1 * T)
+        drift = xs[:, k] * co_albedo(T, p) + p.lam - (p.r0 + p.r1 * T)
         T = T + cfg.dt * drift
-        x = p.Q + (x - p.Q) * decay + sd * xi[:, k]
-        xs[:, k + 1] = x
         ts[:, k + 1] = T
     times = _times(cfg)
-    meta = {"seed": cfg.seed, "cfg": cfg, "params": p}
-    return (PathBundle(times=times, values=xs, meta={**meta, "kind": "fast"}),
-            PathBundle(times=times, values=ts, meta={**meta, "kind": "slow"}))
+    return (PathBundle(times=times, values=xs, meta={"seed": cfg.seed, "kind": "fast"}),
+            PathBundle(times=times, values=ts, meta={"seed": cfg.seed, "kind": "slow"}))
 
 
 @dataclass(frozen=True)
@@ -208,8 +235,7 @@ def wong_zakai_exact(tau, t, x0, Q) -> float:
             + 0.5 * tau * (1.0 - np.exp(-2.0 * t / tau)))
 
 
-def wong_zakai_error(tau, t, x0, Q, n_paths, seed=0,
-                     steps_per_tau=200) -> WongZakaiResult:
+def wong_zakai_error(tau, t, x0, Q, n_paths, seed=0) -> WongZakaiResult:
     """Monte Carlo estimate of E|W^tau_t - W_t|^2 against the closed form.
 
     The fast process and the Brownian motion are driven by the SAME
@@ -219,31 +245,25 @@ def wong_zakai_error(tau, t, x0, Q, n_paths, seed=0,
     """
     if t <= 0.0 or tau <= 0.0:
         raise ValueError("t and tau must be positive")
-    n_steps = max(1000, int(np.ceil(steps_per_tau * t / tau)))
+    n_steps = max(1000, int(np.ceil(_WZ_STEPS_PER_TAU * t / tau)))
     h = t / n_steps
     sqrt_h = np.sqrt(h)
     inv_sqrt_tau = 1.0 / np.sqrt(tau)
 
-    # Path batching keeps the increment matrix bounded in memory.
-    batch = max(1, int(2.0e7 // n_steps))
-    sq = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        idx = range(done, min(done + batch, n_paths))
-        dW = sqrt_h * gaussian_increments(seed, idx, n_steps)
-        B = dW.shape[0]
-        x = np.full(B, float(x0))
-        W = np.zeros(B)
-        integral = np.zeros(B)
-        for k in range(n_steps):
-            x_new = x + (h / tau) * (Q - x) + inv_sqrt_tau * dW[:, k]
-            integral += 0.5 * h * ((x - Q) + (x_new - Q))
-            W += dW[:, k]
-            x = x_new
-        diff = inv_sqrt_tau * integral - W
-        sq[done:done + B] = diff**2
-        done += B
+    def init(B):  # columns x, W, integral; Fortran order keeps each contiguous
+        return np.asfortranarray(np.tile([float(x0), 0.0, 0.0], (B, 1)))
 
+    def step(s, xi):
+        x, W, integral = s.T
+        dW = sqrt_h * xi
+        x_new = x + (h / tau) * (Q - x) + inv_sqrt_tau * dW
+        integral += 0.5 * h * ((x - Q) + (x_new - Q))
+        W += dW
+        x[:] = x_new
+        return s
+
+    final = _run_paths(seed, n_paths, n_steps, init, step, keep=[n_steps])[:, 0]
+    sq = (inv_sqrt_tau * final[:, 2] - final[:, 1]) ** 2
     mc = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / np.sqrt(n_paths))
     return WongZakaiResult(mc_estimate=mc, exact=float(wong_zakai_exact(tau, t, x0, Q)),
@@ -259,31 +279,28 @@ def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig,
     with the optional Stratonovich-correction drift toggled by
     cfg.drift_form and the Milstein term by cfg.scheme.
     """
-    guard = cfg.dt * (p.r1 + abs(p.Q) * p.slope)
-    if guard > 1.0:
-        raise StepTooLarge(f"dt*(r1 + |Q|*s) = {guard:.3g} > 1; reduce dt")
+    _check_step(p, cfg.dt)
     sqrt_dt = np.sqrt(cfg.dt)
     sqrt_tau = np.sqrt(p.tau)
-    xi = gaussian_increments(cfg.seed, range(cfg.n_paths), cfg.n_steps)
-    values = np.empty((cfg.n_paths, cfg.n_steps + 1))
-    values[:, 0] = T0
-    T = np.full(cfg.n_paths, float(T0))
     corrected = cfg.drift_form == "stratonovich-corrected"
     milstein = cfg.scheme == "milstein"
-    for k in range(cfg.n_steps):
+
+    def step(T, xi):
         beta = co_albedo(T, p)
         dbeta = co_albedo_slope(T, p)
         drift = balance_residual(T, p)
         if corrected:
             drift = drift + 0.5 * p.tau * beta * dbeta
-        dW = noise_scale * sqrt_dt * xi[:, k]
+        dW = noise_scale * sqrt_dt * xi
         T = T + cfg.dt * drift + sqrt_tau * beta * dW
         if milstein:
             T = T + 0.5 * p.tau * beta * dbeta * (dW**2 - noise_scale**2 * cfg.dt)
-        values[:, k + 1] = T
+        return T
+
+    values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
+                        lambda B: np.full(B, float(T0)), step)
     return PathBundle(times=_times(cfg), values=values,
-                      meta={"seed": cfg.seed, "kind": "reduced",
-                            "cfg": cfg, "params": p})
+                      meta={"seed": cfg.seed, "kind": "reduced"})
 
 
 def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0,
@@ -293,23 +310,20 @@ def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0,
         raise StepTooLarge(f"dt*b = {cfg.dt * b:.3g} > 1; reduce dt")
     sqrt_dt = np.sqrt(cfg.dt)
     sqrt_tau = np.sqrt(tau)
-    xi = gaussian_increments(cfg.seed, range(cfg.n_paths), cfg.n_steps)
-    values = np.empty((cfg.n_paths, cfg.n_steps + 1))
-    values[:, 0] = y0
-    y = np.full(cfg.n_paths, float(y0))
     milstein = cfg.scheme == "milstein"
-    for k in range(cfg.n_steps):
-        dW = noise_scale * sqrt_dt * xi[:, k]
+
+    def step(y, xi):
+        dW = noise_scale * sqrt_dt * xi
         sig = sigma0 + sigma1 * y
         y_new = y - cfg.dt * b * y + sqrt_tau * sig * dW
         if milstein:
             y_new = y_new + 0.5 * tau * sigma1 * sig * (dW**2 - noise_scale**2 * cfg.dt)
-        y = y_new
-        values[:, k + 1] = y
+        return y_new
+
+    values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
+                        lambda B: np.full(B, float(y0)), step)
     return PathBundle(times=_times(cfg), values=values,
-                      meta={"seed": cfg.seed, "kind": "linear-anomaly",
-                            "cfg": cfg, "b": b, "sigma0": sigma0,
-                            "sigma1": sigma1, "tau": tau})
+                      meta={"seed": cfg.seed, "kind": "linear-anomaly"})
 
 
 @dataclass(frozen=True)
@@ -321,10 +335,11 @@ class MomentReport:
     pooled: bool
 
 
-def mc_moments(bundle: PathBundle, burn_in_fraction=None,
+def mc_moments(bundle: PathBundle, burn_in_fraction=0.0,
                pooled=False) -> MomentReport:
     """Unbiased sample statistics with standard errors.
 
+    The first `burn_in_fraction` of the time grid is discarded.
     Per-time mode returns arrays over the retained grid.  Pooled mode
     averages over retained times; its standard errors come from the spread
     of per-path statistics, so temporal correlation within a path does not
@@ -335,9 +350,8 @@ def mc_moments(bundle: PathBundle, burn_in_fraction=None,
         raise ValueError("mc_moments operates on scalar bundles")
     if vals.size == 0:
         raise EmptySample("empty bundle")
-    if burn_in_fraction is None:
-        cfg = bundle.meta.get("cfg")
-        burn_in_fraction = cfg.burn_in_fraction if cfg is not None else 0.0
+    if not burn_in_fraction >= 0.0:
+        raise ValueError(f"burn_in_fraction must be >= 0, got {burn_in_fraction!r}")
     n_times = vals.shape[1]
     start = int(np.floor(burn_in_fraction * n_times))
     retained = vals[:, start:]

@@ -24,7 +24,7 @@ from .errors import (
     UnstableDrift,
 )
 from .model_core import EbmParams, co_albedo, co_albedo_slope
-from .sde_engine import PathBundle, SimConfig, gaussian_increments
+from .sde_engine import PathBundle, SimConfig, _run_paths
 
 
 @dataclass(frozen=True)
@@ -333,31 +333,19 @@ def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
     kept = list(range(0, cfg.n_steps + 1, store_stride))
     if kept[-1] != cfg.n_steps:
         kept.append(cfg.n_steps)
-    keep_pos = {k: idx for idx, k in enumerate(kept)}
-    values = np.empty((cfg.n_paths, len(kept), d))
 
-    batch = max(1, int(2.0e7 // (cfg.n_steps * d)))
-    done = 0
-    while done < cfg.n_paths:
-        idx = range(done, min(done + batch, cfg.n_paths))
-        xi = gaussian_increments(cfg.seed, idx, cfg.n_steps, columns=d)
-        B = xi.shape[0]
-        xi = xi.reshape(B, cfg.n_steps, d)
-        y = np.tile(y_init, (B, 1))
-        if 0 in keep_pos:
-            values[done:done + B, keep_pos[0]] = y
-        for k in range(cfg.n_steps):
-            dW = sqrt_dt * xi[:, k, :]
-            amp = y * ops.d_vec + ops.f_vec  # rows hold D y + f
-            y = y + cfg.dt * (ops.M @ y.T).T + sqrt_tau * amp * (dW @ Lt)
-            if (k + 1) in keep_pos:
-                values[done:done + B, keep_pos[k + 1]] = y
-        done += B
+    def step(y, xi):
+        dW = sqrt_dt * xi
+        amp = y * ops.d_vec + ops.f_vec  # rows hold D y + f
+        return y + cfg.dt * (ops.M @ y.T).T + sqrt_tau * amp * (dW @ Lt)
 
+    values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
+                        lambda B: np.tile(y_init, (B, 1)), step,
+                        shape=(d,), keep=kept)
     times = cfg.dt * np.asarray(kept, dtype=float)
     return PathBundle(times=times, values=values,
                       meta={"seed": cfg.seed, "kind": "anomaly-field",
-                            "cfg": cfg, "store_stride": store_stride})
+                            "store_stride": store_stride})
 
 
 def sparse_to_coord_text(A) -> str:

@@ -53,9 +53,9 @@ def test_criterion_01_ou_stationary_variance():
     tau = 0.05
     dt = tau / 10.0
     cfg = se.SimConfig(dt=dt, n_steps=int(round(20.0 / dt)), n_paths=2000,
-                       seed=101, burn_in_fraction=0.5)
+                       seed=101)
     bundle = se.simulate_ou(tau, 0.0, 0.0, cfg)
-    rep = se.mc_moments(bundle, pooled=True)
+    rep = se.mc_moments(bundle, burn_in_fraction=0.5, pooled=True)
     err = abs(rep.variance - 0.5)
     _verdict("criterion 01 (OU stationary variance = 1/2)",
              err <= 3.0 * rep.se_variance,

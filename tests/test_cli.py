@@ -93,6 +93,38 @@ class TestExitCodes:
                    "spatial-stationary"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("section,key,value,command", [
+        ("sim", "dt", "nan", ["simulate", "--which", "reduced"]),
+        ("sim", "dt", "inf", ["simulate", "--which", "anomaly-0d"]),
+        ("grid", "Lx", "nan", ["spatial-stationary"]),
+        ("model", "r1", "nan", ["variance-curve"]),
+        ("model", "Q", "-inf", ["spatial-stationary"]),
+    ])
+    def test_non_finite_float_is_a_config_error(self, tmp_path, capsys,
+                                                section, key, value, command):
+        lam = _constant_profile_lam(280.0)
+        text = (_model_section(lam=lam) + _spatial_sections()
+                + "[sim]\ndt = 0.001\nn_steps = 5\nn_paths = 2\n"
+                + "[sweep]\nlambda_min = 500.0\nlambda_max = 510.0\nn_points = 3\n")
+        lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
+                 for line in text.split("\n")]
+        assert f"{key} = {value}" in lines
+        cfg = _write_cfg(tmp_path, "\n".join(lines))
+        out = tmp_path / "o"
+        rc = main(["--config", cfg, "--out", str(out)] + command)
+        assert rc == EXIT_CONFIG
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_burn_in_key_is_unknown(self, tmp_path):
+        text = _model_section() + (
+            "[sim]\ndt = 0.001\nn_steps = 5\nn_paths = 2\n"
+            "burn_in_fraction = 0.5\n")
+        cfg = _write_cfg(tmp_path, text)
+        rc = main(["--config", cfg, "--out", str(tmp_path / "o"),
+                   "simulate", "--which", "reduced"])
+        assert rc == EXIT_CONFIG
+
     def test_numerical_error(self, tmp_path):
         rc = main(["--out", str(tmp_path / "o"), "counterexample",
                    "--s", "1.5", "--c", "0.8"])

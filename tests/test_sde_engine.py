@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ebmvar import model_core as mc
 from ebmvar import sde_engine as se
+from ebmvar import spatial_model as sm
 from ebmvar.errors import EmptySample, StepTooLarge
 
 DEFAULT = mc.default_params()
@@ -17,7 +20,6 @@ class TestSimConfig:
     @pytest.mark.parametrize("kw", [
         {"dt": 0.0}, {"n_steps": 0}, {"n_paths": 0},
         {"scheme": "heun"}, {"drift_form": "bogus"},
-        {"burn_in_fraction": 1.0},
     ])
     def test_rejects_bad_values(self, kw):
         base = {"dt": 0.01, "n_steps": 10, "n_paths": 2}
@@ -90,7 +92,7 @@ class TestSimulateOU:
         tau = 0.05
         cfg = se.SimConfig(dt=tau / 10.0, n_steps=2000, n_paths=400, seed=3)
         b = se.simulate_ou(tau, 0.0, 0.0, cfg)
-        rep = se.mc_moments(b, pooled=True)
+        rep = se.mc_moments(b, burn_in_fraction=0.5, pooled=True)
         assert abs(rep.variance - 0.5) <= 4.0 * rep.se_variance
 
     def test_exact_one_step_distribution(self):
@@ -120,6 +122,14 @@ class TestFastSlow:
         cfg = se.SimConfig(dt=1.0, n_steps=1, n_paths=1)
         with pytest.raises(StepTooLarge):
             se.simulate_fast_slow(DEFAULT, DEFAULT.Q, 280.0, cfg)
+
+    def test_fast_path_is_the_ou_path(self):
+        cfg = se.SimConfig(dt=1e-3, n_steps=30, n_paths=5, seed=8)
+        xb, _ = se.simulate_fast_slow(DEFAULT, DEFAULT.Q + 0.5, 280.0, cfg,
+                                      noise_scale=2.0)
+        ou = se.simulate_ou(DEFAULT.tau, DEFAULT.Q, DEFAULT.Q + 0.5, cfg,
+                            noise_scale=2.0)
+        np.testing.assert_array_equal(xb.values, ou.values)
 
 
 class TestWongZakai:
@@ -190,7 +200,7 @@ class TestLinearAnomaly:
         target = mc.stationary_variance(b_rate, sigma0, sigma1, tau)
         cfg = se.SimConfig(dt=0.01, n_steps=3000, n_paths=500, seed=9)
         bundle = se.simulate_linear_anomaly(b_rate, sigma0, sigma1, tau, 0.0, cfg)
-        rep = se.mc_moments(bundle, pooled=True)
+        rep = se.mc_moments(bundle, burn_in_fraction=0.5, pooled=True)
         assert abs(rep.variance - target) <= 4.0 * rep.se_variance
 
     def test_step_guard(self):
@@ -226,3 +236,95 @@ class TestMcMoments:
         b = self._bundle([[1.0]])
         with pytest.raises(EmptySample):
             se.mc_moments(b, burn_in_fraction=1.0)
+
+    def test_negative_burn_in_rejected(self):
+        b = self._bundle([[100.0, 1.0], [100.0, 3.0]])
+        with pytest.raises(ValueError, match="burn_in_fraction"):
+            se.mc_moments(b, burn_in_fraction=-0.5)
+
+
+def _field_operators(n, kernel):
+    """Anomaly-field operators on an n x n grid, d = (n-1)^2."""
+    theta = 280.0
+    g = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=n, Ny=n)
+    Q_field = sm.SpatialField.constant(g, DEFAULT.Q)
+    lam = DEFAULT.r0 + DEFAULT.r1 * theta - DEFAULT.Q * mc.co_albedo(theta, DEFAULT)
+    prof = sm.solve_equilibrium_profile(g, Q_field, lam,
+                                        sm.BoundaryTrace.constant(theta), DEFAULT)
+    noise = sm.build_noise_covariance(g, kernel, variance=1.0, length=0.5)
+    return sm.build_operators(g, prof, Q_field, DEFAULT, noise)
+
+
+def _runs():
+    """(run, n_paths, normals per path) for every simulator on the kernel."""
+    root = mc.select_root(mc.equilibrium_roots(DEFAULT))
+    n_paths, n_steps = 7, 40
+    cfg = se.SimConfig(dt=1e-3, n_steps=n_steps, n_paths=n_paths, seed=12)
+    strat = dataclasses.replace(cfg, scheme="milstein",
+                                drift_form="stratonovich-corrected")
+    field_cfg = dataclasses.replace(cfg, dt=2e-4)
+    ops1 = sm.operators_from_arrays([[-2.0]], [0.3], [0.5], [[1.0]], [[1.0]],
+                                    tau=0.05)
+    # Identity noise: the dW @ L^T product is then exact, whatever the row
+    # count of the matrix product (see test_dense_noise_factor_batches).
+    ops16 = _field_operators(5, "identity")
+    return {
+        "ou": (lambda: se.simulate_ou(0.05, 1.0, 2.0, cfg).values,
+               n_paths, n_steps),
+        "fast-slow": (lambda: np.stack([b.values for b in se.simulate_fast_slow(
+            DEFAULT, DEFAULT.Q, root.T_star, cfg)]), n_paths, n_steps),
+        "reduced": (lambda: se.simulate_reduced_sde(
+            DEFAULT, root.T_star + 2.0, cfg).values, n_paths, n_steps),
+        "reduced-milstein-stratonovich": (lambda: se.simulate_reduced_sde(
+            DEFAULT, root.T_star + 2.0, strat).values, n_paths, n_steps),
+        "linear-anomaly-milstein": (lambda: se.simulate_linear_anomaly(
+            1.0, 0.5, 0.3, 0.1, 0.2, strat).values, n_paths, n_steps),
+        "wong-zakai": (lambda: np.array(dataclasses.astuple(se.wong_zakai_error(
+            0.1, 0.5, 1.0, 0.0, n_paths=n_paths, seed=3))), n_paths, 1000),
+        "field-d1": (lambda: sm.simulate_anomaly_field(ops1, field_cfg).values,
+                     n_paths, n_steps),
+        "field-d16-stride": (lambda: sm.simulate_anomaly_field(
+            ops16, field_cfg, store_stride=7).values, n_paths, n_steps * 16),
+    }
+
+
+RUNS = _runs()
+
+
+class TestPathKernel:
+    @pytest.mark.parametrize("per_batch", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_batch_layout_invariance(self, monkeypatch, name, per_batch):
+        """Batches of 1-3 paths give the default run bit for bit."""
+        run, _, per_path = RUNS[name]
+        expected = run()
+        monkeypatch.setattr(se, "_BATCH_NORMALS", per_batch * per_path)
+        np.testing.assert_array_equal(run(), expected)
+
+    def test_dense_noise_factor_batches(self, monkeypatch):
+        """With a dense L the BLAS product dW @ L^T may round differently
+        for another row count, so other batch sizes agree only to rounding."""
+        ops = _field_operators(5, "exponential")
+        cfg = se.SimConfig(dt=2e-4, n_steps=40, n_paths=7, seed=12)
+        expected = sm.simulate_anomaly_field(ops, cfg, store_stride=7).values
+        monkeypatch.setattr(se, "_BATCH_NORMALS", 2 * 40 * ops.d)
+        got = sm.simulate_anomaly_field(ops, cfg, store_stride=7).values
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_draws_stay_within_the_budget(self, monkeypatch, name):
+        run, n_paths, per_path = RUNS[name]
+        budget = 2 * per_path + 1
+        monkeypatch.setattr(se, "_BATCH_NORMALS", budget)
+        sizes = []
+        draw = se.gaussian_increments
+
+        def recording(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(se, "gaussian_increments", recording)
+        run()
+        assert max(sizes) <= budget
+        assert sum(sizes) == n_paths * per_path
