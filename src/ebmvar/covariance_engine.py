@@ -1,14 +1,16 @@
 """Covariance dynamics and stationary analysis of the anomaly field.
 
-Matrix covariance ODE, its Kronecker-vectorised form, the stationary solve,
-matrix-class certification (Z-matrix, irreducibility, sign of the inverse),
-forcing-monotonicity sweeps, the spatial-variance proxy with its exceedance
-bound, and the 2x2 negative-correlation counterexample.
+All of it works on d x d matrices through one covariance operator,
+X -> M X + X M^T + tau C o (D X D): the matrix covariance ODE, the
+stationary solve, the matrix-class certificate, forcing-monotonicity sweeps,
+the spatial-variance proxy with its exceedance bound, and the 2x2
+negative-correlation counterexample.  The operator's d^2 x d^2 Kronecker
+matrix K (`assemble_vectorised`) is a test oracle only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,6 +35,7 @@ from .spatial_model import (
     SpatialField,
     SpatialOperators,
     build_operators,
+    drift_eigenvalues,
     operators_from_arrays,
     solve_equilibrium_profile,
 )
@@ -65,27 +68,26 @@ class CovarianceState:
                    is_psd=float(w[0]) >= -1e-8 * scale, lam=lam)
 
 
+def _operator(ops: SpatialOperators, M=None):
+    """X -> M X + X M^T + tau C o (D X D) on d x d matrices (K is its
+    column-stacked matrix), and its noise gain tau C o d d^T.  Built from
+    sym(M) instead of the drift it is sym(K), as K's noise term is diagonal.
+    """
+    M = ops.M if M is None else M
+    gain = ops.tau * ops.C * np.outer(ops.d_vec, ops.d_vec)
+
+    def apply(X):
+        return M @ X + (M @ X.T).T + gain * X
+
+    return apply, gain
+
+
 def covariance_rhs(gamma, ops: SpatialOperators) -> np.ndarray:
     """M G + G M^T + tau * (C o (D G D^T + f f^T)) with o the entrywise
     product; identical to the column-factor sum since sum_k l^k (l^k)^T = C."""
     gamma = np.asarray(gamma, dtype=float)
-    M = ops.M
-    lin = M @ gamma + (M @ gamma.T).T
-    inner = np.outer(ops.d_vec, ops.d_vec) * gamma + np.outer(ops.f_vec, ops.f_vec)
-    return lin + ops.tau * ops.C * inner
-
-
-def covariance_rhs_factor_sum(gamma, ops: SpatialOperators) -> np.ndarray:
-    """Literal sum over the factor columns; kept as an independent oracle."""
-    gamma = np.asarray(gamma, dtype=float)
-    M = ops.M
-    D = np.diag(ops.d_vec)
-    inner = D @ gamma @ D.T + np.outer(ops.f_vec, ops.f_vec)
-    noise = np.zeros_like(inner)
-    for k in range(ops.L.shape[1]):
-        dk = np.diag(ops.L[:, k])
-        noise += dk @ inner @ dk
-    return M @ gamma + (M @ gamma.T).T + ops.tau * noise
+    return (_operator(ops)[0](gamma)
+            + ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec))
 
 
 def integrate_covariance(ops: SpatialOperators, T_end, dt,
@@ -122,31 +124,30 @@ def assemble_vectorised(ops: SpatialOperators) -> VectorisedSystem:
     return VectorisedSystem(K=K.tocsc(), F=F, d=d)
 
 
-def _rightmost_eigenvalue(A, arpack, which, what) -> float:
-    """Rightmost eigenvalue of a sparse resolvent-positive A by ARPACK.
-
-    The start vector is the all-ones vector vec(1 1^T), not a random one, so
-    reruns give identical digits.  A need not be Metzler (C may have negative
-    entries), but when C is PSD its rightmost eigenvalue is real and has the
-    vectorisation of a PSD matrix X as eigenvector (Damm 2004, ch. 3), which
-    meets the start vector with weight 1^T X 1 >= 0.
-    """
-    n = A.shape[0]
+def _rightmost_eigenvalue(apply, d, arpack, which, what) -> float:
+    """Rightmost eigenvalue of an operator on d x d matrices by ARPACK,
+    started from 1 1^T, not a random vector, so reruns give identical digits.
+    For PSD C the rightmost eigenvalue of K is real with a PSD eigenvector X
+    (Damm 2004, ch. 3), which meets the start with weight 1^T X 1 >= 0."""
+    op = spla.LinearOperator(
+        (d * d, d * d), dtype=float,
+        matvec=lambda x: apply(x.reshape(d, d)).ravel())
     try:
-        vals = arpack(A, k=1, which=which, return_eigenvectors=False,
-                      maxiter=5000, v0=np.ones(n))
+        vals = arpack(op, k=1, which=which, return_eigenvectors=False,
+                      maxiter=5000, v0=np.ones(d * d))
     except spla.ArpackNoConvergence as exc:
         raise SolveFailed(f"{what}: {exc}") from exc
     return float(vals.real.max())
 
 
-def k_spectral_abscissa(vs: VectorisedSystem) -> tuple[float, str]:
+def k_spectral_abscissa(ops: SpatialOperators) -> tuple[float, str]:
     """Max real part of K's spectrum, with the route used: "iterative"
-    (ARPACK), or "dense" for d = 1, where ARPACK cannot run and K is its
-    own eigenvalue."""
-    if vs.K.shape[0] == 1:
-        return float(vs.K[0, 0]), "dense"
-    return _rightmost_eigenvalue(vs.K, spla.eigs, "LR",
+    (ARPACK on the d x d operator), or "dense" for d = 1, where ARPACK
+    cannot run and K is its own eigenvalue."""
+    apply, _ = _operator(ops)
+    if ops.d == 1:
+        return float(apply(np.ones((1, 1)))[0, 0]), "dense"
+    return _rightmost_eigenvalue(apply, ops.d, spla.eigs, "LR",
                                  "K spectral abscissa"), "iterative"
 
 
@@ -186,7 +187,7 @@ def _covariance_solver(ops: SpatialOperators):
     """
     d = ops.d
     lyap = _lyapunov_solver(ops.M.toarray())
-    noise_gain = ops.tau * ops.C * np.outer(ops.d_vec, ops.d_vec)
+    apply, noise_gain = _operator(ops)
     op = spla.LinearOperator(
         (d * d, d * d), dtype=float,
         matvec=lambda x: x + lyap(noise_gain * x.reshape(d, d)).ravel())
@@ -203,8 +204,7 @@ def _covariance_solver(ops: SpatialOperators):
         if defect > 1e-10 * xscale:
             raise SolveFailed(f"symmetry defect {defect:.3e} too large")
         X = 0.5 * (X + X.T)
-        MX = ops.M @ X
-        resid = np.max(np.abs(MX + MX.T + noise_gain * X - R))
+        resid = np.max(np.abs(apply(X) - R))
         scale = np.max(np.abs(R)) or 1.0
         if resid > 1e-9 * scale:
             raise SolveFailed(f"generalized Lyapunov residual {resid:.3e} too "
@@ -257,47 +257,34 @@ class StabilityCertificate:
     inverse_route: str
 
     def to_dict(self) -> dict:
-        return {
-            "m_spectral_abscissa": self.m_spectral_abscissa,
-            "k_spectral_abscissa": self.k_spectral_abscissa,
-            "minus_k_is_Z": self.minus_k_is_Z,
-            "minus_k_irreducible": self.minus_k_irreducible,
-            "inverse_nonnegative": self.inverse_nonnegative,
-            "inverse_strictly_positive": self.inverse_strictly_positive,
-            "coercivity_ok": self.coercivity_ok,
-            "k_symmetric_part_negative_definite":
-                self.k_symmetric_part_negative_definite,
-            "eig_route": self.eig_route,
-            "inverse_route": self.inverse_route,
-        }
+        return asdict(self)
 
 
 def certify(ops: SpatialOperators) -> StabilityCertificate:
-    """Matrix-class certificate for the stationary solve, read off the
-    vectorised operator K.
-
-    Nonsymmetric "negative definiteness" is reported two ways: the spectral
-    abscissa (Hurwitz reading, the property the ODE limit actually uses) and
-    negative definiteness of the symmetric part.  The sign of the inverse is
-    asserted through the M-matrix theorem only: -K a Z-matrix with K Hurwitz
-    has a nonnegative inverse, strictly positive when -K is irreducible.
+    """Matrix-class certificate for the stationary solve, read off M and the
+    covariance operator; K is never assembled.  K = I x M + M x I + a
+    diagonal, so -K is a Z-matrix iff M's off-diagonals are >= 0, and K's
+    graph, the Cartesian product of M's with itself, is strongly connected
+    iff M's is.  "Negative definiteness" is reported two ways: the spectral
+    abscissa (the Hurwitz reading the ODE limit uses) and the symmetric
+    part.  The sign of the inverse is asserted through the M-matrix theorem
+    only (Berman & Plemmons 1994, ch. 6): -K a Z-matrix with K Hurwitz has
+    a nonnegative inverse, strictly positive when -K is irreducible.
     """
-    vs = assemble_vectorised(ops)
-    m_absc = float(np.max(np.linalg.eigvals(ops.M.toarray()).real))
-    k_absc, eig_route = k_spectral_abscissa(vs)
-
-    K = vs.K.tocoo()
-    off = K.row != K.col
-    minus_k_is_Z = bool(np.all(K.data[off] >= -1e-14)) if off.any() else True
-
-    n_comp, _ = connected_components(vs.K, directed=True, connection="strong")
+    M = ops.M.tocoo(copy=True)
+    M.eliminate_zeros()  # zeros stored in M are no edges of K's graph
+    m_absc = float(np.max(drift_eigenvalues(ops).real))
+    k_absc, eig_route = k_spectral_abscissa(ops)
+    minus_k_is_Z = bool(np.all(M.data[M.row != M.col] >= -1e-14))
+    n_comp, _ = connected_components(M, directed=True, connection="strong")
     irreducible = n_comp == 1
 
-    if vs.K.shape[0] == 1:  # d = 1: K is its own symmetric part
+    if (ops.M != ops.M.T).nnz == 0:  # then K is its own symmetric part
         sym_top = k_absc
     else:
-        sym_top = _rightmost_eigenvalue(0.5 * (vs.K + vs.K.T), spla.eigsh,
-                                        "LA", "top eigenvalue of sym(K)")
+        sym_apply, _ = _operator(ops, 0.5 * (ops.M + ops.M.T))
+        sym_top = _rightmost_eigenvalue(sym_apply, ops.d, spla.eigsh, "LA",
+                                        "top eigenvalue of sym(K)")
 
     m_matrix = k_absc < 0.0 and minus_k_is_Z  # -K a nonsingular M-matrix
     return StabilityCertificate(

@@ -43,8 +43,8 @@ class SimConfig:
     drift_form: str = "ito"
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not self.dt > 0.0 or not math.isfinite(self.dt):
+            raise ValueError("dt must be positive and finite")
         if self.n_steps < 1 or self.n_paths < 1:
             raise ValueError("n_steps and n_paths must be >= 1")
         if self.scheme not in SCHEMES:

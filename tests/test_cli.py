@@ -164,11 +164,14 @@ class TestExitCodes:
         assert cert["k_spectral_abscissa"] >= 0.0
         assert cert["m_spectral_abscissa"] < 0.0
 
-    @pytest.mark.parametrize("routine", ["eigs", "eigsh"])
+    @pytest.mark.parametrize("routine", ["eigs"])
     def test_arpack_failure_is_a_numerical_error(self, tmp_path, monkeypatch,
                                                  routine):
-        """d = 64 puts K (4096 x 4096) on the ARPACK route; a convergence
-        failure there exits with the numerical-error code, not a traceback."""
+        """At d = 64 K's abscissa comes from ARPACK on the d x d operator; a
+        convergence failure there exits with the numerical-error code, not a
+        traceback.  A grid M is symmetric, so eigsh never runs here; its
+        failure is checked on a nonsymmetric system in the certificate
+        tests."""
         def no_convergence(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence", [], [])
 
@@ -298,9 +301,24 @@ class TestSpatialStationary:
         assert summary["trace"] > 0.0
         assert summary["d"] == 9
 
+    @pytest.mark.parametrize("n", [2, 4], ids=["d1", "d9"])
+    def test_never_assembles_k(self, tmp_path, monkeypatch, n):
+        """The certificate and the stationary solve work on d x d matrices;
+        the d^2 x d^2 matrix K is a test oracle only."""
+        def refuse(ops):
+            raise AssertionError("assemble_vectorised called")
+
+        monkeypatch.setattr(cov, "assemble_vectorised", refuse)
+        lam = _constant_profile_lam(280.0)
+        cfg = _write_cfg(tmp_path, _model_section(lam=lam)
+                         + _spatial_sections(n=n))
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                     "spatial-stationary"]) == EXIT_OK
+
     def test_single_node(self, tmp_path, monkeypatch):
         """d = 1 (Nx = Ny = 2): ARPACK cannot run on the 1 x 1 operator K,
-        so its abscissa is read off K itself."""
+        so its abscissa is the operator applied to [[1]], which equals K
+        exactly."""
         seen = []
         original = cov.certify
 
@@ -341,9 +359,9 @@ class TestSpatialStationary:
         calls = []
         original = cov.k_spectral_abscissa
 
-        def counting(vs):
-            calls.append(vs.d)
-            return original(vs)
+        def counting(ops):
+            calls.append(ops.d)
+            return original(ops)
 
         monkeypatch.setattr(cov, "k_spectral_abscissa", counting)
         lam = _constant_profile_lam(280.0)

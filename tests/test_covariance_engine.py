@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_continuous_lyapunov
+from scipy.sparse.csgraph import connected_components
 
 from ebmvar import covariance_engine as ce
 from ebmvar import model_core as mc
@@ -29,6 +31,20 @@ def _random_system(rng, d, multiplicative=True):
     return sm.operators_from_arrays(M, d_vec, f_vec, C, L, tau=0.05)
 
 
+def _covariance_rhs_factor_sum(gamma, ops):
+    """Literal sum over the factor columns of C = L L^T: an independent
+    oracle for covariance_rhs."""
+    gamma = np.asarray(gamma, dtype=float)
+    M = ops.M
+    D = np.diag(ops.d_vec)
+    inner = D @ gamma @ D.T + np.outer(ops.f_vec, ops.f_vec)
+    noise = np.zeros_like(inner)
+    for k in range(ops.L.shape[1]):
+        dk = np.diag(ops.L[:, k])
+        noise += dk @ inner @ dk
+    return M @ gamma + (M @ gamma.T).T + ops.tau * noise
+
+
 class TestCovarianceRhs:
     def test_two_formulations_agree(self):
         rng = np.random.default_rng(0)
@@ -39,7 +55,7 @@ class TestCovarianceRhs:
             G = G + G.T
             np.testing.assert_allclose(
                 ce.covariance_rhs(G, ops),
-                ce.covariance_rhs_factor_sum(G, ops),
+                _covariance_rhs_factor_sum(G, ops),
                 rtol=1e-12, atol=1e-12,
             )
 
@@ -172,7 +188,7 @@ class TestIntegrateCovariance:
         vs = ce.assemble_vectorised(ops)
         target = ce.stationary_covariance(ops)
         # Long horizon relative to the slowest mode of K.
-        absc, _ = ce.k_spectral_abscissa(vs)
+        absc, _ = ce.k_spectral_abscissa(ops)
         T_end = 40.0 / abs(absc)
         state = ce.integrate_covariance(ops, T_end, dt=0.25 / np.max(
             np.abs(np.linalg.eigvals(vs.K.toarray()))))
@@ -269,11 +285,115 @@ class TestCertificate:
         rng = np.random.default_rng(7)
         ops = _random_system(rng, 3, multiplicative=False)
         ops.C[:] = 0.0  # keep K purely Kronecker
-        vs = ce.assemble_vectorised(ops)
         m_absc = np.max(np.linalg.eigvals(ops.M.toarray()).real)
-        k_absc, route = ce.k_spectral_abscissa(vs)
+        k_absc, route = ce.k_spectral_abscissa(ops)
         assert route == "iterative"
         assert k_absc == pytest.approx(2.0 * m_absc, rel=1e-8)
+
+    def test_eigsh_failure_raises_solve_failed(self, monkeypatch):
+        """A nonsymmetric M needs the top eigenvalue of sym(K) from eigsh;
+        a convergence failure there is a typed solver error."""
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", [], [])
+
+        ops = _random_system(np.random.default_rng(11), 4)
+        monkeypatch.setattr(ce.spla, "eigsh", no_convergence)
+        with pytest.raises(SolveFailed, match="sym"):
+            ce.certify(ops)
+
+
+def _certificate_oracle(ops):
+    """Every certificate field read off the assembled d^2 x d^2 matrix K:
+    its off-diagonal signs, its strongly connected components, and dense
+    eigensolves of K and of its symmetric part."""
+    K = ce.assemble_vectorised(ops).K
+    Kd = K.toarray()
+    n = Kd.shape[0]
+    symmetric = bool(np.all(Kd == Kd.T))
+    S = Kd if symmetric else 0.5 * (Kd + Kd.T)
+    sym_top = sla.eigvalsh(S, subset_by_index=[n - 1, n - 1],
+                           overwrite_a=not symmetric)[0]
+    absc = sym_top if symmetric else np.max(np.linalg.eigvals(Kd).real)
+    is_Z = bool(np.all(Kd[~np.eye(n, dtype=bool)] >= -1e-14))
+    irreducible = connected_components(K, directed=True,
+                                       connection="strong")[0] == 1
+    m_matrix = bool(absc < 0.0) and is_Z
+    return Kd, absc, {
+        "minus_k_is_Z": is_Z,
+        "minus_k_irreducible": irreducible,
+        "inverse_nonnegative": m_matrix,
+        "inverse_strictly_positive": m_matrix and irreducible,
+        "coercivity_ok": bool(np.all(-ops.M.diagonal() >= 0.0)),
+        "k_symmetric_part_negative_definite": bool(sym_top < 0.0),
+        "eig_route": "dense" if n == 1 else "iterative",
+        "inverse_route": "m-matrix" if m_matrix else "not-asserted",
+    }
+
+
+def _assert_matches_certificate_oracle(ops):
+    cert = ce.certify(ops).to_dict()
+    Kd, absc, expected = _certificate_oracle(ops)
+    assert {k: cert[k] for k in expected} == expected
+    assert abs(cert["k_spectral_abscissa"] - absc) <= 1e-10 * abs(absc)
+    return Kd, cert
+
+
+def _oracle_system(rng, kind):
+    """A random system of one kind: a Z-matrix drift, symmetric or not; a
+    general drift with negative off-diagonals; a block-diagonal (reducible)
+    Z-matrix drift; or d = 1.  The diagonal shift leaves some drifts
+    unstable, and the multiplicative noise destabilises some stable ones."""
+    d = 1 if kind == "scalar" else int(rng.integers(2, 7))
+    if kind == "general":
+        M = rng.standard_normal((d, d))
+    else:
+        M = rng.uniform(0.0, 1.0, (d, d)) * (rng.random((d, d)) < 0.6)
+        if kind == "symmetric":
+            M = M + M.T
+        if kind == "reducible":
+            k = int(rng.integers(1, d))
+            M[:k, k:] = 0.0
+            M[k:, :k] = 0.0
+    np.fill_diagonal(M, 0.0)
+    M -= (np.max(np.linalg.eigvals(M).real) + rng.uniform(-0.5, 1.5)) * np.eye(d)
+    if kind == "reducible":  # every entry stored, zeros included
+        rows, cols = np.indices((d, d)).reshape(2, -1)
+        M = sp.csr_matrix((M.ravel(), (rows, cols)), shape=(d, d))
+    B = rng.standard_normal((d, d))
+    C = B @ B.T + 0.1 * np.eye(d)
+    return sm.operators_from_arrays(
+        M, rng.uniform(0.0, 2.0) * rng.standard_normal(d),
+        rng.uniform(0.2, 0.8, d), C, np.linalg.cholesky(C), tau=0.5)
+
+
+class TestCertificateOracle:
+    """certify, which reads M and the d x d operator, against the same
+    fields read off the Kronecker matrix K."""
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(13)
+        kinds = ("nonsymmetric", "symmetric", "general", "reducible", "scalar")
+        seen = {}
+        for i in range(100):
+            kind = kinds[i % len(kinds)]
+            ops = _oracle_system(rng, kind)
+            Kd, cert = _assert_matches_certificate_oracle(ops)
+            if cert["inverse_strictly_positive"]:
+                assert np.min(np.linalg.inv(-Kd)) > 0.0
+            elif cert["inverse_nonnegative"]:
+                assert np.min(np.linalg.inv(-Kd)) >= -1e-12 * np.max(
+                    np.abs(np.linalg.inv(-Kd)))
+            key = (cert["minus_k_is_Z"], cert["minus_k_irreducible"],
+                   cert["k_spectral_abscissa"] < 0.0)
+            seen[key] = seen.get(key, 0) + 1
+        # Z-matrices and not, reducible and not, Hurwitz and not.
+        assert len(seen) >= 6, seen
+
+    @pytest.mark.parametrize("nx", [5, 7, 9], ids=["d16", "d36", "d64"])
+    def test_grids_on_8x8_domain(self, nx):
+        *_, ops = _default_setup(nx=nx, ny=nx, length=8.0)
+        _, cert = _assert_matches_certificate_oracle(ops)
+        assert cert["inverse_strictly_positive"]
 
 
 class TestMarkovBound:

@@ -20,6 +20,7 @@ class TestSimConfig:
     @pytest.mark.parametrize("kw", [
         {"dt": 0.0}, {"n_steps": 0}, {"n_paths": 0},
         {"scheme": "heun"}, {"drift_form": "bogus"},
+        {"dt": float("nan")}, {"dt": float("inf")},
     ])
     def test_rejects_bad_values(self, kw):
         base = {"dt": 0.01, "n_steps": 10, "n_paths": 2}
