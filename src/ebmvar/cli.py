@@ -47,12 +47,15 @@ def _fmt(x) -> str:
 
 
 def _write(outdir: Path, name: str, payload) -> Path:
+    """Write text, or a list of buffers one after another, never joined."""
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / name
-    if isinstance(payload, bytes):
-        path.write_bytes(payload)
-    else:
+    if isinstance(payload, str):
         path.write_text(payload)
+    else:
+        with open(path, "wb") as fh:
+            for part in payload:
+                fh.write(part)
     return path
 
 
@@ -108,11 +111,8 @@ def cmd_wz_convergence(cfg: ExperimentConfig, args, outdir: Path) -> int:
     s = sim_config(cfg, seed_override=args.seed)
     x0 = p.Q + args.x0_offset
 
-    def run(tau):
-        return sde.wong_zakai_error(tau, args.t, x0, p.Q,
+    results = sde.wong_zakai_ladder(WZ_TAU_LADDER, args.t, x0, p.Q,
                                     n_paths=s.n_paths, seed=s.seed)
-
-    results = _parallel_map(run, list(WZ_TAU_LADDER), args.threads)
     lines = ["tau,mc,exact,se"]
     for r in results:
         lines.append(f"{_fmt(r.tau)},{_fmt(r.mc_estimate)},{_fmt(r.exact)},{_fmt(r.se)}")
@@ -135,6 +135,25 @@ def cmd_wz_convergence(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 def _selected_root(p):
     return mc.select_root(mc.equilibrium_roots(p))
+
+
+# Path values squared at a time when the field traces are reduced: whole
+# paths, and at least one.
+_TRACE_VALUES = 1 << 20
+
+
+def _mean_square_norm(values):
+    """(values ** 2).sum(axis=2).mean(axis=0), bit for bit, squaring a block
+    of paths at a time.  numpy sums over axis 0 one row after another, so
+    adding the running total to a block's first row keeps that order."""
+    block = max(1, _TRACE_VALUES // values[0].size)
+    total = None
+    for lo in range(0, values.shape[0], block):
+        sq = (values[lo:lo + block] ** 2).sum(axis=2)
+        if total is not None:
+            sq[0] += total
+        total = sq.sum(axis=0)
+    return total / values.shape[0]
 
 
 def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
@@ -161,18 +180,16 @@ def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
         T_star = sm.solve_equilibrium_profile(grid, Q_field, p.lam, theta, p)
         ops = sm.build_operators(grid, T_star, Q_field, p, noise)
         bundle = sm.simulate_anomaly_field(ops, s)
-        # Square the paths before the binary dump exists, not while it is held.
-        traces = (bundle.values ** 2).sum(axis=2).mean(axis=0)
-        _write(outdir, "anomaly_field.bin", bundle.to_binary())
+        _write(outdir, "anomaly_field.bin", bundle.binary_parts())
         lines = ["time,mc_trace"]
-        for t, tr in zip(bundle.times, traces):
+        for t, tr in zip(bundle.times, _mean_square_norm(bundle.values)):
             lines.append(f"{_fmt(t)},{_fmt(tr)}")
         _write(outdir, "anomaly_field_trace.csv", "\n".join(lines) + "\n")
         return EXIT_OK
 
     for name, bundle in bundles.items():
         _write(outdir, f"{name}_paths.csv", bundle.to_csv())
-        _write(outdir, f"{name}_paths.bin", bundle.to_binary())
+        _write(outdir, f"{name}_paths.bin", bundle.binary_parts())
         rep = sde.mc_moments(bundle)
         lines = ["time,mean,variance,se_mean,se_variance"]
         for j, t in enumerate(bundle.times):

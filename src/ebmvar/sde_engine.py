@@ -88,8 +88,9 @@ class PathBundle:
             buf.write(f"{t:.17g},{row}\n")
         return buf.getvalue()
 
-    def to_binary(self) -> bytes:
-        """Compact little-endian float64 dump with a shape/seed header."""
+    def binary_parts(self) -> list:
+        """The little-endian float64 dump with a shape/seed header, as its
+        three buffers in file order (header, times, values), uncopied."""
         seed = int(self.meta.get("seed", 0))
         if self.values.ndim == 2:
             n_paths, n_times = self.values.shape
@@ -97,12 +98,17 @@ class PathBundle:
         else:
             n_paths, n_times, d = self.values.shape
         head = _MAGIC + struct.pack("<qqqq", n_paths, n_times, d, seed)
-        # One copy: join reads the contiguous arrays' buffers directly.
-        return b"".join([head, np.ascontiguousarray(self.times, dtype="<f8"),
-                         np.ascontiguousarray(self.values, dtype="<f8")])
+        return [head, np.ascontiguousarray(self.times, dtype="<f8"),
+                np.ascontiguousarray(self.values, dtype="<f8")]
+
+    def to_binary(self) -> bytes:
+        """The dump of `binary_parts` as one bytes object."""
+        return b"".join(self.binary_parts())
 
     @classmethod
     def from_binary(cls, blob: bytes) -> "PathBundle":
+        """The bundle of a `to_binary` dump.  Its arrays are views of `blob`,
+        not copies: read-only when `blob` is bytes."""
         if blob[:8] != _MAGIC:
             raise ValueError("bad magic in binary path dump")
         n_paths, n_times, d, seed = struct.unpack("<qqqq", blob[8:40])
@@ -111,8 +117,7 @@ class PathBundle:
         count = n_paths * n_times * (d if d else 1)
         vals = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         shape = (n_paths, n_times, d) if d else (n_paths, n_times)
-        return cls(times=times.copy(), values=vals.reshape(shape).copy(),
-                   meta={"seed": seed})
+        return cls(times=times, values=vals.reshape(shape), meta={"seed": seed})
 
 
 def path_generator(seed: int, path_index: int) -> np.random.Generator:
@@ -122,18 +127,27 @@ def path_generator(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def gaussian_increments(seed, path_indices, n, columns=1):
-    """Standard-normal draws, one row block per path, in stream order."""
-    shape = (n,) if columns == 1 else (n, columns)
-    out = np.empty((len(path_indices),) + shape)
-    for row, k in enumerate(path_indices):
-        out[row] = path_generator(seed, k).standard_normal(shape)
+def gaussian_increments(streams, n, columns=1, out=None):
+    """The next `n` draws of `columns` standard normals from each stream, in
+    stream order: shape (len(streams), n, columns).  With `out`, a buffer of
+    at least that many steps, they fill out[:, :n], which is returned."""
+    if out is None:
+        out = np.empty((len(streams), n, columns))
+    out = out[:, :n]
+    for stream, row in zip(streams, out):
+        stream.standard_normal(out=row)
     return out
 
 
-# Normals drawn at once, at most: a batch holds this many // (n_steps *
-# normals per step) paths, and at least one.
+# Paths per batch: this many // (n_steps * normals per step), and at least
+# one.  A batch is the row count of every step, on which the rounding of a
+# dense-L field product depends, so it must not depend on anything else.
 _BATCH_NORMALS = 20_000_000
+
+# Normals per draw: a batch draws this many // (batch * normals per step)
+# steps at a time, and at least one, into one reused buffer.  Philox draws
+# taken in pieces are the draws taken at once, so this sets memory only.
+_DRAW_NORMALS = 1 << 20
 
 # Fine-grid resolution of the Wong-Zakai experiment: steps per unit tau.
 _WZ_STEPS_PER_TAU = 200
@@ -143,30 +157,36 @@ def _run_paths(seed, n_paths, n_steps, init, step, shape=(), keep=None):
     """Advance `n_paths` paths by `n_steps` steps, in batches of paths.
 
     `init(B)` returns the start state of B paths, one row per path, and
-    `step(state, xi)` the state one step on, where `xi` holds the step's
-    raw standard normals, shape (B,) + `shape`, from each path's stream.
-    Returns the states at the steps in `keep` (default: all of them),
-    shape (n_paths, len(keep)) + state.shape[1:].  A step that acts row by
-    row gives the same paths whatever the batch size.
+    `step(state, xi, k)` the state after step k (0-based), where `xi` holds
+    the step's raw standard normals, shape (B,) + `shape`, from each path's
+    stream.  Returns the states at the steps in `keep` (default: all of
+    them), shape (n_paths, len(keep)) + state.shape[1:].  A step that acts
+    row by row gives the same paths whatever the batch size.
     """
     pos = {k: j for j, k in enumerate(range(n_steps + 1) if keep is None else keep)}
     width = math.prod(shape)
     batch = max(1, _BATCH_NORMALS // (n_steps * width))
     values = None
     for lo in range(0, n_paths, batch):
-        idx = range(lo, min(lo + batch, n_paths))
-        xi = gaussian_increments(seed, idx, n_steps, columns=width)
-        xi = xi.reshape((len(idx), n_steps) + shape)
-        state = init(len(idx))
+        B = min(batch, n_paths - lo)
+        streams = [path_generator(seed, k) for k in range(lo, lo + B)]
+        block = min(n_steps, max(1, _DRAW_NORMALS // (B * width)))
+        buf = np.empty((B, block, width))
+        state = init(B)
         if values is None:
             values = np.empty((n_paths, len(pos)) + state.shape[1:])
-        rows = slice(lo, lo + len(idx))
+        rows = slice(lo, lo + B)
         if 0 in pos:
             values[rows, pos[0]] = state
-        for k in range(n_steps):
-            state = step(state, xi[:, k])
-            if k + 1 in pos:
-                values[rows, pos[k + 1]] = state
+        for start in range(0, n_steps, block):
+            xi = gaussian_increments(streams, min(block, n_steps - start),
+                                     columns=width, out=buf)
+            xi = xi.reshape((B, -1) + shape)
+            for j in range(xi.shape[1]):
+                k = start + j
+                state = step(state, xi[:, j], k)
+                if k + 1 in pos:
+                    values[rows, pos[k + 1]] = state
     return values
 
 
@@ -192,7 +212,7 @@ def simulate_ou(tau, Q, x0, cfg: SimConfig, noise_scale=1.0) -> PathBundle:
     sd = noise_scale * np.sqrt(0.5 * (1.0 - np.exp(-2.0 * cfg.dt / tau)))
     values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
                         lambda B: np.full(B, float(x0)),
-                        lambda x, xi: Q + (x - Q) * decay + sd * xi)
+                        lambda x, xi, k: Q + (x - Q) * decay + sd * xi)
     return PathBundle(times=_times(cfg), values=values,
                       meta={"seed": cfg.seed, "kind": "ou"})
 
@@ -243,31 +263,62 @@ def wong_zakai_error(tau, t, x0, Q, n_paths, seed=0) -> WongZakaiResult:
     the integrated fluctuations use trapezoid quadrature, which matches the
     C^1 regularity of the smoothed driver.
     """
-    if t <= 0.0 or tau <= 0.0:
+    return wong_zakai_ladder([tau], t, x0, Q, n_paths, seed)[0]
+
+
+def wong_zakai_ladder(taus, t, x0, Q, n_paths, seed=0) -> list[WongZakaiResult]:
+    """`wong_zakai_error` at each tau of `taus`, in that order, by one pass.
+
+    The rung at tau takes n = max(1000, ceil(200 t / tau)) fine steps on
+    the first n normals of each path's stream, so every rung reads a prefix
+    of one shared draw and equals its own `wong_zakai_error` bit for bit.
+    The rungs' states sit in one array, longest rung first, each rung's
+    rows contiguous over paths; a step advances only the rungs still
+    running, so a finished rung's rows hold its last state.
+    """
+    if t <= 0.0 or min(taus) <= 0.0:
         raise ValueError("t and tau must be positive")
-    n_steps = max(1000, int(np.ceil(_WZ_STEPS_PER_TAU * t / tau)))
-    h = t / n_steps
+    n = [max(1000, int(np.ceil(_WZ_STEPS_PER_TAU * t / tau))) for tau in taus]
+    order = sorted(range(len(taus)), key=lambda j: -n[j])
+    n_steps = np.array([n[j] for j in order])
+    n_max = n[order[0]]
+    tau = np.array([taus[j] for j in order], dtype=float)[:, None]
+    h = t / n_steps[:, None]
     sqrt_h = np.sqrt(h)
+    h_tau = h / tau
+    half_h = 0.5 * h
     inv_sqrt_tau = 1.0 / np.sqrt(tau)
+    running = np.count_nonzero(n_steps > np.arange(n_max)[:, None], axis=1)
 
-    def init(B):  # columns x, W, integral; Fortran order keeps each contiguous
-        return np.asfortranarray(np.tile([float(x0), 0.0, 0.0], (B, 1)))
+    def init(B):  # rows (x, W, integral) x rung x path, seen path-first
+        s = np.zeros((3, len(order), B))
+        s[0] = x0
+        return s.transpose(2, 1, 0)
 
-    def step(s, xi):
-        x, W, integral = s.T
-        dW = sqrt_h * xi
-        x_new = x + (h / tau) * (Q - x) + inv_sqrt_tau * dW
-        integral += 0.5 * h * ((x - Q) + (x_new - Q))
+    def step(s, xi, k):  # Euler for x, trapezoid for the integral
+        m = running[k]
+        x, W, integral = s.transpose(2, 1, 0)[:, :m]
+        dW = sqrt_h[:m] * xi
+        dx = x - Q
+        # x - (h/tau)(x - Q) is x + (h/tau)(Q - x) bit for bit: negation is exact.
+        x_new = x - h_tau[:m] * dx
+        x_new += inv_sqrt_tau[:m] * dW
+        dx += x_new - Q
+        dx *= half_h[:m]
+        integral += dx
         W += dW
         x[:] = x_new
         return s
 
-    final = _run_paths(seed, n_paths, n_steps, init, step, keep=[n_steps])[:, 0]
-    sq = (inv_sqrt_tau * final[:, 2] - final[:, 1]) ** 2
-    mc = float(np.mean(sq))
-    se = float(np.std(sq, ddof=1) / np.sqrt(n_paths))
-    return WongZakaiResult(mc_estimate=mc, exact=float(wong_zakai_exact(tau, t, x0, Q)),
-                           se=se, tau=tau, t=t)
+    final = _run_paths(seed, n_paths, n_max, init, step, keep=[n_max])[:, 0]
+    results = [None] * len(order)
+    for i, j in enumerate(order):
+        sq = (inv_sqrt_tau[i, 0] * final[:, i, 2] - final[:, i, 1]) ** 2
+        results[j] = WongZakaiResult(
+            mc_estimate=float(np.mean(sq)),
+            exact=float(wong_zakai_exact(taus[j], t, x0, Q)),
+            se=float(np.std(sq, ddof=1) / np.sqrt(n_paths)), tau=taus[j], t=t)
+    return results
 
 
 def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig,
@@ -285,7 +336,7 @@ def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig,
     corrected = cfg.drift_form == "stratonovich-corrected"
     milstein = cfg.scheme == "milstein"
 
-    def step(T, xi):
+    def step(T, xi, k):
         beta = co_albedo(T, p)
         dbeta = co_albedo_slope(T, p)
         drift = balance_residual(T, p)
@@ -312,7 +363,7 @@ def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0,
     sqrt_tau = np.sqrt(tau)
     milstein = cfg.scheme == "milstein"
 
-    def step(y, xi):
+    def step(y, xi, k):
         dW = noise_scale * sqrt_dt * xi
         sig = sigma0 + sigma1 * y
         y_new = y - cfg.dt * b * y + sqrt_tau * sig * dW

@@ -305,6 +305,10 @@ def operators_from_arrays(M, d_vec, f_vec, C, L, tau) -> SpatialOperators:
 
 
 def drift_eigenvalues(ops: SpatialOperators) -> np.ndarray:
+    """Eigenvalues of M: real, by the symmetric solver, when M is exactly
+    symmetric (every grid), and by the general one otherwise."""
+    if (ops.M != ops.M.T).nnz == 0:
+        return np.linalg.eigvalsh(ops.M.toarray())
     return np.linalg.eigvals(ops.M.toarray())
 
 
@@ -334,7 +338,7 @@ def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
     if kept[-1] != cfg.n_steps:
         kept.append(cfg.n_steps)
 
-    def step(y, xi):
+    def step(y, xi, k):
         dW = sqrt_dt * xi
         amp = y * ops.d_vec + ops.f_vec  # rows hold D y + f
         return y + cfg.dt * (ops.M @ y.T).T + sqrt_tau * amp * (dW @ Lt)

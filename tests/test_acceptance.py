@@ -68,8 +68,7 @@ def test_criterion_02_white_noise_replacement_ladder():
     tau-scaling slope is 1.0 +/- 0.05."""
     t, x0, Q, n_paths = 2.0, 1.0, 0.0, 10_000
     ladder = (0.2, 0.1, 0.05, 0.025)
-    results = [se.wong_zakai_error(tau, t, x0, Q, n_paths, seed=202)
-               for tau in ladder]
+    results = se.wong_zakai_ladder(ladder, t, x0, Q, n_paths, seed=202)
     within = [abs(r.mc_estimate - r.exact) <= 3.0 * r.se for r in results]
     slope = float(np.polyfit(np.log([r.tau for r in results]),
                              np.log([r.mc_estimate for r in results]), 1)[0])

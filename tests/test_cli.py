@@ -283,6 +283,37 @@ class TestSimulate:
         assert len(lines) == 22
 
 
+    def test_anomaly_field_streams_the_joined_outputs(self, tmp_path,
+                                                       monkeypatch):
+        """anomaly_field.bin is the bundle's to_binary(), and the traces,
+        reduced 2 paths at a time, are (values**2).sum(2).mean(0) exactly."""
+        from ebmvar import cli
+        from ebmvar import spatial_model as sm
+
+        bundles = []
+        simulate = sm.simulate_anomaly_field
+
+        def recording(*args, **kwargs):
+            bundles.append(simulate(*args, **kwargs))
+            return bundles[-1]
+
+        monkeypatch.setattr(sm, "simulate_anomaly_field", recording)
+        monkeypatch.setattr(cli, "_TRACE_VALUES", 2 * 21 * 9)  # d=9, 21 times
+        lam = _constant_profile_lam(280.0)
+        text = (_model_section(lam=lam) + _spatial_sections(kernel="exponential")
+                + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 5\nseed = 4\n")
+        out = tmp_path / "o"
+        assert main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
+                     "simulate", "--which", "anomaly-field"]) == EXIT_OK
+        (bundle,) = bundles
+        assert (out / "anomaly_field.bin").read_bytes() == bundle.to_binary()
+        traces = (bundle.values ** 2).sum(axis=2).mean(axis=0)
+        expected = ["time,mc_trace"] + [f"{t:.17g},{tr:.17g}"
+                                        for t, tr in zip(bundle.times, traces)]
+        assert ((out / "anomaly_field_trace.csv").read_text()
+                == "\n".join(expected) + "\n")
+
+
 class TestSpatialStationary:
     def test_outputs(self, tmp_path):
         lam = _constant_profile_lam(280.0)

@@ -50,8 +50,12 @@ class TestPathBundle:
         rng = np.random.default_rng(2)
         b = se.PathBundle(times=np.linspace(0, 1, 4),
                           values=rng.standard_normal((2, 4, 3)))
-        r = se.PathBundle.from_binary(b.to_binary())
+        blob = b.to_binary()
+        r = se.PathBundle.from_binary(blob)
         np.testing.assert_array_equal(r.values, b.values)
+        # Read back without a copy: the arrays are views of the dump.
+        raw = np.frombuffer(blob, dtype=np.uint8)
+        assert np.shares_memory(r.values, raw) and np.shares_memory(r.times, raw)
 
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
@@ -62,23 +66,38 @@ class TestPathBundle:
             se.PathBundle(times=[0.0, 1.0], values=np.zeros((2, 3)))
 
 
+def _streams(seed, path_indices):
+    return [se.path_generator(seed, k) for k in path_indices]
+
+
 class TestRandomness:
     def test_reproducible(self):
-        a = se.gaussian_increments(42, range(4), 16)
-        b = se.gaussian_increments(42, range(4), 16)
+        a = se.gaussian_increments(_streams(42, range(4)), 16)
+        b = se.gaussian_increments(_streams(42, range(4)), 16)
         np.testing.assert_array_equal(a, b)
 
     def test_path_permutation_invariance(self):
         """Path k's stream depends only on (seed, k), not on batch layout."""
-        full = se.gaussian_increments(42, range(6), 8)
-        scattered = se.gaussian_increments(42, [5, 2], 8)
+        full = se.gaussian_increments(_streams(42, range(6)), 8)
+        scattered = se.gaussian_increments(_streams(42, [5, 2]), 8)
         np.testing.assert_array_equal(scattered[0], full[5])
         np.testing.assert_array_equal(scattered[1], full[2])
 
     def test_seed_changes_stream(self):
-        a = se.gaussian_increments(1, [0], 8)
-        b = se.gaussian_increments(2, [0], 8)
+        a = se.gaussian_increments(_streams(1, [0]), 8)
+        b = se.gaussian_increments(_streams(2, [0]), 8)
         assert not np.array_equal(a, b)
+
+    def test_draws_in_pieces_are_the_draws_at_once(self):
+        """Blocks of 1-3 steps into one reused buffer continue each stream."""
+        full = se.gaussian_increments(_streams(42, range(3)), 10, columns=4)
+        for block in (1, 2, 3):
+            streams = _streams(42, range(3))
+            buf = np.empty((3, block, 4))
+            pieces = [se.gaussian_increments(streams, min(block, 10 - lo), 4,
+                                             out=buf).copy()
+                      for lo in range(0, 10, block)]
+            np.testing.assert_array_equal(np.concatenate(pieces, axis=1), full)
 
 
 class TestSimulateOU:
@@ -155,6 +174,43 @@ class TestWongZakai:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             se.wong_zakai_error(tau=-0.1, t=1.0, x0=0.0, Q=0.0, n_paths=10)
+        with pytest.raises(ValueError):
+            se.wong_zakai_ladder([0.1, 0.0], t=1.0, x0=0.0, Q=0.0, n_paths=10)
+
+    @pytest.mark.parametrize("per_batch", [2, None])
+    def test_ladder_rungs_are_the_single_rung_loop(self, monkeypatch, per_batch):
+        """Each rung, given in any order and with rungs of equal length,
+        equals the loop that runs that tau alone, bit for bit."""
+        taus, t, x0, Q, n_paths, seed = (0.1, 0.4, 0.025, 0.2), 1.0, 1.5, 0.3, 5, 9
+        if per_batch is not None:
+            monkeypatch.setattr(se, "_BATCH_NORMALS", per_batch * 8000)
+        got = se.wong_zakai_ladder(taus, t, x0, Q, n_paths, seed)
+        assert got == [_wong_zakai_one_rung(tau, t, x0, Q, n_paths, seed)
+                       for tau in taus]
+
+
+def _wong_zakai_one_rung(tau, t, x0, Q, n_paths, seed):
+    """One rung as `wong_zakai_error` ran it before the ladder: each path's
+    normals drawn at once from its stream, then stepped on their own."""
+    n_steps = max(1000, int(np.ceil(200 * t / tau)))
+    h = t / n_steps
+    sqrt_h = np.sqrt(h)
+    inv_sqrt_tau = 1.0 / np.sqrt(tau)
+    xi = np.array([se.path_generator(seed, k).standard_normal(n_steps)
+                   for k in range(n_paths)])
+    s = np.asfortranarray(np.tile([float(x0), 0.0, 0.0], (n_paths, 1)))
+    x, W, integral = s.T
+    for k in range(n_steps):
+        dW = sqrt_h * xi[:, k]
+        x_new = x + (h / tau) * (Q - x) + inv_sqrt_tau * dW
+        integral += 0.5 * h * ((x - Q) + (x_new - Q))
+        W += dW
+        x[:] = x_new
+    sq = (inv_sqrt_tau * integral - W) ** 2
+    return se.WongZakaiResult(
+        mc_estimate=float(np.mean(sq)),
+        exact=float(se.wong_zakai_exact(tau, t, x0, Q)),
+        se=float(np.std(sq, ddof=1) / np.sqrt(n_paths)), tau=tau, t=t)
 
 
 class TestReducedSde:
@@ -257,7 +313,8 @@ def _field_operators(n, kernel):
 
 
 def _runs():
-    """(run, n_paths, normals per path) for every simulator on the kernel."""
+    """(run, n_paths, n_steps, normals per step) for every simulator on the
+    kernel."""
     root = mc.select_root(mc.equilibrium_roots(DEFAULT))
     n_paths, n_steps = 7, 40
     cfg = se.SimConfig(dt=1e-3, n_steps=n_steps, n_paths=n_paths, seed=12)
@@ -271,25 +328,39 @@ def _runs():
     ops16 = _field_operators(5, "identity")
     return {
         "ou": (lambda: se.simulate_ou(0.05, 1.0, 2.0, cfg).values,
-               n_paths, n_steps),
+               n_paths, n_steps, 1),
         "fast-slow": (lambda: np.stack([b.values for b in se.simulate_fast_slow(
-            DEFAULT, DEFAULT.Q, root.T_star, cfg)]), n_paths, n_steps),
+            DEFAULT, DEFAULT.Q, root.T_star, cfg)]), n_paths, n_steps, 1),
         "reduced": (lambda: se.simulate_reduced_sde(
-            DEFAULT, root.T_star + 2.0, cfg).values, n_paths, n_steps),
+            DEFAULT, root.T_star + 2.0, cfg).values, n_paths, n_steps, 1),
         "reduced-milstein-stratonovich": (lambda: se.simulate_reduced_sde(
-            DEFAULT, root.T_star + 2.0, strat).values, n_paths, n_steps),
+            DEFAULT, root.T_star + 2.0, strat).values, n_paths, n_steps, 1),
         "linear-anomaly-milstein": (lambda: se.simulate_linear_anomaly(
-            1.0, 0.5, 0.3, 0.1, 0.2, strat).values, n_paths, n_steps),
+            1.0, 0.5, 0.3, 0.1, 0.2, strat).values, n_paths, n_steps, 1),
         "wong-zakai": (lambda: np.array(dataclasses.astuple(se.wong_zakai_error(
-            0.1, 0.5, 1.0, 0.0, n_paths=n_paths, seed=3))), n_paths, 1000),
+            0.1, 0.5, 1.0, 0.0, n_paths=n_paths, seed=3))), n_paths, 1000, 1),
+        "wong-zakai-ladder": (lambda: np.array([dataclasses.astuple(r) for r in (
+            se.wong_zakai_ladder((0.1, 0.025), 0.5, 1.0, 0.0, n_paths=n_paths,
+                                 seed=3))]), n_paths, 4000, 1),
         "field-d1": (lambda: sm.simulate_anomaly_field(ops1, field_cfg).values,
-                     n_paths, n_steps),
+                     n_paths, n_steps, 1),
         "field-d16-stride": (lambda: sm.simulate_anomaly_field(
-            ops16, field_cfg, store_stride=7).values, n_paths, n_steps * 16),
+            ops16, field_cfg, store_stride=7).values, n_paths, n_steps, 16),
     }
 
 
 RUNS = _runs()
+
+
+def _dense_field_run():
+    ops = _field_operators(5, "exponential")
+    cfg = se.SimConfig(dt=2e-4, n_steps=40, n_paths=7, seed=12)
+    return (lambda: sm.simulate_anomaly_field(ops, cfg, store_stride=7).values,
+            7, 40, ops.d)
+
+
+# With a dense noise factor only the batch boundaries must stay put.
+DRAW_RUNS = {**RUNS, "field-d16-dense": _dense_field_run()}
 
 
 class TestPathKernel:
@@ -297,9 +368,18 @@ class TestPathKernel:
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_batch_layout_invariance(self, monkeypatch, name, per_batch):
         """Batches of 1-3 paths give the default run bit for bit."""
-        run, _, per_path = RUNS[name]
+        run, _, n_steps, width = RUNS[name]
         expected = run()
-        monkeypatch.setattr(se, "_BATCH_NORMALS", per_batch * per_path)
+        monkeypatch.setattr(se, "_BATCH_NORMALS", per_batch * n_steps * width)
+        np.testing.assert_array_equal(run(), expected)
+
+    @pytest.mark.parametrize("per_draw", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(DRAW_RUNS))
+    def test_draw_block_invariance(self, monkeypatch, name, per_draw):
+        """Drawing 1-3 steps at a time gives the default run bit for bit."""
+        run, n_paths, _, width = DRAW_RUNS[name]
+        expected = run()
+        monkeypatch.setattr(se, "_DRAW_NORMALS", per_draw * n_paths * width)
         np.testing.assert_array_equal(run(), expected)
 
     def test_dense_noise_factor_batches(self, monkeypatch):
@@ -312,20 +392,28 @@ class TestPathKernel:
         got = sm.simulate_anomaly_field(ops, cfg, store_stride=7).values
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("name", sorted(RUNS))
+    @pytest.mark.parametrize("name", sorted(DRAW_RUNS))
     def test_draws_stay_within_the_budget(self, monkeypatch, name):
-        run, n_paths, per_path = RUNS[name]
-        budget = 2 * per_path + 1
-        monkeypatch.setattr(se, "_BATCH_NORMALS", budget)
-        sizes = []
+        """Batches of 2 paths each draw into one buffer of 3 steps: no draw
+        and no buffer exceeds the draw budget, which is below the batch
+        budget, and every normal is drawn once."""
+        run, n_paths, n_steps, width = DRAW_RUNS[name]
+        batch_budget = 2 * n_steps * width + 1
+        draw_budget = 3 * 2 * width + 1
+        monkeypatch.setattr(se, "_BATCH_NORMALS", batch_budget)
+        monkeypatch.setattr(se, "_DRAW_NORMALS", draw_budget)
+        sizes, buffers = [], []
         draw = se.gaussian_increments
 
-        def recording(*args, **kwargs):
-            out = draw(*args, **kwargs)
-            sizes.append(out.size)
-            return out
+        def recording(streams, n, columns=1, out=None):
+            got = draw(streams, n, columns, out)
+            sizes.append(got.size)
+            buffers.append(out)
+            return got
 
         monkeypatch.setattr(se, "gaussian_increments", recording)
         run()
-        assert max(sizes) <= budget
-        assert sum(sizes) == n_paths * per_path
+        assert max(sizes) <= draw_budget <= batch_budget
+        assert max(b.size for b in buffers) <= draw_budget
+        assert len({id(b) for b in buffers}) == -(-n_paths // 2)  # one a batch
+        assert sum(sizes) == n_paths * n_steps * width

@@ -211,6 +211,23 @@ class TestOperators:
         ops = _default_operators()
         assert np.max(sm.drift_eigenvalues(ops).real) < 0.0
 
+    def test_drift_eigenvalues_match_the_general_solver(self):
+        """A grid's symmetric M gets real eigenvalues, those of eigvals to
+        rounding; a nonsymmetric M gets eigvals' own."""
+        ops = _default_operators()
+        general = np.linalg.eigvals(ops.M.toarray())
+        got = sm.drift_eigenvalues(ops)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, np.sort(general.real),
+                                   rtol=0.0, atol=1e-12 * np.max(np.abs(general)))
+
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((6, 6)) - 4.0 * np.eye(6)
+        ops = sm.operators_from_arrays(M, np.zeros(6), np.full(6, 0.5),
+                                       np.eye(6), np.eye(6), tau=0.01)
+        np.testing.assert_array_equal(sm.drift_eigenvalues(ops),
+                                      np.linalg.eigvals(M))
+
     def test_operators_from_arrays(self):
         M = np.array([[-2.0, 0.5], [0.5, -3.0]])
         ops = sm.operators_from_arrays(M, [0.1, 0.1], [0.5, 0.5],
