@@ -28,7 +28,7 @@ from .config import (
     grid_config,
     load_config,
     model_params,
-    noise_spec,
+    noise_covariance,
     sim_config,
     sweep_grid,
 )
@@ -68,12 +68,6 @@ def _parallel_map(fn, items, threads):
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-def _build_noise(grid, spec):
-    return sm.build_noise_covariance(grid, kernel=spec["kernel"],
-                                     variance=spec["variance"],
-                                     length=spec["length"])
 
 
 def cmd_variance_curve(cfg: ExperimentConfig, args, outdir: Path) -> int:
@@ -133,8 +127,18 @@ def cmd_wz_convergence(cfg: ExperimentConfig, args, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _selected_root(p):
-    return mc.select_root(mc.equilibrium_roots(p))
+def _spatial_setup(cfg: ExperimentConfig, p):
+    """A spatial config's grid, boundary, noise and constant Q field."""
+    grid = grid_config(cfg)
+    return (grid, boundary_config(cfg), noise_covariance(cfg, grid),
+            sm.SpatialField.constant(grid, p.Q))
+
+
+def _operators(cfg: ExperimentConfig, p) -> sm.SpatialOperators:
+    """A spatial config's operators, linearised at its equilibrium profile."""
+    grid, theta, noise, Q_field = _spatial_setup(cfg, p)
+    T_star = sm.solve_equilibrium_profile(grid, Q_field, p.lam, theta, p)
+    return sm.build_operators(grid, T_star, Q_field, p, noise)
 
 
 # Path values squared at a time when the field traces are reduced: whole
@@ -159,33 +163,25 @@ def _mean_square_norm(values):
 def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
     p = model_params(cfg)
     s = sim_config(cfg, seed_override=args.seed)
-    which = args.which
-    if which == "fast-slow":
-        root = _selected_root(p)
-        x_bundle, t_bundle = sde.simulate_fast_slow(p, x0=p.Q,
-                                                    theta0=root.T_star, cfg=s)
-        bundles = {"fast": x_bundle, "slow": t_bundle}
-    elif which == "reduced":
-        root = _selected_root(p)
-        bundles = {"reduced": sde.simulate_reduced_sde(p, root.T_star, s)}
-    elif which == "anomaly-0d":
-        root = _selected_root(p)
-        bundles = {"anomaly0d": sde.simulate_linear_anomaly(
-            root.b, root.sigma0, root.sigma1, p.tau, 0.0, s)}
-    else:  # anomaly-field
-        grid = grid_config(cfg)
-        theta = boundary_config(cfg)
-        noise = _build_noise(grid, noise_spec(cfg))
-        Q_field = sm.SpatialField.constant(grid, p.Q)
-        T_star = sm.solve_equilibrium_profile(grid, Q_field, p.lam, theta, p)
-        ops = sm.build_operators(grid, T_star, Q_field, p, noise)
-        bundle = sm.simulate_anomaly_field(ops, s)
+    if args.which == "anomaly-field":
+        bundle = sm.simulate_anomaly_field(_operators(cfg, p), s)
         _write(outdir, "anomaly_field.bin", bundle.binary_parts())
         lines = ["time,mc_trace"]
         for t, tr in zip(bundle.times, _mean_square_norm(bundle.values)):
             lines.append(f"{_fmt(t)},{_fmt(tr)}")
         _write(outdir, "anomaly_field_trace.csv", "\n".join(lines) + "\n")
         return EXIT_OK
+
+    root = mc.select_root(mc.equilibrium_roots(p))
+    if args.which == "fast-slow":
+        x_bundle, t_bundle = sde.simulate_fast_slow(p, x0=p.Q,
+                                                    theta0=root.T_star, cfg=s)
+        bundles = {"fast": x_bundle, "slow": t_bundle}
+    elif args.which == "reduced":
+        bundles = {"reduced": sde.simulate_reduced_sde(p, root.T_star, s)}
+    else:  # anomaly-0d
+        bundles = {"anomaly0d": sde.simulate_linear_anomaly(
+            root.b, root.sigma0, root.sigma1, p.tau, 0.0, s)}
 
     for name, bundle in bundles.items():
         _write(outdir, f"{name}_paths.csv", bundle.to_csv())
@@ -201,21 +197,9 @@ def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 def cmd_spatial_stationary(cfg: ExperimentConfig, args, outdir: Path) -> int:
     p = model_params(cfg)
-    grid = grid_config(cfg)
-    theta = boundary_config(cfg)
-    noise = _build_noise(grid, noise_spec(cfg))
-    Q_field = sm.SpatialField.constant(grid, p.Q)
-    T_star = sm.solve_equilibrium_profile(grid, Q_field, p.lam, theta, p)
-    ops = sm.build_operators(grid, T_star, Q_field, p, noise)
-    cert = cov.certify(ops)
-    _write(outdir, "certificate.json", _json(cert.to_dict()))
-    if cert.k_spectral_abscissa >= 0.0 and not args.force:
-        print("refusing to report a stationary covariance: K is not Hurwitz "
-              "(use --force to override)", file=sys.stderr)
-        return EXIT_STABILITY
-    # certify has already computed K's spectral abscissa and refused an
-    # unstable K above unless --force was given.
-    state = cov.stationary_covariance(ops, lam=p.lam, check_stability=False)
+    ops = _operators(cfg, p)
+    _write(outdir, "certificate.json", _json(cov.certify(ops).to_dict()))
+    state = cov.stationary_covariance(ops, check_stability=not args.force)
     _write(outdir, "gamma_stationary.txt", sm.sparse_to_coord_text(state.gamma))
     summary = {
         "command": "spatial-stationary",
@@ -230,10 +214,7 @@ def cmd_spatial_stationary(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 def cmd_monotonicity(cfg: ExperimentConfig, args, outdir: Path) -> int:
     p = model_params(cfg)
-    grid = grid_config(cfg)
-    theta = boundary_config(cfg)
-    noise = _build_noise(grid, noise_spec(cfg))
-    Q_field = sm.SpatialField.constant(grid, p.Q)
+    grid, theta, noise, Q_field = _spatial_setup(cfg, p)
     lam_grid = sweep_grid(cfg)
 
     def run(lam):

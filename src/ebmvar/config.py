@@ -15,7 +15,12 @@ import numpy as np
 from .errors import ConfigError
 from .model_core import EbmParams
 from .sde_engine import DRIFT_FORMS, SCHEMES, SimConfig
-from .spatial_model import BoundaryTrace, Grid2D
+from .spatial_model import (
+    BoundaryTrace,
+    Grid2D,
+    NoiseCovariance,
+    build_noise_covariance,
+)
 
 _FLOAT = "float"
 _INT = "int"
@@ -56,10 +61,6 @@ SCHEMAS = {
 @dataclass
 class ExperimentConfig:
     sections: dict = field(default_factory=dict)
-    path: str = ""
-
-    def has(self, name: str) -> bool:
-        return name in self.sections
 
     def section(self, name: str) -> dict:
         if name not in self.sections:
@@ -98,7 +99,7 @@ def load_config(path) -> ExperimentConfig:
             if required and key not in parsed:
                 raise ConfigError(f"missing required key {name}.{key}")
         sections[name] = parsed
-    return ExperimentConfig(sections=sections, path=str(path))
+    return ExperimentConfig(sections=sections)
 
 
 def model_params(cfg: ExperimentConfig) -> EbmParams:
@@ -150,20 +151,14 @@ def boundary_config(cfg: ExperimentConfig) -> BoundaryTrace:
                          bottom=s["bottom"], top=s["top"])
 
 
-def noise_spec(cfg: ExperimentConfig) -> dict:
+def noise_covariance(cfg: ExperimentConfig, grid: Grid2D) -> NoiseCovariance:
     s = cfg.section("noise")
-    kernel = s["kernel"]
-    if kernel not in ("identity", "exponential"):
-        raise ConfigError(f"noise.kernel: unknown kernel {kernel!r}")
-    variance = s.get("variance", 1.0)
-    if not variance > 0.0:
-        raise ConfigError(f"noise.variance must be > 0, got {variance!r}")
-    if kernel == "exponential":
-        if "length" not in s:
-            raise ConfigError("noise.length is required for the exponential kernel")
-        if not s["length"] > 0.0:
-            raise ConfigError(f"noise.length must be > 0, got {s['length']!r}")
-    return {"kernel": kernel, "variance": variance, "length": s.get("length")}
+    try:
+        return build_noise_covariance(grid, kernel=s["kernel"],
+                                      variance=s.get("variance", 1.0),
+                                      length=s.get("length"))
+    except ValueError as exc:
+        raise ConfigError(f"noise: {exc}") from exc
 
 
 def sweep_grid(cfg: ExperimentConfig) -> np.ndarray:

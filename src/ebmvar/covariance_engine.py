@@ -55,17 +55,16 @@ class CovarianceState:
     gamma: np.ndarray
     spatial_variance: float
     is_psd: bool
-    lam: float | None = None
 
     @classmethod
-    def from_gamma(cls, gamma, lam=None) -> "CovarianceState":
+    def from_gamma(cls, gamma) -> "CovarianceState":
         gamma = np.asarray(gamma, dtype=float)
         sym = 0.5 * (gamma + gamma.T)
         w = np.linalg.eigvalsh(sym)  # ascending
         # The spectral norm of a symmetric matrix is its largest |eigenvalue|.
         scale = float(max(abs(w[0]), abs(w[-1]))) or 1.0
         return cls(gamma=gamma, spatial_variance=float(np.trace(gamma)),
-                   is_psd=float(w[0]) >= -1e-8 * scale, lam=lam)
+                   is_psd=float(w[0]) >= -1e-8 * scale)
 
 
 def _operator(ops: SpatialOperators, M=None):
@@ -214,7 +213,7 @@ def _covariance_solver(ops: SpatialOperators):
     return solve
 
 
-def _stationary(ops: SpatialOperators, lam, check_stability):
+def _stationary(ops: SpatialOperators, check_stability):
     """The stationary covariance state and the solver that produced it.
 
     The Hurwitz gate needs C to be PSD, as every noise covariance built here
@@ -229,18 +228,18 @@ def _stationary(ops: SpatialOperators, lam, check_stability):
             raise UnstableK("the solution of K(X) = -I is not positive "
                             "definite, so K is not Hurwitz")
     gamma = solve(-ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec))
-    return CovarianceState.from_gamma(gamma, lam=lam), solve
+    return CovarianceState.from_gamma(gamma), solve
 
 
-def stationary_covariance(ops: SpatialOperators, lam=None,
+def stationary_covariance(ops: SpatialOperators,
                           check_stability=True) -> CovarianceState:
     """Stationary covariance: the solution of the generalized Lyapunov
     equation M G + G M^T + tau C o (D G D) = -tau C o (f f^T).
 
-    `check_stability=False` skips the Hurwitz precondition on K (caller
-    override, or already checked); the check assumes C is PSD.
+    Refuses a non-Hurwitz K with UnstableK; `check_stability=False` skips
+    that gate, which assumes C is PSD.
     """
-    return _stationary(ops, lam, check_stability)[0]
+    return _stationary(ops, check_stability)[0]
 
 
 @dataclass
@@ -373,7 +372,7 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
         try:
             T_star = solve_equilibrium_profile(g, Q_field, lam, theta, p)
             ops = build_operators(g, T_star, Q_field, p, noise)
-            cs, solve = _stationary(ops, lam, check_stability=True)
+            cs, solve = _stationary(ops, check_stability=True)
             u = spla.splu(ops.M.tocsc()).solve(-np.ones(g.d))
             f_df = np.outer(ops.f_vec, ops.d_vec * u)  # f (df/dlambda)^T
             dgamma = solve(-ops.tau * ops.C * (f_df + f_df.T))
@@ -430,7 +429,7 @@ def counterexample_trace(s, c, lam) -> CounterexampleResult:
     trace = (lam**2 - 2.0 * c * s * lam + 1.0) / (2.0 * (1.0 - s**2))
     deriv = (lam - c * s) / (1.0 - s**2)
     ops = counterexample_operators(s, c, lam)
-    cs = stationary_covariance(ops, lam=lam)
+    cs = stationary_covariance(ops)
     return CounterexampleResult(trace=float(trace),
                                 d_trace_d_lambda=float(deriv),
                                 numeric_trace=cs.spatial_variance)

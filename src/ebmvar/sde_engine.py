@@ -200,6 +200,13 @@ def _check_step(p: EbmParams, dt):
         raise StepTooLarge(f"dt*(r1 + |Q|*s) = {guard:.3g} > 1; reduce dt")
 
 
+def _ou_step(tau, Q, dt, noise_scale):
+    """The `_run_paths` step of `simulate_ou`'s exact transition over dt."""
+    decay = np.exp(-dt / tau)
+    sd = noise_scale * np.sqrt(0.5 * (1.0 - np.exp(-2.0 * dt / tau)))
+    return lambda x, xi, k: Q + (x - Q) * decay + sd * xi
+
+
 def simulate_ou(tau, Q, x0, cfg: SimConfig, noise_scale=1.0) -> PathBundle:
     """Fast insolation process, distributionally exact at the grid times.
 
@@ -208,11 +215,9 @@ def simulate_ou(tau, Q, x0, cfg: SimConfig, noise_scale=1.0) -> PathBundle:
         X_{k+1} = Q + (X_k - Q) e^{-dt/tau} + xi_k,
         xi_k ~ N(0, (1/2)(1 - e^{-2 dt/tau})).
     """
-    decay = np.exp(-cfg.dt / tau)
-    sd = noise_scale * np.sqrt(0.5 * (1.0 - np.exp(-2.0 * cfg.dt / tau)))
     values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
                         lambda B: np.full(B, float(x0)),
-                        lambda x, xi, k: Q + (x - Q) * decay + sd * xi)
+                        _ou_step(tau, Q, cfg.dt, noise_scale))
     return PathBundle(times=_times(cfg), values=values,
                       meta={"seed": cfg.seed, "kind": "ou"})
 
@@ -223,18 +228,22 @@ def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig,
 
     The insolation is `simulate_ou` with the model's tau and Q; the
     temperature follows it by explicit Euler of
-    dT/dt = X beta(T) + lambda - (r0 + r1 T) on the same grid.
+    dT/dt = X beta(T) + lambda - (r0 + r1 T) on the same grid.  One path's
+    state is the row (X, T).
     """
     _check_step(p, cfg.dt)
-    xs = simulate_ou(p.tau, p.Q, x0, cfg, noise_scale).values
-    ts = np.empty_like(xs)
-    ts[:, 0] = theta0
-    T = np.full(cfg.n_paths, float(theta0))
-    for k in range(cfg.n_steps):
-        drift = xs[:, k] * co_albedo(T, p) + p.lam - (p.r0 + p.r1 * T)
-        T = T + cfg.dt * drift
-        ts[:, k + 1] = T
+    ou = _ou_step(p.tau, p.Q, cfg.dt, noise_scale)
+
+    def step(s, xi, k):
+        x, T = s[:, 0], s[:, 1]
+        drift = x * co_albedo(T, p) + p.lam - (p.r0 + p.r1 * T)
+        return np.column_stack([ou(x, xi, k), T + cfg.dt * drift])
+
+    values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
+                        lambda B: np.tile([float(x0), float(theta0)], (B, 1)),
+                        step)
     times = _times(cfg)
+    xs, ts = np.moveaxis(values, 2, 0)
     return (PathBundle(times=times, values=xs, meta={"seed": cfg.seed, "kind": "fast"}),
             PathBundle(times=times, values=ts, meta={"seed": cfg.seed, "kind": "slow"}))
 

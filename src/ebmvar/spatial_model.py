@@ -10,6 +10,7 @@ simulator.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,17 +169,30 @@ def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
     iteration on each node's current branch, with residual-norm backtracking
     (factor 0.5, minimum step 2^-20).  Since the nonlinearity is piecewise
     affine, convergence is finite once the branch pattern settles.
+
+    The residual's max norm is converged at `tol`, or at its rounding level
+    when that is larger, as on fine grids where |A| grows as h^-2: 16 eps
+    times the largest nodewise sum of the magnitudes of its terms.
     """
     A = assemble_laplacian(g)
+    abs_A = abs(A)
     g_bc = dirichlet_load(g, theta)
     Q_vals = Q_field.values
     T = (np.full(g.d, (lam - p.r0) / p.r1) if T0 is None
          else np.asarray(T0, dtype=float).copy())
 
+    def converged(T, norm):
+        if norm <= tol:
+            return True
+        terms = (abs_A @ np.abs(T) + np.abs(g_bc)
+                 + np.abs(Q_vals * co_albedo(T, p)) + abs(lam) + abs(p.r0)
+                 + p.r1 * np.abs(T))
+        return norm <= 16.0 * np.finfo(float).eps * np.max(terms)
+
     res = equilibrium_residual(T, g, A, g_bc, Q_vals, lam, p)
     norm = np.linalg.norm(res, np.inf)
     for it in range(max_iter):
-        if norm <= tol:
+        if converged(T, norm):
             return SpatialField(grid=g, values=T, boundary=theta)
         J = A + sp.diags(Q_vals * co_albedo_slope(T, p) - p.r1)
         try:
@@ -199,7 +213,7 @@ def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
         else:
             raise NoConvergence(it + 1, norm)
         T, res, norm = T_new, res_new, norm_new
-    if norm <= tol:
+    if converged(T, norm):
         return SpatialField(grid=g, values=T, boundary=theta)
     raise NoConvergence(max_iter, norm)
 
@@ -231,16 +245,17 @@ def build_noise_covariance(g: Grid2D, kernel="identity", variance=1.0,
     v*exp(-|z_i - z_j|/l).  The Cholesky factor gets diagonal jitter
     1e-12*v, retried at most 3 times, before giving up.
     """
-    if variance <= 0.0:
-        raise ValueError("variance must be positive")
+    if not (variance > 0.0 and math.isfinite(variance)):
+        raise ValueError(f"variance must be positive and finite, got {variance!r}")
     if kernel == "identity":
         C = variance * np.eye(g.d)
         L = np.sqrt(variance) * np.eye(g.d)
         return NoiseCovariance(C=C, L=L, entrywise_nonnegative=True)
     if kernel != "exponential":
         raise ValueError(f"unknown kernel {kernel!r}")
-    if length is None or length <= 0.0:
-        raise ValueError("exponential kernel needs a positive length")
+    if length is None or not (length > 0.0 and math.isfinite(length)):
+        raise ValueError("exponential kernel needs a positive finite length, "
+                         f"got {length!r}")
     z = g.interior_coords()
     dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
     C = variance * np.exp(-dist / length)
@@ -266,8 +281,6 @@ def cholesky_with_jitter(C, jitter, tries=3) -> np.ndarray:
 class SpatialOperators:
     """Assembled drift and noise data of the semi-discrete anomaly SDE."""
 
-    grid: Grid2D | None
-    a_delta: sp.csr_matrix
     b_vec: np.ndarray
     d_vec: np.ndarray
     f_vec: np.ndarray
@@ -288,8 +301,8 @@ def build_operators(g: Grid2D, T_star: SpatialField, Q_field: SpatialField,
     if np.any((fvec <= 0.0) | (fvec >= 1.0)):
         raise ValueError("sampled co-albedo must lie in (0, 1)")
     M = (A - sp.diags(bvec)).tocsr()
-    return SpatialOperators(grid=g, a_delta=A, b_vec=bvec, d_vec=dvec,
-                            f_vec=fvec, M=M, C=noise.C, L=noise.L, tau=p.tau)
+    return SpatialOperators(b_vec=bvec, d_vec=dvec, f_vec=fvec, M=M,
+                            C=noise.C, L=noise.L, tau=p.tau)
 
 
 def operators_from_arrays(M, d_vec, f_vec, C, L, tau) -> SpatialOperators:
@@ -298,8 +311,7 @@ def operators_from_arrays(M, d_vec, f_vec, C, L, tau) -> SpatialOperators:
     M = sp.csr_matrix(M)
     d_vec = np.asarray(d_vec, dtype=float)
     f_vec = np.asarray(f_vec, dtype=float)
-    return SpatialOperators(grid=None, a_delta=M, b_vec=-M.diagonal(),
-                            d_vec=d_vec, f_vec=f_vec, M=M,
+    return SpatialOperators(b_vec=-M.diagonal(), d_vec=d_vec, f_vec=f_vec, M=M,
                             C=np.asarray(C, dtype=float),
                             L=np.asarray(L, dtype=float), tau=float(tau))
 

@@ -46,6 +46,15 @@ def _spatial_sections(Lx=1.0, Ly=1.0, n=4, theta=280.0, kernel="identity"):
     )
 
 
+# Noise-induced instability: the drift M is stable, K is not.
+UNSTABLE_K_CONFIG = (
+    "[model]\n"
+    "beta_min = 0.01\nbeta_max = 0.99\nT_l = 263.0\nT_u = 264.0\n"
+    "r0 = 0.0\nr1 = 2.0\nQ = 2.0\nlambda = 526.0\ntau = 0.99\n"
+    + _spatial_sections(Lx=40.0, Ly=40.0, n=4, theta=263.5)
+)
+
+
 def _write_cfg(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -146,23 +155,32 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_stability_refusal(self, tmp_path):
+    def test_stability_refusal(self, tmp_path, capsys):
         """Noise-induced instability: a steep co-albedo ramp with slow noise
         makes the vectorised operator non-Hurwitz even though the drift is
         stable, so the stationary report is refused."""
-        text = (
-            "[model]\n"
-            "beta_min = 0.01\nbeta_max = 0.99\nT_l = 263.0\nT_u = 264.0\n"
-            "r0 = 0.0\nr1 = 2.0\nQ = 2.0\nlambda = 526.0\ntau = 0.99\n"
-            + _spatial_sections(Lx=40.0, Ly=40.0, n=4, theta=263.5)
-        )
-        cfg = _write_cfg(tmp_path, text)
+        cfg = _write_cfg(tmp_path, UNSTABLE_K_CONFIG)
         out = tmp_path / "o"
         rc = main(["--config", cfg, "--out", str(out), "spatial-stationary"])
         assert rc == EXIT_STABILITY
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["k_spectral_abscissa"] >= 0.0
         assert cert["m_spectral_abscissa"] < 0.0
+        assert capsys.readouterr().err.startswith("stability refusal:")
+
+    def test_force_reports_an_unstable_k(self, tmp_path):
+        """--force skips the Hurwitz gate: the command reports, and its
+        certificate and summary say that K is unstable and Gamma not PSD."""
+        cfg = _write_cfg(tmp_path, UNSTABLE_K_CONFIG)
+        out = tmp_path / "o"
+        rc = main(["--config", cfg, "--out", str(out), "--force",
+                   "spatial-stationary"])
+        assert rc == EXIT_OK
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["k_spectral_abscissa"] >= 0.0
+        summary = json.loads((out / "spatial_stationary_summary.json").read_text())
+        assert summary["is_psd"] is False
+        assert (out / "gamma_stationary.txt").exists()
 
     @pytest.mark.parametrize("routine", ["eigs"])
     def test_arpack_failure_is_a_numerical_error(self, tmp_path, monkeypatch,

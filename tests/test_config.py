@@ -2,6 +2,9 @@ import pytest
 
 from ebmvar import config as cf
 from ebmvar.errors import ConfigError
+from ebmvar.spatial_model import Grid2D
+
+GRID = Grid2D(Lx=1.0, Ly=1.0, Nx=4, Ny=4)
 
 MODEL = """
 [model]
@@ -97,24 +100,24 @@ class TestSectionBuilders:
     def test_noise_exponential_needs_length(self, tmp_path):
         cfg = _load(tmp_path, "[noise]\nkernel = exponential\n")
         with pytest.raises(ConfigError, match="length"):
-            cf.noise_spec(cfg)
+            cf.noise_covariance(cfg, GRID)
 
     @pytest.mark.parametrize("variance", ["0.0", "-1.0"])
     def test_noise_variance_must_be_positive(self, tmp_path, variance):
         cfg = _load(tmp_path, f"[noise]\nkernel = identity\nvariance = {variance}\n")
         with pytest.raises(ConfigError, match="variance"):
-            cf.noise_spec(cfg)
+            cf.noise_covariance(cfg, GRID)
 
     @pytest.mark.parametrize("length", ["0.0", "-0.5"])
     def test_noise_length_must_be_positive(self, tmp_path, length):
         cfg = _load(tmp_path, f"[noise]\nkernel = exponential\nlength = {length}\n")
         with pytest.raises(ConfigError, match="length"):
-            cf.noise_spec(cfg)
+            cf.noise_covariance(cfg, GRID)
 
     def test_noise_unknown_kernel(self, tmp_path):
         cfg = _load(tmp_path, "[noise]\nkernel = matern\n")
         with pytest.raises(ConfigError, match="unknown kernel"):
-            cf.noise_spec(cfg)
+            cf.noise_covariance(cfg, GRID)
 
     def test_sweep_grid(self, tmp_path):
         cfg = _load(tmp_path,

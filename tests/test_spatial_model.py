@@ -125,6 +125,18 @@ class TestEquilibriumProfile:
                                       Q_field.values, lam, DEFAULT)
         assert np.linalg.norm(res, np.inf) <= 1e-10
 
+    @pytest.mark.parametrize("n", [21, 32], ids=["d400", "d961"])
+    def test_fine_unit_square_converges(self, n):
+        """|A| grows as h^-2, so on the unit square at d = 400 and 961 the
+        rounding of A T is above 1e-10; the solve stops at the rounding
+        level there instead of failing to converge."""
+        g = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=n, Ny=n)
+        theta = sm.BoundaryTrace.constant(280.0)
+        Q_field = sm.SpatialField.constant(g, DEFAULT.Q)
+        lam = _constant_profile_lam(280.0, DEFAULT)
+        prof = sm.solve_equilibrium_profile(g, Q_field, lam, theta, DEFAULT)
+        np.testing.assert_allclose(prof.values, 280.0, rtol=1e-13)
+
     def test_field_csv(self):
         g = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=3, Ny=3)
         f = sm.SpatialField.constant(g, 1.5)
@@ -184,6 +196,20 @@ class TestNoiseCovariance:
         with pytest.raises(ValueError):
             sm.build_noise_covariance(g, "gaussian", variance=1.0)
 
+    @pytest.mark.parametrize("kernel,variance,length,match", [
+        ("identity", float("nan"), None, "variance"),
+        ("identity", float("inf"), None, "variance"),
+        ("exponential", float("nan"), 0.5, "variance"),
+        ("exponential", 1.0, float("nan"), "length"),
+        ("exponential", 1.0, float("inf"), "length"),
+    ])
+    def test_non_finite_arguments(self, kernel, variance, length, match):
+        """nan fails every comparison, so `variance <= 0` would let it in."""
+        g = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=3, Ny=3)
+        with pytest.raises(ValueError, match=match):
+            sm.build_noise_covariance(g, kernel, variance=variance,
+                                      length=length)
+
     def test_cholesky_jitter_rejects_indefinite(self):
         C = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefinite):
@@ -203,7 +229,7 @@ def _default_operators(nx=4, ny=4, theta=280.0):
 class TestOperators:
     def test_drift_structure(self):
         ops = _default_operators()
-        A = ops.a_delta.toarray()
+        A = sm.assemble_laplacian(sm.Grid2D(Lx=1.0, Ly=1.0, Nx=4, Ny=4)).toarray()
         M = ops.M.toarray()
         np.testing.assert_allclose(M, A - np.diag(ops.b_vec), atol=1e-14)
 
