@@ -2,16 +2,18 @@
 
     python bench/mc_stream.py [--before SRC_DIR] [--repeats N] [--out FILE]
 
-Runs `wz-convergence` (the tau ladder, 4000 paths, t = 2, at --threads 1
-and 2) and `simulate --which anomaly-field` at d = 16, 64 and 225 (8x8
+Runs `wz-convergence` (the tau ladder, 4000 paths, t = 2 at --threads 1
+and 2, and t = 8 at --threads 1, four times the fine steps) and
+`simulate --which anomaly-field` at d = 16, 64 and 225 (8x8
 domain, exponential kernel, 1600 steps of dt = 0.0025, 16000 // d paths,
 so that every size holds about 205 MB of paths), each in a fresh
 interpreter with this checkout's `src/` on PYTHONPATH.  With `--before`,
 every command also runs on another package tree, such as the parent
 commit's `src/` unpacked by `git archive`, alternating which tree goes
 first.  Each run records the child's peak RSS (`ru_maxrss` from
-`os.wait4`), its wall and CPU time, and the sha256 of every output file,
-so that outputs kept byte-identical show equal hashes.  The result,
+`os.wait4`), its wall and CPU time, and the sha256 of every output file;
+each command lists the files whose hashes agree across all its runs, and
+says per tree whether its reruns repeat every byte.  The result,
 with the machine description, goes to BENCH_mc_stream.json.
 """
 
@@ -39,7 +41,7 @@ MODEL = {
 THETA = 280.0
 FIELD_SIDES = {16: 5, 64: 9, 225: 16}  # d: grid points per side
 FIELD_STEPS, FIELD_DT, FIELD_PATH_NODES = 1600, 0.0025, 16000
-WZ_PATHS, WZ_T = 4000, 2.0
+WZ_PATHS, WZ_T, WZ_LONG_T = 4000, 2.0, 8.0
 
 
 def config_text(sections: dict) -> str:
@@ -62,10 +64,10 @@ def commands() -> list:
     out = []
     wz = {"model": MODEL, "sim": {"dt": 0.01, "n_steps": 1,
                                   "n_paths": WZ_PATHS, "seed": 0}}
-    for threads in (1, 2):
-        out.append((f"wz-threads{threads}", wz,
-                    ["--threads", str(threads), "wz-convergence",
-                     "--t", repr(WZ_T), "--x0-offset", "1.0"]))
+    for label, threads, t in (("wz-threads1", 1, WZ_T), ("wz-threads2", 2, WZ_T),
+                              ("wz-t8", 1, WZ_LONG_T)):
+        out.append((label, wz, ["--threads", str(threads), "wz-convergence",
+                                "--t", repr(t), "--x0-offset", "1.0"]))
     for d, n in FIELD_SIDES.items():
         cfg = {"model": {**MODEL, "lambda": lam},
                "grid": {"Lx": 8.0, "Ly": 8.0, "Nx": n, "Ny": n},
@@ -141,13 +143,15 @@ def main(argv=None) -> int:
                                               tmp / f"{label}-{name}"))
             entry = {name: {"median": summary(r), "runs": r}
                      for name, r in runs.items()}
-            digests = {json.dumps(r["sha256"], sort_keys=True)
-                       for rs in runs.values() for r in rs}
-            entry["outputs_identical"] = len(digests) == 1
+            for name, rs in runs.items():
+                entry[name]["reruns_identical"] = all(
+                    r["sha256"] == rs[0]["sha256"] for r in rs)
+            every = [r["sha256"] for rs in runs.values() for r in rs]
+            entry["identical_files"] = sorted(
+                f for f in every[0] if all(h.get(f) == every[0][f] for h in every))
             result["commands"][label] = entry
             print(label, {name: entry[name]["median"] for name in runs},
-                  "identical" if entry["outputs_identical"] else "OUTPUTS DIFFER",
-                  flush=True)
+                  "identical:", entry["identical_files"], flush=True)
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0
 

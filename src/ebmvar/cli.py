@@ -99,14 +99,15 @@ def cmd_variance_curve(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 
 def cmd_wz_convergence(cfg: ExperimentConfig, args, outdir: Path) -> int:
-    if not args.t > 0.0:
-        raise ConfigError(f"--t must be > 0, got {args.t!r}")
     p = model_params(cfg)
     s = sim_config(cfg, seed_override=args.seed)
     x0 = p.Q + args.x0_offset
-
-    results = sde.wong_zakai_ladder(WZ_TAU_LADDER, args.t, x0, p.Q,
-                                    n_paths=s.n_paths, seed=s.seed)
+    try:
+        results = sde.wong_zakai_ladder(WZ_TAU_LADDER, args.t, x0, p.Q,
+                                        n_paths=s.n_paths, seed=s.seed)
+    except ValueError as exc:
+        raise ConfigError(f"--t {args.t!r}, --x0-offset {args.x0_offset!r}: "
+                          f"{exc}") from exc
     lines = ["tau,mc,exact,se"]
     for r in results:
         lines.append(f"{_fmt(r.tau)},{_fmt(r.mc_estimate)},{_fmt(r.exact)},{_fmt(r.se)}")

@@ -140,21 +140,36 @@ def gaussian_increments(streams, n, columns=1, out=None):
 
 
 # Paths per batch: this many // (n_steps * normals per step), and at least
-# one.  A batch is the row count of every step, on which the rounding of a
-# dense-L field product depends, so it must not depend on anything else.
+# one.  A batch is the row count of every step and of every Wong-Zakai block
+# product, on which the rounding of a dense-L field product and of the
+# ladder depends, so it must not depend on anything else.
 _BATCH_NORMALS = 20_000_000
 
 # Normals per draw: a batch draws this many // (batch * normals per step)
 # steps at a time, and at least one, into one reused buffer.  Philox draws
-# taken in pieces are the draws taken at once, so this sets memory only.
+# taken in pieces are the draws taken at once, so this sets memory, and the
+# rounding of the Wong-Zakai ladder's block products, only.
 _DRAW_NORMALS = 1 << 20
 
-# Fine-grid resolution of the Wong-Zakai experiment: steps per unit tau.
-_WZ_STEPS_PER_TAU = 200
+
+def _draws(seed, n_paths, n_steps, width=1):
+    """Each path's normals, `width` a step, in batches of paths and blocks
+    of steps: yields (rows, start, xi), `xi` of shape (B, m, width) holding
+    steps start..start+m-1 of the B paths `rows`, in one reused buffer."""
+    batch = max(1, _BATCH_NORMALS // (n_steps * width))
+    for lo in range(0, n_paths, batch):
+        B = min(batch, n_paths - lo)
+        streams = [path_generator(seed, k) for k in range(lo, lo + B)]
+        block = min(n_steps, max(1, _DRAW_NORMALS // (B * width)))
+        buf = np.empty((B, block, width))
+        for start in range(0, n_steps, block):
+            yield (slice(lo, lo + B), start,
+                   gaussian_increments(streams, min(block, n_steps - start),
+                                       columns=width, out=buf))
 
 
 def _run_paths(seed, n_paths, n_steps, init, step, shape=(), keep=None):
-    """Advance `n_paths` paths by `n_steps` steps, in batches of paths.
+    """Advance `n_paths` paths by `n_steps` steps on the draws of `_draws`.
 
     `init(B)` returns the start state of B paths, one row per path, and
     `step(state, xi, k)` the state after step k (0-based), where `xi` holds
@@ -164,29 +179,20 @@ def _run_paths(seed, n_paths, n_steps, init, step, shape=(), keep=None):
     row by row gives the same paths whatever the batch size.
     """
     pos = {k: j for j, k in enumerate(range(n_steps + 1) if keep is None else keep)}
-    width = math.prod(shape)
-    batch = max(1, _BATCH_NORMALS // (n_steps * width))
     values = None
-    for lo in range(0, n_paths, batch):
-        B = min(batch, n_paths - lo)
-        streams = [path_generator(seed, k) for k in range(lo, lo + B)]
-        block = min(n_steps, max(1, _DRAW_NORMALS // (B * width)))
-        buf = np.empty((B, block, width))
-        state = init(B)
-        if values is None:
-            values = np.empty((n_paths, len(pos)) + state.shape[1:])
-        rows = slice(lo, lo + B)
-        if 0 in pos:
-            values[rows, pos[0]] = state
-        for start in range(0, n_steps, block):
-            xi = gaussian_increments(streams, min(block, n_steps - start),
-                                     columns=width, out=buf)
-            xi = xi.reshape((B, -1) + shape)
-            for j in range(xi.shape[1]):
-                k = start + j
-                state = step(state, xi[:, j], k)
-                if k + 1 in pos:
-                    values[rows, pos[k + 1]] = state
+    for rows, start, xi in _draws(seed, n_paths, n_steps, math.prod(shape)):
+        if start == 0:
+            state = init(len(xi))
+            if values is None:
+                values = np.empty((n_paths, len(pos)) + state.shape[1:])
+            if 0 in pos:
+                values[rows, pos[0]] = state
+        xi = xi.reshape((len(xi), -1) + shape)
+        for j in range(xi.shape[1]):
+            k = start + j
+            state = step(state, xi[:, j], k)
+            if k + 1 in pos:
+                values[rows, pos[k + 1]] = state
     return values
 
 
@@ -275,59 +281,53 @@ def wong_zakai_error(tau, t, x0, Q, n_paths, seed=0) -> WongZakaiResult:
     return wong_zakai_ladder([tau], t, x0, Q, n_paths, seed)[0]
 
 
+def _wz_functional(taus, t, x0, Q):
+    """The rungs' gaps Z = tau^-1/2 I_n - W_n as c0 + sum_k V[k] xi_k.
+
+    The rung at tau takes n = max(1000, ceil(200 t / tau)) steps of h = t/n.
+    With e_k = x_k - Q and a = 1 - h/tau, the Euler step e_{k+1} = a e_k +
+    sqrt(h/tau) xi_k, the trapezoid integral I_n and W_n = sqrt(h) sum xi_k
+    combine into one column of V, shape (max n, rungs), and one entry of c0:
+        V[k] = -sqrt(h) (1 - h/(2 tau)) a^(n-1-k)  for k < n, else 0,
+        c0 = tau^-1/2 h e_0 [(1 - a^(n+1))/(1 - a) - (1 + a^n)/2].
+    Powers of a go through log1p/expm1, so small h/tau loses no digits.
+    """
+    tau = np.asarray(taus, dtype=float)
+    steps = np.ceil(200 * t / tau)
+    if not np.all(steps < np.iinfo(np.intp).max):
+        raise ValueError(f"t = {t!r} needs more fine steps than an array holds")
+    n = np.maximum(1000, steps.astype(np.intp))
+    h = t / n
+    r = h / tau
+    log_a = np.log1p(-r)
+    m = n - 1 - np.arange(n.max())[:, None]  # the power of a at step k
+    V = np.where(m >= 0, np.exp(np.maximum(m, 0) * log_a), 0.0)
+    V *= -np.sqrt(h) * (1.0 - 0.5 * r)
+    c0 = h * (x0 - Q) / np.sqrt(tau) * (
+        -np.expm1((n + 1) * log_a) / r - 0.5 * (1.0 + np.exp(n * log_a)))
+    return V, c0
+
+
 def wong_zakai_ladder(taus, t, x0, Q, n_paths, seed=0) -> list[WongZakaiResult]:
     """`wong_zakai_error` at each tau of `taus`, in that order, by one pass.
 
-    The rung at tau takes n = max(1000, ceil(200 t / tau)) fine steps on
-    the first n normals of each path's stream, so every rung reads a prefix
-    of one shared draw and equals its own `wong_zakai_error` bit for bit.
-    The rungs' states sit in one array, longest rung first, each rung's
-    rows contiguous over paths; a step advances only the rungs still
-    running, so a finished rung's rows hold its last state.
+    Every rung reads a prefix of one shared draw, the first n normals of
+    each path's stream.  Its estimator is linear in them (`_wz_functional`),
+    so each draw block adds one matrix product to the rungs' gaps; the
+    product's rounding depends on the draw layout and on the other rungs.
     """
-    if t <= 0.0 or min(taus) <= 0.0:
-        raise ValueError("t and tau must be positive")
-    n = [max(1000, int(np.ceil(_WZ_STEPS_PER_TAU * t / tau))) for tau in taus]
-    order = sorted(range(len(taus)), key=lambda j: -n[j])
-    n_steps = np.array([n[j] for j in order])
-    n_max = n[order[0]]
-    tau = np.array([taus[j] for j in order], dtype=float)[:, None]
-    h = t / n_steps[:, None]
-    sqrt_h = np.sqrt(h)
-    h_tau = h / tau
-    half_h = 0.5 * h
-    inv_sqrt_tau = 1.0 / np.sqrt(tau)
-    running = np.count_nonzero(n_steps > np.arange(n_max)[:, None], axis=1)
-
-    def init(B):  # rows (x, W, integral) x rung x path, seen path-first
-        s = np.zeros((3, len(order), B))
-        s[0] = x0
-        return s.transpose(2, 1, 0)
-
-    def step(s, xi, k):  # Euler for x, trapezoid for the integral
-        m = running[k]
-        x, W, integral = s.transpose(2, 1, 0)[:, :m]
-        dW = sqrt_h[:m] * xi
-        dx = x - Q
-        # x - (h/tau)(x - Q) is x + (h/tau)(Q - x) bit for bit: negation is exact.
-        x_new = x - h_tau[:m] * dx
-        x_new += inv_sqrt_tau[:m] * dW
-        dx += x_new - Q
-        dx *= half_h[:m]
-        integral += dx
-        W += dW
-        x[:] = x_new
-        return s
-
-    final = _run_paths(seed, n_paths, n_max, init, step, keep=[n_max])[:, 0]
-    results = [None] * len(order)
-    for i, j in enumerate(order):
-        sq = (inv_sqrt_tau[i, 0] * final[:, i, 2] - final[:, i, 1]) ** 2
-        results[j] = WongZakaiResult(
-            mc_estimate=float(np.mean(sq)),
-            exact=float(wong_zakai_exact(taus[j], t, x0, Q)),
-            se=float(np.std(sq, ddof=1) / np.sqrt(n_paths)), tau=taus[j], t=t)
-    return results
+    if not (all(map(math.isfinite, (t, x0, Q, *taus))) and min(t, *taus) > 0.0):
+        raise ValueError("t, tau, x0 and Q must be finite, t and tau positive")
+    V, c0 = _wz_functional(taus, t, x0, Q)
+    Z = np.tile(c0, (n_paths, 1))
+    for rows, start, xi in _draws(seed, n_paths, V.shape[0]):
+        Z[rows] += xi[:, :, 0] @ V[start:start + xi.shape[1]]
+    sq = np.ascontiguousarray((Z**2).T)
+    return [WongZakaiResult(
+        mc_estimate=float(np.mean(sq[j])),
+        exact=float(wong_zakai_exact(tau, t, x0, Q)),
+        se=float(np.std(sq[j], ddof=1) / np.sqrt(n_paths)), tau=tau, t=t)
+        for j, tau in enumerate(taus)]
 
 
 def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig,

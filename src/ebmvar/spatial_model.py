@@ -155,7 +155,7 @@ def dirichlet_load(g: Grid2D, theta: BoundaryTrace) -> np.ndarray:
     return g_bc
 
 
-def equilibrium_residual(T, g: Grid2D, A, g_bc, Q_vals, lam, p: EbmParams):
+def equilibrium_residual(T, A, g_bc, Q_vals, lam, p: EbmParams):
     """A_delta T + g_bc + Q.beta(T) + lambda - r0 - r1 T, evaluated nodewise."""
     return A @ T + g_bc + Q_vals * co_albedo(T, p) + lam - p.r0 - p.r1 * T
 
@@ -189,7 +189,7 @@ def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
                  + p.r1 * np.abs(T))
         return norm <= 16.0 * np.finfo(float).eps * np.max(terms)
 
-    res = equilibrium_residual(T, g, A, g_bc, Q_vals, lam, p)
+    res = equilibrium_residual(T, A, g_bc, Q_vals, lam, p)
     norm = np.linalg.norm(res, np.inf)
     for it in range(max_iter):
         if converged(T, norm):
@@ -205,7 +205,7 @@ def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
         alpha = 1.0
         while alpha >= 2.0**-20:
             T_new = T + alpha * step
-            res_new = equilibrium_residual(T_new, g, A, g_bc, Q_vals, lam, p)
+            res_new = equilibrium_residual(T_new, A, g_bc, Q_vals, lam, p)
             norm_new = np.linalg.norm(res_new, np.inf)
             if norm_new < norm:
                 break
@@ -234,7 +234,6 @@ def sample_coefficients(T_star: SpatialField, Q_field: SpatialField,
 class NoiseCovariance:
     C: np.ndarray
     L: np.ndarray
-    entrywise_nonnegative: bool
 
 
 def build_noise_covariance(g: Grid2D, kernel="identity", variance=1.0,
@@ -250,7 +249,7 @@ def build_noise_covariance(g: Grid2D, kernel="identity", variance=1.0,
     if kernel == "identity":
         C = variance * np.eye(g.d)
         L = np.sqrt(variance) * np.eye(g.d)
-        return NoiseCovariance(C=C, L=L, entrywise_nonnegative=True)
+        return NoiseCovariance(C=C, L=L)
     if kernel != "exponential":
         raise ValueError(f"unknown kernel {kernel!r}")
     if length is None or not (length > 0.0 and math.isfinite(length)):
@@ -260,7 +259,7 @@ def build_noise_covariance(g: Grid2D, kernel="identity", variance=1.0,
     dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
     C = variance * np.exp(-dist / length)
     L = cholesky_with_jitter(C, jitter=1e-12 * variance)
-    return NoiseCovariance(C=C, L=L, entrywise_nonnegative=True)
+    return NoiseCovariance(C=C, L=L)
 
 
 def cholesky_with_jitter(C, jitter, tries=3) -> np.ndarray:

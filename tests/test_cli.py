@@ -87,6 +87,24 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert "--t" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--t", "inf"), ("--t", "1e300"),
+        ("--x0-offset", "nan"), ("--x0-offset", "inf"),
+    ])
+    def test_wz_refuses_unusable_horizon_or_offset(self, tmp_path, capsys,
+                                                   flag, value):
+        """A non-finite --t or --x0-offset, or a --t whose step count no
+        array can hold, is a config error, and no output is written."""
+        cfg = _write_cfg(tmp_path, _model_section() + (
+            "[sim]\ndt = 0.001\nn_steps = 10\nn_paths = 4\nseed = 1\n"))
+        out = tmp_path / "o"
+        rc = main(["--config", cfg, "--out", str(out), "wz-convergence",
+                   flag, value])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_nonpositive_noise_variance(self, tmp_path):
         text = (_model_section() + _spatial_sections()
                 + "variance = 0.0\n")  # appended to the [noise] section

@@ -172,41 +172,97 @@ class TestWongZakai:
         assert abs(res.mc_estimate - res.exact) <= 4.0 * res.se
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            se.wong_zakai_error(tau=-0.1, t=1.0, x0=0.0, Q=0.0, n_paths=10)
+        """Non-positive or non-finite t and tau, non-finite x0 and Q, and a
+        t whose step count no array can hold are refused."""
+        for kw in ({"tau": -0.1}, {"tau": float("nan")}, {"tau": float("inf")},
+                   {"t": 0.0}, {"t": float("inf")}, {"t": 1e300},
+                   {"x0": float("nan")}, {"Q": float("-inf")}):
+            args = {"tau": 0.1, "t": 1.0, "x0": 0.0, "Q": 0.0, **kw}
+            with pytest.raises(ValueError):
+                se.wong_zakai_error(n_paths=10, **args)
         with pytest.raises(ValueError):
             se.wong_zakai_ladder([0.1, 0.0], t=1.0, x0=0.0, Q=0.0, n_paths=10)
 
-    @pytest.mark.parametrize("per_batch", [2, None])
+    @pytest.mark.parametrize("tau,t", [(0.5, 1.0), (0.025, 2.0)],
+                             ids=["1000-step-floor", "t-over-tau-80"])
+    def test_unit_impulse_is_one_weight(self, tau, t):
+        """The Euler/trapezoid loop fed xi = e_j gives c0 + V[j], and fed no
+        noise c0: the ladder's linear functional is the loop's estimator."""
+        x0, Q = 1.5, 0.3
+        V, c0 = se._wz_functional([tau], t, x0, Q)
+        n = V.shape[0]
+        assert n == max(1000, int(np.ceil(200 * t / tau)))
+        picks = [0, 1, n // 2, n - 2, n - 1]
+        gaps = _euler_gaps(np.eye(n)[picks], tau, t, x0, Q)
+        np.testing.assert_allclose(gaps, c0[0] + V[picks, 0], rtol=1e-13, atol=0)
+        assert _euler_gaps(np.zeros((1, n)), tau, t, x0, Q)[0] == pytest.approx(
+            c0[0], rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("per_batch", [1, 2, None])
     def test_ladder_rungs_are_the_single_rung_loop(self, monkeypatch, per_batch):
         """Each rung, given in any order and with rungs of equal length,
-        equals the loop that runs that tau alone, bit for bit."""
-        taus, t, x0, Q, n_paths, seed = (0.1, 0.4, 0.025, 0.2), 1.0, 1.5, 0.3, 5, 9
+        matches the loop that runs that tau alone to rounding: the matrix
+        products round differently from the loop's steps."""
+        taus, t, x0, Q, n_paths = (0.1, 0.4, 0.025, 0.2), 1.0, 1.5, 0.3, 5
         if per_batch is not None:
             monkeypatch.setattr(se, "_BATCH_NORMALS", per_batch * 8000)
+        for seed in (9, 10, 11):
+            got = se.wong_zakai_ladder(taus, t, x0, Q, n_paths, seed)
+            for r, tau in zip(got, taus):
+                _assert_same_result(
+                    r, _wong_zakai_one_rung(tau, t, x0, Q, n_paths, seed))
+
+    def test_rung_order_and_equal_length_rungs(self):
+        """A rung does not depend on the rungs beside it or on their order,
+        up to the rounding of the block products; a one-rung ladder is
+        `wong_zakai_error` bit for bit, and reruns repeat bit for bit."""
+        taus, t, x0, Q, n_paths, seed = (0.4, 0.2, 0.4), 1.0, 1.5, 0.3, 6, 4
         got = se.wong_zakai_ladder(taus, t, x0, Q, n_paths, seed)
-        assert got == [_wong_zakai_one_rung(tau, t, x0, Q, n_paths, seed)
-                       for tau in taus]
+        assert got == se.wong_zakai_ladder(taus, t, x0, Q, n_paths, seed)
+        flipped = se.wong_zakai_ladder(taus[::-1], t, x0, Q, n_paths, seed)
+        for r, other, tau in zip(got, flipped[::-1], taus):
+            alone = se.wong_zakai_error(tau, t, x0, Q, n_paths, seed)
+            assert alone == se.wong_zakai_ladder([tau], t, x0, Q, n_paths, seed)[0]
+            _assert_same_result(r, alone)
+            _assert_same_result(other, alone)
 
 
-def _wong_zakai_one_rung(tau, t, x0, Q, n_paths, seed):
-    """One rung as `wong_zakai_error` ran it before the ladder: each path's
-    normals drawn at once from its stream, then stepped on their own."""
-    n_steps = max(1000, int(np.ceil(200 * t / tau)))
+def _assert_same_result(got, expected):
+    """`mc_estimate` and `se` to rtol 1e-12; the closed form, tau and t
+    bit for bit."""
+    np.testing.assert_allclose([got.mc_estimate, got.se],
+                               [expected.mc_estimate, expected.se],
+                               rtol=1e-12, atol=0)
+    assert (got.exact, got.tau, got.t) == (expected.exact, expected.tau, expected.t)
+
+
+def _euler_gaps(xi, tau, t, x0, Q):
+    """The gap tau^-1/2 I_n - W_n of each row of normals `xi`, shape
+    (paths, n): Euler steps for x and trapezoid steps for the integral, the
+    stepped reference for the ladder's linear functional."""
+    n_steps = xi.shape[1]
     h = t / n_steps
     sqrt_h = np.sqrt(h)
     inv_sqrt_tau = 1.0 / np.sqrt(tau)
-    xi = np.array([se.path_generator(seed, k).standard_normal(n_steps)
-                   for k in range(n_paths)])
-    s = np.asfortranarray(np.tile([float(x0), 0.0, 0.0], (n_paths, 1)))
-    x, W, integral = s.T
+    x = np.full(xi.shape[0], float(x0))
+    W = np.zeros(xi.shape[0])
+    integral = np.zeros(xi.shape[0])
     for k in range(n_steps):
         dW = sqrt_h * xi[:, k]
         x_new = x + (h / tau) * (Q - x) + inv_sqrt_tau * dW
         integral += 0.5 * h * ((x - Q) + (x_new - Q))
         W += dW
-        x[:] = x_new
-    sq = (inv_sqrt_tau * integral - W) ** 2
+        x = x_new
+    return inv_sqrt_tau * integral - W
+
+
+def _wong_zakai_one_rung(tau, t, x0, Q, n_paths, seed):
+    """One rung by the loop: each path's normals drawn at once from its
+    stream, then stepped on their own."""
+    n_steps = max(1000, int(np.ceil(200 * t / tau)))
+    xi = np.array([se.path_generator(seed, k).standard_normal(n_steps)
+                   for k in range(n_paths)])
+    sq = _euler_gaps(xi, tau, t, x0, Q) ** 2
     return se.WongZakaiResult(
         mc_estimate=float(np.mean(sq)),
         exact=float(se.wong_zakai_exact(tau, t, x0, Q)),
@@ -362,25 +418,38 @@ def _dense_field_run():
 # With a dense noise factor only the batch boundaries must stay put.
 DRAW_RUNS = {**RUNS, "field-d16-dense": _dense_field_run()}
 
+# The Wong-Zakai ladder's block products may round differently under another
+# batch or draw block size (a dense L only under another batch size).
+LAYOUT_ROUNDED = {"wong-zakai", "wong-zakai-ladder"}
+
+
+def _assert_same_run(name, got, expected):
+    if name in LAYOUT_ROUNDED:
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    else:
+        np.testing.assert_array_equal(got, expected)
+
 
 class TestPathKernel:
     @pytest.mark.parametrize("per_batch", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_batch_layout_invariance(self, monkeypatch, name, per_batch):
-        """Batches of 1-3 paths give the default run bit for bit."""
+        """Batches of 1-3 paths give the default run bit for bit (the
+        Wong-Zakai runs to rounding)."""
         run, _, n_steps, width = RUNS[name]
         expected = run()
         monkeypatch.setattr(se, "_BATCH_NORMALS", per_batch * n_steps * width)
-        np.testing.assert_array_equal(run(), expected)
+        _assert_same_run(name, run(), expected)
 
     @pytest.mark.parametrize("per_draw", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(DRAW_RUNS))
     def test_draw_block_invariance(self, monkeypatch, name, per_draw):
-        """Drawing 1-3 steps at a time gives the default run bit for bit."""
+        """Drawing 1-3 steps at a time gives the default run bit for bit (the
+        Wong-Zakai runs to rounding)."""
         run, n_paths, _, width = DRAW_RUNS[name]
         expected = run()
         monkeypatch.setattr(se, "_DRAW_NORMALS", per_draw * n_paths * width)
-        np.testing.assert_array_equal(run(), expected)
+        _assert_same_run(name, run(), expected)
 
     def test_dense_noise_factor_batches(self, monkeypatch):
         """With a dense L the BLAS product dW @ L^T may round differently

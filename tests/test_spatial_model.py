@@ -121,8 +121,8 @@ class TestEquilibriumProfile:
         prof = sm.solve_equilibrium_profile(g, Q_field, lam, theta, DEFAULT)
         A = sm.assemble_laplacian(g)
         g_bc = sm.dirichlet_load(g, theta)
-        res = sm.equilibrium_residual(prof.values, g, A, g_bc,
-                                      Q_field.values, lam, DEFAULT)
+        res = sm.equilibrium_residual(prof.values, A, g_bc, Q_field.values,
+                                      lam, DEFAULT)
         assert np.linalg.norm(res, np.inf) <= 1e-10
 
     @pytest.mark.parametrize("n", [21, 32], ids=["d400", "d961"])
