@@ -2,7 +2,8 @@
 
 Every command is a pure function of (config bytes, CLI flags): outputs are
 byte-identical across runs, floats are printed with 17 significant digits,
-JSON keys are sorted.
+JSON keys are sorted.  This module is the only one that turns numbers into
+text: every table is written by `_table`.
 
 Exit codes: 0 success, 2 config error, 3 numerical-solver error,
 4 stability refusal.
@@ -32,7 +33,13 @@ from .config import (
     sim_config,
     sweep_grid,
 )
-from .errors import ConfigError, EbmvarError, UnstableDrift, UnstableK
+from .errors import (
+    ConfigError,
+    EbmvarError,
+    ParamOutOfRange,
+    UnstableDrift,
+    UnstableK,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,12 +49,24 @@ EXIT_STABILITY = 4
 WZ_TAU_LADDER = (0.2, 0.1, 0.05, 0.025)
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+def _cell(x) -> str:
+    if isinstance(x, float):  # numpy float64 included
+        return f"{x:.17g}"
+    return "" if x is None else str(x)
+
+
+def _table(header: str, rows):
+    """A CSV table's encoded lines: the header, then one line per row, each
+    built only when it is written.  A float cell has 17 significant digits,
+    None is an empty cell, and any other cell prints as str() does."""
+    yield (header + "\n").encode()
+    for row in rows:
+        yield (",".join(map(_cell, row)) + "\n").encode()
 
 
 def _write(outdir: Path, name: str, payload) -> Path:
-    """Write text, or a list of buffers one after another, never joined."""
+    """Write text, or buffers (a list, or the lines of `_table`) one after
+    another, never joined."""
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / name
     if isinstance(payload, str):
@@ -74,7 +93,10 @@ def cmd_variance_curve(cfg: ExperimentConfig, args, outdir: Path) -> int:
     p = model_params(cfg)
     grid = sweep_grid(cfg)
     points = mc.variance_curve(p, grid)
-    _write(outdir, "variance_curve.csv", mc.variance_curve_csv(points))
+    _write(outdir, "variance_curve.csv", _table(
+        "lambda,T_star,branch,b,sigma0,sigma1,var_inf",
+        ((pt.lam, pt.T_star, pt.branch, pt.b, pt.sigma0, pt.sigma1, pt.var_inf)
+         for pt in points)))
 
     branches = {pt.branch for pt in points}
     diffs = np.diff([pt.var_inf for pt in points])
@@ -108,10 +130,9 @@ def cmd_wz_convergence(cfg: ExperimentConfig, args, outdir: Path) -> int:
     except ValueError as exc:
         raise ConfigError(f"--t {args.t!r}, --x0-offset {args.x0_offset!r}: "
                           f"{exc}") from exc
-    lines = ["tau,mc,exact,se"]
-    for r in results:
-        lines.append(f"{_fmt(r.tau)},{_fmt(r.mc_estimate)},{_fmt(r.exact)},{_fmt(r.se)}")
-    _write(outdir, "wz_convergence.csv", "\n".join(lines) + "\n")
+    _write(outdir, "wz_convergence.csv", _table(
+        "tau,mc,exact,se",
+        ((r.tau, r.mc_estimate, r.exact, r.se) for r in results)))
 
     logs_tau = np.log([r.tau for r in results])
     logs_exact = np.log([r.exact for r in results])
@@ -167,10 +188,8 @@ def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
     if args.which == "anomaly-field":
         bundle = sm.simulate_anomaly_field(_operators(cfg, p), s)
         _write(outdir, "anomaly_field.bin", bundle.binary_parts())
-        lines = ["time,mc_trace"]
-        for t, tr in zip(bundle.times, _mean_square_norm(bundle.values)):
-            lines.append(f"{_fmt(t)},{_fmt(tr)}")
-        _write(outdir, "anomaly_field_trace.csv", "\n".join(lines) + "\n")
+        _write(outdir, "anomaly_field_trace.csv", _table(
+            "time,mc_trace", zip(bundle.times, _mean_square_norm(bundle.values))))
         return EXIT_OK
 
     root = mc.select_root(mc.equilibrium_roots(p))
@@ -185,14 +204,15 @@ def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
             root.b, root.sigma0, root.sigma1, p.tau, 0.0, s)}
 
     for name, bundle in bundles.items():
-        _write(outdir, f"{name}_paths.csv", bundle.to_csv())
+        _write(outdir, f"{name}_paths.csv", _table(
+            "time," + ",".join(f"path_{k}" for k in range(bundle.n_paths)),
+            ((t, *col) for t, col in zip(bundle.times, bundle.values.T))))
         _write(outdir, f"{name}_paths.bin", bundle.binary_parts())
         rep = sde.mc_moments(bundle)
-        lines = ["time,mean,variance,se_mean,se_variance"]
-        for j, t in enumerate(bundle.times):
-            lines.append(f"{_fmt(t)},{_fmt(rep.mean[j])},{_fmt(rep.variance[j])},"
-                         f"{_fmt(rep.se_mean[j])},{_fmt(rep.se_variance[j])}")
-        _write(outdir, f"{name}_moments.csv", "\n".join(lines) + "\n")
+        _write(outdir, f"{name}_moments.csv", _table(
+            "time,mean,variance,se_mean,se_variance",
+            zip(bundle.times, rep.mean, rep.variance, rep.se_mean,
+                rep.se_variance)))
     return EXIT_OK
 
 
@@ -201,7 +221,10 @@ def cmd_spatial_stationary(cfg: ExperimentConfig, args, outdir: Path) -> int:
     ops = _operators(cfg, p)
     _write(outdir, "certificate.json", _json(cov.certify(ops).to_dict()))
     state = cov.stationary_covariance(ops, check_stability=not args.force)
-    _write(outdir, "gamma_stationary.txt", sm.sparse_to_coord_text(state.gamma))
+    # Row-major, exact zeros dropped.
+    rows, cols = np.nonzero(state.gamma)
+    _write(outdir, "gamma_stationary.txt", _table(
+        "row,col,value", zip(rows, cols, state.gamma[rows, cols])))
     summary = {
         "command": "spatial-stationary",
         "lambda": p.lam,
@@ -224,7 +247,12 @@ def cmd_monotonicity(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
     points = _parallel_map(run, list(lam_grid), args.threads)
     report = cov.SweepReport(points=points)
-    _write(outdir, "monotonicity_sweep.csv", report.to_csv())
+    _write(outdir, "monotonicity_sweep.csv", _table(
+        "lambda,applicable,trace,min_dgamma_entry,verdict,note",
+        ((pt.lam, pt.applicable, pt.trace, pt.min_diff_entry,
+          "entrywise-positive" if pt.entrywise_positive
+          else "non-applicable" if not pt.applicable else "mixed", pt.note)
+         for pt in points)))
     hypothesis_notes = sorted({pt.note for pt in points if pt.note})
     summary = {
         "command": "monotonicity",
@@ -245,16 +273,17 @@ def cmd_counterexample(cfg, args, outdir: Path) -> int:
         raise ConfigError("need 0 <= --lambda-min <= --lambda-max < inf, got "
                           f"{args.lambda_min!r} and {args.lambda_max!r}")
     lam_grid = np.linspace(args.lambda_min, args.lambda_max, args.n_lambda)
+    try:
+        results = [cov.counterexample_trace(args.s, args.c, float(lam))
+                   for lam in lam_grid]
+    except ParamOutOfRange as exc:
+        raise ConfigError(f"--s {args.s!r}, --c {args.c!r}: {exc}") from exc
+    _write(outdir, "counterexample.csv", _table(
+        "lambda,trace,derivative,numeric_trace",
+        ((lam, r.trace, r.d_trace_d_lambda, r.numeric_trace)
+         for lam, r in zip(lam_grid, results))))
     cs = args.s * args.c
-    lines = ["lambda,trace,derivative,numeric_trace"]
-    below = []
-    for lam in lam_grid:
-        r = cov.counterexample_trace(args.s, args.c, float(lam))
-        lines.append(f"{_fmt(lam)},{_fmt(r.trace)},{_fmt(r.d_trace_d_lambda)},"
-                     f"{_fmt(r.numeric_trace)}")
-        if lam < cs:
-            below.append(r.numeric_trace)
-    _write(outdir, "counterexample.csv", "\n".join(lines) + "\n")
+    below = [r.numeric_trace for lam, r in zip(lam_grid, results) if lam < cs]
     # Read off the numeric_trace column: null when it has fewer than two
     # points below c*s, so no difference can be formed there.
     negative = bool(np.all(np.diff(below) < 0.0)) if len(below) >= 2 else None

@@ -89,12 +89,10 @@ def covariance_rhs(gamma, ops: SpatialOperators) -> np.ndarray:
             + ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec))
 
 
-def integrate_covariance(ops: SpatialOperators, T_end, dt,
-                         gamma0=None) -> CovarianceState:
+def integrate_covariance(ops: SpatialOperators, T_end, dt) -> CovarianceState:
     """Classical RK4 on the matrix ODE from Gamma(0) = 0, symmetrising each
     step; the exact flow preserves symmetry, floating point does not."""
-    d = ops.d
-    gamma = np.zeros((d, d)) if gamma0 is None else np.asarray(gamma0, float).copy()
+    gamma = np.zeros((ops.d, ops.d))
     n_steps = int(np.ceil(T_end / dt))
     h = T_end / n_steps
     for k in range(n_steps):
@@ -333,17 +331,6 @@ class SweepReport:
         if all(p.entrywise_positive for p in applicable):
             return "entrywise positive"
         return "not monotone"
-
-    def to_csv(self) -> str:
-        lines = ["lambda,applicable,trace,min_dgamma_entry,verdict,note"]
-        for p in self.points:
-            verdict = ("entrywise-positive" if p.entrywise_positive
-                       else "non-applicable" if not p.applicable else "mixed")
-            trace = "" if p.trace is None else f"{p.trace:.17g}"
-            mde = "" if p.min_diff_entry is None else f"{p.min_diff_entry:.17g}"
-            lines.append(f"{p.lam:.17g},{p.applicable},{trace},{mde},"
-                         f"{verdict},{p.note}")
-        return "\n".join(lines) + "\n"
 
 
 def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,

@@ -8,7 +8,6 @@ its dependence on the radiative forcing parameter.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,15 +238,4 @@ def variance_curve(p: EbmParams, lambda_grid, reference=None) -> list[CurvePoint
         ))
     return points
 
-
-def variance_curve_csv(points) -> str:
-    """CSV serialisation with the fixed column contract."""
-    buf = io.StringIO()
-    buf.write("lambda,T_star,branch,b,sigma0,sigma1,var_inf\n")
-    for pt in points:
-        buf.write(
-            f"{pt.lam:.17g},{pt.T_star:.17g},{pt.branch},{pt.b:.17g},"
-            f"{pt.sigma0:.17g},{pt.sigma1:.17g},{pt.var_inf:.17g}\n"
-        )
-    return buf.getvalue()
 

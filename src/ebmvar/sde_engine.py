@@ -12,10 +12,9 @@ the trajectory of path k depends only on (seed, k).
 
 from __future__ import annotations
 
-import io
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +62,7 @@ class PathBundle:
 
     times: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
+    seed: int = 0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -77,27 +76,15 @@ class PathBundle:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
-    def to_csv(self) -> str:
-        """`time,path_0,...` long format (scalar bundles only)."""
-        if self.values.ndim != 2:
-            raise ValueError("CSV export is defined for scalar bundles")
-        buf = io.StringIO()
-        buf.write("time," + ",".join(f"path_{k}" for k in range(self.n_paths)) + "\n")
-        for j, t in enumerate(self.times):
-            row = ",".join(f"{v:.17g}" for v in self.values[:, j])
-            buf.write(f"{t:.17g},{row}\n")
-        return buf.getvalue()
-
     def binary_parts(self) -> list:
         """The little-endian float64 dump with a shape/seed header, as its
         three buffers in file order (header, times, values), uncopied."""
-        seed = int(self.meta.get("seed", 0))
         if self.values.ndim == 2:
             n_paths, n_times = self.values.shape
             d = 0
         else:
             n_paths, n_times, d = self.values.shape
-        head = _MAGIC + struct.pack("<qqqq", n_paths, n_times, d, seed)
+        head = _MAGIC + struct.pack("<qqqq", n_paths, n_times, d, self.seed)
         return [head, np.ascontiguousarray(self.times, dtype="<f8"),
                 np.ascontiguousarray(self.values, dtype="<f8")]
 
@@ -117,7 +104,7 @@ class PathBundle:
         count = n_paths * n_times * (d if d else 1)
         vals = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         shape = (n_paths, n_times, d) if d else (n_paths, n_times)
-        return cls(times=times, values=vals.reshape(shape), meta={"seed": seed})
+        return cls(times=times, values=vals.reshape(shape), seed=seed)
 
 
 def path_generator(seed: int, path_index: int) -> np.random.Generator:
@@ -224,8 +211,7 @@ def simulate_ou(tau, Q, x0, cfg: SimConfig, noise_scale=1.0) -> PathBundle:
     values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
                         lambda B: np.full(B, float(x0)),
                         _ou_step(tau, Q, cfg.dt, noise_scale))
-    return PathBundle(times=_times(cfg), values=values,
-                      meta={"seed": cfg.seed, "kind": "ou"})
+    return PathBundle(times=_times(cfg), values=values, seed=cfg.seed)
 
 
 def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig,
@@ -250,8 +236,8 @@ def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig,
                         step)
     times = _times(cfg)
     xs, ts = np.moveaxis(values, 2, 0)
-    return (PathBundle(times=times, values=xs, meta={"seed": cfg.seed, "kind": "fast"}),
-            PathBundle(times=times, values=ts, meta={"seed": cfg.seed, "kind": "slow"}))
+    return (PathBundle(times=times, values=xs, seed=cfg.seed),
+            PathBundle(times=times, values=ts, seed=cfg.seed))
 
 
 @dataclass(frozen=True)
@@ -265,9 +251,11 @@ class WongZakaiResult:
 
 def wong_zakai_exact(tau, t, x0, Q) -> float:
     """Closed-form mean-square gap between the integrated fast fluctuations
-    and the Brownian driver at time t."""
-    return (tau * (1.0 - np.exp(-t / tau)) ** 2 * (x0 - Q) ** 2
-            + 0.5 * tau * (1.0 - np.exp(-2.0 * t / tau)))
+    and the Brownian driver at time t,
+        tau (1 - e^{-t/tau})^2 (x0 - Q)^2 + (tau/2)(1 - e^{-2t/tau}),
+    through expm1, so that a small t/tau keeps its digits."""
+    return (tau * np.expm1(-t / tau) ** 2 * (x0 - Q) ** 2
+            - 0.5 * tau * np.expm1(-2.0 * t / tau))
 
 
 def wong_zakai_error(tau, t, x0, Q, n_paths, seed=0) -> WongZakaiResult:
@@ -359,8 +347,7 @@ def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig,
 
     values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
                         lambda B: np.full(B, float(T0)), step)
-    return PathBundle(times=_times(cfg), values=values,
-                      meta={"seed": cfg.seed, "kind": "reduced"})
+    return PathBundle(times=_times(cfg), values=values, seed=cfg.seed)
 
 
 def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0,
@@ -382,8 +369,7 @@ def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0,
 
     values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
                         lambda B: np.full(B, float(y0)), step)
-    return PathBundle(times=_times(cfg), values=values,
-                      meta={"seed": cfg.seed, "kind": "linear-anomaly"})
+    return PathBundle(times=_times(cfg), values=values, seed=cfg.seed)
 
 
 @dataclass(frozen=True)

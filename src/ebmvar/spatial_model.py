@@ -9,7 +9,6 @@ simulator.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -109,16 +108,6 @@ class SpatialField:
         bd = boundary if boundary is not None else BoundaryTrace.constant(value)
         return cls(grid=grid, values=np.full(grid.d, float(value)), boundary=bd)
 
-    def to_csv(self) -> str:
-        """(i, j, x, y, value) long format."""
-        buf = io.StringIO()
-        buf.write("i,j,x,y,value\n")
-        coords = self.grid.interior_coords()
-        for m, (i, j) in enumerate(self.grid.interior_pairs()):
-            x, y = coords[m]
-            buf.write(f"{i},{j},{x:.17g},{y:.17g},{self.values[m]:.17g}\n")
-        return buf.getvalue()
-
 
 def assemble_laplacian(g: Grid2D) -> sp.csr_matrix:
     """Five-point Laplacian with homogeneous Dirichlet encoded by omission,
@@ -161,16 +150,17 @@ def equilibrium_residual(T, A, g_bc, Q_vals, lam, p: EbmParams):
 
 
 def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
-                              theta: BoundaryTrace, p: EbmParams,
-                              T0=None, tol=1e-10, max_iter=200) -> SpatialField:
+                              theta: BoundaryTrace, p: EbmParams) -> SpatialField:
     """Deterministic equilibrium profile under Dirichlet data.
 
     Damped semismooth Newton: the co-albedo derivative is frozen per
     iteration on each node's current branch, with residual-norm backtracking
     (factor 0.5, minimum step 2^-20).  Since the nonlinearity is piecewise
-    affine, convergence is finite once the branch pattern settles.
+    affine, convergence is finite once the branch pattern settles.  The
+    iteration starts from the flat profile (lambda - r0)/r1 and takes at
+    most 200 Newton steps.
 
-    The residual's max norm is converged at `tol`, or at its rounding level
+    The residual's max norm is converged at 1e-10, or at its rounding level
     when that is larger, as on fine grids where |A| grows as h^-2: 16 eps
     times the largest nodewise sum of the magnitudes of its terms.
     """
@@ -178,11 +168,10 @@ def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
     abs_A = abs(A)
     g_bc = dirichlet_load(g, theta)
     Q_vals = Q_field.values
-    T = (np.full(g.d, (lam - p.r0) / p.r1) if T0 is None
-         else np.asarray(T0, dtype=float).copy())
+    T = np.full(g.d, (lam - p.r0) / p.r1)
 
     def converged(T, norm):
-        if norm <= tol:
+        if norm <= 1e-10:
             return True
         terms = (abs_A @ np.abs(T) + np.abs(g_bc)
                  + np.abs(Q_vals * co_albedo(T, p)) + abs(lam) + abs(p.r0)
@@ -191,7 +180,7 @@ def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
 
     res = equilibrium_residual(T, A, g_bc, Q_vals, lam, p)
     norm = np.linalg.norm(res, np.inf)
-    for it in range(max_iter):
+    for it in range(200):
         if converged(T, norm):
             return SpatialField(grid=g, values=T, boundary=theta)
         J = A + sp.diags(Q_vals * co_albedo_slope(T, p) - p.r1)
@@ -215,7 +204,7 @@ def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
         T, res, norm = T_new, res_new, norm_new
     if converged(T, norm):
         return SpatialField(grid=g, values=T, boundary=theta)
-    raise NoConvergence(max_iter, norm)
+    raise NoConvergence(200, norm)
 
 
 def sample_coefficients(T_star: SpatialField, Q_field: SpatialField,
@@ -358,17 +347,4 @@ def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
                         lambda B: np.tile(y_init, (B, 1)), step,
                         shape=(d,), keep=kept)
     times = cfg.dt * np.asarray(kept, dtype=float)
-    return PathBundle(times=times, values=values,
-                      meta={"seed": cfg.seed, "kind": "anomaly-field",
-                            "store_stride": store_stride})
-
-
-def sparse_to_coord_text(A) -> str:
-    """Coordinate (row, col, value) text export for sparse matrices."""
-    A = sp.coo_matrix(A)
-    buf = io.StringIO()
-    buf.write("row,col,value\n")
-    order = np.lexsort((A.col, A.row))
-    for k in order:
-        buf.write(f"{A.row[k]},{A.col[k]},{A.data[k]:.17g}\n")
-    return buf.getvalue()
+    return PathBundle(times=times, values=values, seed=cfg.seed)

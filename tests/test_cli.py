@@ -16,6 +16,7 @@ from ebmvar.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_STABILITY,
+    _table,
     main,
 )
 
@@ -153,9 +154,26 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
 
     def test_numerical_error(self, tmp_path):
-        rc = main(["--out", str(tmp_path / "o"), "counterexample",
-                   "--s", "1.5", "--c", "0.8"])
+        # dt (r1 + Q s) = 2.86 > 1: the explicit step is refused.
+        cfg = _write_cfg(tmp_path, _model_section() + (
+            "[sim]\ndt = 1.0\nn_steps = 2\nn_paths = 2\n"))
+        rc = main(["--config", cfg, "--out", str(tmp_path / "o"),
+                   "simulate", "--which", "reduced"])
         assert rc == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("flags", [
+        ["--s", "1.5", "--c", "0.8"],
+        ["--s", "nan", "--c", "0.8"],
+        ["--s", "0.5", "--c", "0"],
+    ], ids=["s-above-one", "s-nan", "c-zero"])
+    def test_counterexample_out_of_range_is_a_config_error(self, tmp_path,
+                                                           capsys, flags):
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "counterexample", *flags])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "0 < s < 1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--n-lambda", "-1"],
@@ -235,6 +253,27 @@ class TestVarianceCurve:
         assert summary["verdict"] == "strictly increasing"
 
 
+class TestTable:
+    def test_cells(self):
+        rows = [(0.1 + 0.2, 0.0, -0.0, float("nan")),
+                (float("inf"), np.float64(1.0 / 3.0), 7, True),
+                (None, "ice-sensitive", 2.5e-300, False)]
+        assert b"".join(_table("a,b,c,d", rows)) == (
+            b"a,b,c,d\n"
+            b"0.30000000000000004,0,-0,nan\n"
+            b"inf,0.33333333333333331,7,True\n"
+            b",ice-sensitive,2.5e-300,False\n")
+
+    def test_rows_are_read_as_they_are_written(self):
+        def rows():
+            yield (1.5,)
+            raise AssertionError("read past the first row")
+
+        lines = _table("x", rows())
+        assert next(lines) == b"x\n"
+        assert next(lines) == b"1.5\n"
+
+
 class TestWzConvergence:
     def test_outputs(self, tmp_path):
         text = _model_section() + (
@@ -261,6 +300,25 @@ class TestWzConvergence:
                          str(out), "wz-convergence", "--t", "0.3"]) == EXIT_OK
             outs.append((out / "wz_convergence.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_tiny_horizon_keeps_its_digits(self, tmp_path):
+        """At t = 1e-300 the gap is t to first order: the closed form must
+        not round it to 0, and the summary must stay valid JSON."""
+        cfg = _write_cfg(tmp_path, _model_section() + (
+            "[sim]\ndt = 0.001\nn_steps = 10\nn_paths = 20\nseed = 1\n"))
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out),
+                     "wz-convergence", "--t", "1e-300"]) == EXIT_OK
+        lines = (out / "wz_convergence.csv").read_text().strip().split("\n")
+        exact = [float(line.split(",")[2]) for line in lines[1:]]
+        assert exact == pytest.approx([1e-300] * 4, rel=1e-12, abs=0.0)
+
+        def refuse(name):
+            raise ValueError(f"{name} in the summary")
+
+        summary = json.loads((out / "wz_convergence_summary.json").read_text(),
+                             parse_constant=refuse)
+        assert np.isfinite(summary["fitted_slope"])
 
 
 class TestSimulate:

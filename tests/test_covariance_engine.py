@@ -503,10 +503,16 @@ class TestMonotonicitySweep:
         # forcing derivative vanishes.
         assert abs(p.min_diff_entry) <= 1e-8
 
-    def test_csv_contract(self):
+    def test_csv_contract(self, run_cli):
+        # The config of _default_setup(nx=4, ny=4), swept at its lam0 only.
         g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4)
-        rep = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, [lam0])
-        lines = rep.to_csv().strip().split("\n")
+        out = run_cli(DEFAULT, {
+            "grid": {"Lx": g.Lx, "Ly": g.Ly, "Nx": g.Nx, "Ny": g.Ny},
+            "boundary": {"theta": bd.left},
+            "noise": {"kernel": "exponential", "length": 0.5},
+            "sweep": {"lambda_min": lam0, "lambda_max": lam0, "n_points": 1},
+        }, "monotonicity")
+        lines = (out / "monotonicity_sweep.csv").read_text().strip().split("\n")
         assert lines[0] == "lambda,applicable,trace,min_dgamma_entry,verdict,note"
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "True"

@@ -200,10 +200,10 @@ class TestVarianceCurve:
         fd = (rp.T_star - rm.T_star) / (2.0 * h)
         assert fd == pytest.approx(1.0 / root.b, rel=1e-4)
 
-    def test_csv_contract(self):
-        pts = mc.variance_curve(DEFAULT, [500.0, 510.0])
-        csv = mc.variance_curve_csv(pts)
-        lines = csv.strip().split("\n")
+    def test_csv_contract(self, run_cli):
+        out = run_cli(DEFAULT, {"sweep": {"lambda_min": 500.0, "lambda_max": 510.0,
+                                          "n_points": 2}}, "variance-curve")
+        lines = (out / "variance_curve.csv").read_text().strip().split("\n")
         assert lines[0] == "lambda,T_star,branch,b,sigma0,sigma1,var_inf"
         assert len(lines) == 3
         assert lines[1].split(",")[2] == mc.BRANCH_ICE

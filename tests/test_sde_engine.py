@@ -30,21 +30,21 @@ class TestSimConfig:
 
 
 class TestPathBundle:
-    def test_csv_header(self):
-        b = se.PathBundle(times=[0.0, 0.1], values=[[1.0, 2.0], [3.0, 4.0]])
-        lines = b.to_csv().strip().split("\n")
+    def test_csv_header(self, run_cli):
+        out = run_cli(DEFAULT, {"sim": {"dt": 0.1, "n_steps": 1, "n_paths": 2}},
+                      "simulate", "--which", "reduced")
+        lines = (out / "reduced_paths.csv").read_text().strip().split("\n")
         assert lines[0] == "time,path_0,path_1"
         assert lines[1].split(",")[0] == "0"
 
     def test_binary_round_trip_scalar(self):
         rng = np.random.default_rng(1)
         b = se.PathBundle(times=np.linspace(0, 1, 5),
-                          values=rng.standard_normal((3, 5)),
-                          meta={"seed": 7})
+                          values=rng.standard_normal((3, 5)), seed=7)
         r = se.PathBundle.from_binary(b.to_binary())
         np.testing.assert_array_equal(r.times, b.times)
         np.testing.assert_array_equal(r.values, b.values)
-        assert r.meta["seed"] == 7
+        assert r.seed == 7
 
     def test_binary_round_trip_vector(self):
         rng = np.random.default_rng(2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from ebmvar import covariance_engine as ce
 from ebmvar import model_core as mc
 from ebmvar import sde_engine as se
 from ebmvar import spatial_model as sm
@@ -136,14 +136,6 @@ class TestEquilibriumProfile:
         lam = _constant_profile_lam(280.0, DEFAULT)
         prof = sm.solve_equilibrium_profile(g, Q_field, lam, theta, DEFAULT)
         np.testing.assert_allclose(prof.values, 280.0, rtol=1e-13)
-
-    def test_field_csv(self):
-        g = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=3, Ny=3)
-        f = sm.SpatialField.constant(g, 1.5)
-        lines = f.to_csv().strip().split("\n")
-        assert lines[0] == "i,j,x,y,value"
-        assert len(lines) == 1 + g.d
-        assert lines[1].startswith("1,1,")
 
 
 class TestCoefficients:
@@ -320,9 +312,16 @@ class TestAnomalySimulation:
 
 
 class TestCoordText:
-    def test_format_and_order(self):
-        A = sp.csr_matrix(np.array([[0.0, 1.5], [2.0, 0.0]]))
-        lines = sm.sparse_to_coord_text(A).strip().split("\n")
+    def test_format_and_order(self, run_cli, monkeypatch):
+        """gamma_stationary.txt lists Gamma's nonzero entries row by row."""
+        gamma = ce.CovarianceState.from_gamma([[0.0, 1.5], [2.0, 0.0]])
+        monkeypatch.setattr(ce, "stationary_covariance",
+                            lambda ops, check_stability: gamma)
+        out = run_cli(DEFAULT, {"grid": {"Lx": 1.0, "Ly": 1.0, "Nx": 3, "Ny": 3},
+                                "boundary": {"theta": 280.0},
+                                "noise": {"kernel": "identity"}},
+                      "spatial-stationary")
+        lines = (out / "gamma_stationary.txt").read_text().strip().split("\n")
         assert lines[0] == "row,col,value"
         assert lines[1] == "0,1,1.5"
         assert lines[2] == "1,0,2"
