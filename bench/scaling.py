@@ -1,0 +1,138 @@
+"""Wall time and peak memory of the stationary solve and of one sweep
+point, on a `d` ladder.
+
+    python bench/scaling.py [--before SRC_DIR] [--repeats N] [--cap SECONDS]
+                            [--out FILE]
+
+On the 8x8 domain with the exponential kernel (length 0.5), boundary
+theta = 280 and the forcing at which the constant profile T = theta is an
+equilibrium (inside the ice band), at d = 16, 64, 225, 400, 900 and 1600,
+it measures two layers:
+
+- `stationary`: `stationary_covariance`, that is Gamma and the Hurwitz gate;
+- `sweep-point`: `monotonicity_sweep` at that one forcing: the Newton
+  solve, Gamma, the gate and dGamma/dlambda.
+
+Each run is a fresh interpreter with this checkout's `src/` on PYTHONPATH.
+It builds its inputs, times the one call (`time.perf_counter`), and reports
+its own peak RSS (`VmHWM` of /proc/self/status, which unlike `ru_maxrss`
+does not inherit the launching process's high-water mark) and the trace of
+Gamma.  With `--before`, every run is repeated on another package tree,
+such as the parent commit's `src/` unpacked by `git archive`, alternating
+which tree goes first.  A run that takes longer than `--cap` seconds in
+all is killed; it, the rest of its repeats and every larger d of that tree
+and layer are recorded as skipped, not run.  The result, with the machine
+description, goes to BENCH_scaling.json.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+from mc_stream import machine
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SIDES = {16: 5, 64: 9, 225: 16, 400: 21, 900: 31, 1600: 41}  # d: Nx = Ny
+LAYERS = ("stationary", "sweep-point")
+
+CHILD = r"""
+import json, sys, time
+from ebmvar import covariance_engine as ce
+from ebmvar import model_core as mc
+from ebmvar import spatial_model as sm
+
+layer, n, theta = sys.argv[1], int(sys.argv[2]), 280.0
+p = mc.default_params()
+g = sm.Grid2D(Lx=8.0, Ly=8.0, Nx=n, Ny=n)
+bd = sm.BoundaryTrace.constant(theta)
+Q_field = sm.SpatialField.constant(g, p.Q)
+lam = p.r0 + p.r1 * theta - p.Q * mc.co_albedo(theta, p)
+noise = sm.build_noise_covariance(g, "exponential", variance=1.0, length=0.5)
+if layer == "stationary":
+    prof = sm.solve_equilibrium_profile(g, Q_field, lam, bd, p)
+    ops = sm.build_operators(g, prof, Q_field, p, noise)
+    run = lambda: ce.stationary_covariance(ops).spatial_variance
+else:
+    run = lambda: ce.monotonicity_sweep(g, Q_field, bd, p, noise,
+                                        [lam]).points[0].trace
+start = time.perf_counter()
+trace = run()
+wall = time.perf_counter() - start
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh
+                  if line.startswith("VmHWM:"))
+print(json.dumps({"wall_s": wall, "peak_rss_mb": hwm_kb / 1024.0,
+                  "trace": trace}))
+"""
+
+
+def run_one(src: Path, layer: str, d: int, cap: float) -> dict | None:
+    """One measured run, or None when it exceeds the cap."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-c", CHILD, layer, str(SIDES[d])]
+    try:
+        proc = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=cap)
+    except subprocess.TimeoutExpired:
+        return None
+    if proc.returncode != 0:
+        raise RuntimeError(f"{layer} at d = {d} on {src} exited "
+                           f"{proc.returncode}: {proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--before", type=Path, default=None,
+                    help="package tree (a src/ directory) to compare against")
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--cap", type=float, default=600.0,
+                    help="seconds a run may take in all before it is killed")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_scaling.json")
+    args = ap.parse_args(argv)
+    trees = {"after": ROOT / "src"}
+    if args.before is not None:
+        trees = {"before": args.before.resolve(), **trees}
+    result = {"machine": machine(), "repeats": args.repeats, "cap_s": args.cap,
+              "layers": {layer: {} for layer in LAYERS}, "skipped": []}
+    capped = set()  # (tree, layer) pairs that hit the cap
+    for layer in LAYERS:
+        for d in SIDES:
+            runs = {name: [] for name in trees}
+            for rep in range(args.repeats):
+                names = list(trees) if rep % 2 == 0 else list(trees)[::-1]
+                for name in names:
+                    if (name, layer) in capped:
+                        result["skipped"].append({
+                            "tree": name, "layer": layer, "d": d, "repeat": rep,
+                            "reason": "an earlier run of this tree and layer "
+                                      "exceeded the cap"})
+                        continue
+                    r = run_one(trees[name], layer, d, args.cap)
+                    if r is None:
+                        capped.add((name, layer))
+                        result["skipped"].append({
+                            "tree": name, "layer": layer, "d": d, "repeat": rep,
+                            "reason": f"killed after the {args.cap:g} s cap"})
+                        continue
+                    runs[name].append(r)
+            entry = {name: {"median": {key: statistics.median(r[key] for r in rs)
+                                       for key in ("wall_s", "peak_rss_mb")},
+                            "runs": rs}
+                     for name, rs in runs.items() if rs}
+            result["layers"][layer][f"d{d}"] = entry
+            print(layer, d, {name: e["median"] for name, e in entry.items()},
+                  flush=True)
+    args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -67,13 +67,10 @@ class CovarianceState:
                    is_psd=float(w[0]) >= -1e-8 * scale)
 
 
-def _operator(ops: SpatialOperators, M=None):
+def _operator(ops: SpatialOperators):
     """X -> M X + X M^T + tau C o (D X D) on d x d matrices (K is its
-    column-stacked matrix), and its noise gain tau C o d d^T.  Built from
-    sym(M) instead of the drift it is sym(K), as K's noise term is diagonal.
-    """
-    M = ops.M if M is None else M
-    gain = ops.tau * ops.C * np.outer(ops.d_vec, ops.d_vec)
+    column-stacked matrix), and its noise gain tau C o d d^T."""
+    M, gain = ops.M, ops.tau * ops.C * np.outer(ops.d_vec, ops.d_vec)
 
     def apply(X):
         return M @ X + (M @ X.T).T + gain * X
@@ -121,69 +118,65 @@ def assemble_vectorised(ops: SpatialOperators) -> VectorisedSystem:
     return VectorisedSystem(K=K.tocsc(), F=F, d=d)
 
 
-def _rightmost_eigenvalue(apply, d, arpack, which, what) -> float:
-    """Rightmost eigenvalue of an operator on d x d matrices by ARPACK,
-    started from 1 1^T, not a random vector, so reruns give identical digits.
-    For PSD C the rightmost eigenvalue of K is real with a PSD eigenvector X
-    (Damm 2004, ch. 3), which meets the start with weight 1^T X 1 >= 0."""
+def k_spectral_abscissa(ops: SpatialOperators) -> tuple[float, str]:
+    """Max real part of K's spectrum, with the route used: "iterative"
+    (ARPACK on the d x d operator), or "dense" for d = 1, where ARPACK
+    cannot run and K is its own eigenvalue.  ARPACK starts from 1 1^T, not
+    a random vector, so reruns give identical digits.  For PSD C the
+    rightmost eigenvalue of K is real with a PSD eigenvector X (Damm 2004,
+    ch. 3), which meets the start with weight 1^T X 1 >= 0."""
+    apply, _ = _operator(ops)
+    d = ops.d
+    if d == 1:
+        return float(apply(np.ones((1, 1)))[0, 0]), "dense"
     op = spla.LinearOperator(
         (d * d, d * d), dtype=float,
         matvec=lambda x: apply(x.reshape(d, d)).ravel())
     try:
-        vals = arpack(op, k=1, which=which, return_eigenvectors=False,
-                      maxiter=5000, v0=np.ones(d * d))
+        vals = spla.eigs(op, k=1, which="LR", return_eigenvectors=False,
+                         maxiter=5000, v0=np.ones(d * d))
     except spla.ArpackNoConvergence as exc:
-        raise SolveFailed(f"{what}: {exc}") from exc
-    return float(vals.real.max())
+        raise SolveFailed(f"K spectral abscissa: {exc}") from exc
+    return float(vals.real.max()), "iterative"
 
 
-def k_spectral_abscissa(ops: SpatialOperators) -> tuple[float, str]:
-    """Max real part of K's spectrum, with the route used: "iterative"
-    (ARPACK on the d x d operator), or "dense" for d = 1, where ARPACK
-    cannot run and K is its own eigenvalue."""
-    apply, _ = _operator(ops)
-    if ops.d == 1:
-        return float(apply(np.ones((1, 1)))[0, 0]), "dense"
-    return _rightmost_eigenvalue(apply, ops.d, spla.eigs, "LR",
-                                 "K spectral abscissa"), "iterative"
+def _lyapunov_solver(w, U):
+    """Solver R -> X of M X + X M^T = R for the symmetric M = U diag(w) U^T:
+    X = U ((U^T R U) / (w_i + w_j)) U^T, solution by diagonalisation
+    (Simoncini, SIAM Review 58, 2016, sec. 4).
 
-
-def _lyapunov_solver(M: np.ndarray):
-    """Solver R -> X of M X + X M^T = R: one real Schur form M = U T U^T,
-    then one LAPACK trsyl on T per solve (Bartels-Stewart).
-
-    The products use scipy's BLAS, which also runs schur and trsyl: numpy
+    The products use scipy's BLAS, which also runs the eigensolve: numpy
     bundles a second OpenBLAS whose idle threads keep spinning after a call,
     and alternating between the two stalls a call by about 0.1 s once d is
     large enough for BLAS to use threads.
     """
-    T, U = sla.schur(M, output="real")
+    denom = w[:, None] + w[None, :]
+    if np.any(denom == 0.0):
+        raise SolveFailed("Lyapunov operator M X + X M^T is singular")
     gemm = blas.dgemm
 
     def solve(R):
-        Y, scale, info = lapack.dtrsyl(
-            T, T, gemm(1.0, gemm(1.0, U, R, trans_a=True), U), tranb="T")
-        if info != 0:
-            raise SolveFailed("Lyapunov operator M X + X M^T is singular "
-                              "to working precision")
-        return gemm(1.0 / scale, gemm(1.0, U, Y), U, trans_b=True)
+        Y = gemm(1.0, gemm(1.0, U, R, trans_a=True), U) / denom
+        return gemm(1.0, gemm(1.0, U, Y), U, trans_b=True)
 
     return solve
 
 
-def _covariance_solver(ops: SpatialOperators):
+def _covariance_solver(ops: SpatialOperators, w, U):
     """Solver R -> X of the generalized Lyapunov equation
-    M X + X M^T + tau C o (D X D) = R for symmetric R.
+    M X + X M^T + tau C o (D X D) = R for symmetric R, given the
+    eigendecomposition M = U diag(w) U^T of the symmetric drift.
 
     With L_M(X) = M X + X M^T, GMRES solves the Lyapunov-preconditioned
     form (I + L_M^-1 tau C o (D . D)) X = L_M^-1(R) on d x d matrices
     (Damm 2008; Benner & Breiten 2013).  The multiplicative-noise term is a
     small perturbation on every grid operator, so this converges in one or
-    two iterations; D = 0 makes it a plain Lyapunov solve.  The Schur form
-    of M is computed once, here, and serves every right-hand side.
+    two iterations; D = 0 makes it a plain Lyapunov solve.  The one
+    eigendecomposition of M serves every right-hand side.  The checks below
+    also refuse a non-finite answer.
     """
     d = ops.d
-    lyap = _lyapunov_solver(ops.M.toarray())
+    lyap = _lyapunov_solver(w, U)
     apply, noise_gain = _operator(ops)
     op = spla.LinearOperator(
         (d * d, d * d), dtype=float,
@@ -198,12 +191,12 @@ def _covariance_solver(ops: SpatialOperators):
         X = q.reshape(d, d)
         defect = np.max(np.abs(X - X.T))
         xscale = np.max(np.abs(X)) or 1.0
-        if defect > 1e-10 * xscale:
+        if not defect <= 1e-10 * xscale:
             raise SolveFailed(f"symmetry defect {defect:.3e} too large")
         X = 0.5 * (X + X.T)
         resid = np.max(np.abs(apply(X) - R))
         scale = np.max(np.abs(R)) or 1.0
-        if resid > 1e-9 * scale:
+        if not resid <= 1e-9 * scale:
             raise SolveFailed(f"generalized Lyapunov residual {resid:.3e} too "
                               f"large (GMRES exit status {info})")
         return X
@@ -212,21 +205,26 @@ def _covariance_solver(ops: SpatialOperators):
 
 
 def _stationary(ops: SpatialOperators, check_stability):
-    """The stationary covariance state and the solver that produced it.
+    """The stationary covariance state, the solver that produced it, and the
+    eigendecomposition (w, U) of M that the solver works in.  M must be
+    symmetric; `drift_eigenvalues` refuses it otherwise.
 
     The Hurwitz gate needs C to be PSD, as every noise covariance built here
     is.  Then X -> M X + X M^T + tau C o (D X D) is resolvent positive on the
     PSD cone, and it is Hurwitz iff its solution of K(X) = -I is positive
-    definite (Damm 2004, ch. 3): one more solve on the same Schur form.
+    definite (Damm 2004, ch. 3): one more solve in the same eigenbasis, and
+    a Cholesky factorisation.
     """
-    solve = _covariance_solver(ops)
+    w, U = drift_eigenvalues(ops)
+    solve = _covariance_solver(ops, w, U)
     if check_stability:
-        _, info = lapack.dpotrf(solve(-np.eye(ops.d)))
-        if info != 0:
+        try:
+            sla.cholesky(solve(-np.eye(ops.d)))
+        except np.linalg.LinAlgError as exc:
             raise UnstableK("the solution of K(X) = -I is not positive "
-                            "definite, so K is not Hurwitz")
+                            "definite, so K is not Hurwitz") from exc
     gamma = solve(-ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec))
-    return CovarianceState.from_gamma(gamma), solve
+    return CovarianceState.from_gamma(gamma), solve, (w, U)
 
 
 def stationary_covariance(ops: SpatialOperators,
@@ -234,6 +232,7 @@ def stationary_covariance(ops: SpatialOperators,
     """Stationary covariance: the solution of the generalized Lyapunov
     equation M G + G M^T + tau C o (D G D) = -tau C o (f f^T).
 
+    M must be symmetric: a nonsymmetric M is refused with ParamOutOfRange.
     Refuses a non-Hurwitz K with UnstableK; `check_stability=False` skips
     that gate, which assumes C is PSD.
     """
@@ -262,37 +261,30 @@ def certify(ops: SpatialOperators) -> StabilityCertificate:
     covariance operator; K is never assembled.  K = I x M + M x I + a
     diagonal, so -K is a Z-matrix iff M's off-diagonals are >= 0, and K's
     graph, the Cartesian product of M's with itself, is strongly connected
-    iff M's is.  "Negative definiteness" is reported two ways: the spectral
-    abscissa (the Hurwitz reading the ODE limit uses) and the symmetric
-    part.  The sign of the inverse is asserted through the M-matrix theorem
-    only (Berman & Plemmons 1994, ch. 6): -K a Z-matrix with K Hurwitz has
-    a nonnegative inverse, strictly positive when -K is irreducible.
+    iff M's is.  M must be symmetric (a nonsymmetric M is refused with
+    ParamOutOfRange), so K is its own symmetric part, which is negative
+    definite iff K's spectral abscissa is negative.  The sign of the inverse
+    is asserted through the M-matrix theorem only (Berman & Plemmons 1994,
+    ch. 6): -K a Z-matrix with K Hurwitz has a nonnegative inverse, strictly
+    positive when -K is irreducible.
     """
+    w, _ = drift_eigenvalues(ops)
     M = ops.M.tocoo(copy=True)
     M.eliminate_zeros()  # zeros stored in M are no edges of K's graph
-    m_absc = float(np.max(drift_eigenvalues(ops).real))
     k_absc, eig_route = k_spectral_abscissa(ops)
     minus_k_is_Z = bool(np.all(M.data[M.row != M.col] >= -1e-14))
     n_comp, _ = connected_components(M, directed=True, connection="strong")
     irreducible = n_comp == 1
-
-    if (ops.M != ops.M.T).nnz == 0:  # then K is its own symmetric part
-        sym_top = k_absc
-    else:
-        sym_apply, _ = _operator(ops, 0.5 * (ops.M + ops.M.T))
-        sym_top = _rightmost_eigenvalue(sym_apply, ops.d, spla.eigsh, "LA",
-                                        "top eigenvalue of sym(K)")
-
     m_matrix = k_absc < 0.0 and minus_k_is_Z  # -K a nonsingular M-matrix
     return StabilityCertificate(
-        m_spectral_abscissa=m_absc,
+        m_spectral_abscissa=float(w[-1]),
         k_spectral_abscissa=k_absc,
         minus_k_is_Z=minus_k_is_Z,
         minus_k_irreducible=irreducible,
         inverse_nonnegative=m_matrix,
         inverse_strictly_positive=m_matrix and irreducible,
         coercivity_ok=bool(np.all(ops.b_vec >= 0.0)),
-        k_symmetric_part_negative_definite=sym_top < 0.0,
+        k_symmetric_part_negative_definite=k_absc < 0.0,
         eig_route=eig_route,
         inverse_route="m-matrix" if m_matrix else "not-asserted",
     )
@@ -343,8 +335,9 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
     D do not depend on lambda.  Differentiating the equilibrium equation
     then gives the elliptic sensitivity u = dT*/dlambda from M u = -1, so
     df/dlambda = D u, and dGamma/dlambda solves the stationary equation with
-    right-hand side -tau C o (f' f^T + f f'^T) (Damm 2004).  Gamma and its
-    derivative share one Schur form of M.
+    right-hand side -tau C o (f' f^T + f f'^T) (Damm 2004).  Gamma, its
+    derivative and u = U (U^T (-1) / w) all come from the one
+    eigendecomposition M = U diag(w) U^T of the symmetric drift.
 
     A grid point is applicable only when the equilibrium profile lies
     strictly inside the ice-sensitive band at every node, the coercivity
@@ -359,8 +352,9 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
         try:
             T_star = solve_equilibrium_profile(g, Q_field, lam, theta, p)
             ops = build_operators(g, T_star, Q_field, p, noise)
-            cs, solve = _stationary(ops, check_stability=True)
-            u = spla.splu(ops.M.tocsc()).solve(-np.ones(g.d))
+            cs, solve, (w, U) = _stationary(ops, check_stability=True)
+            u = blas.dgemv(1.0, U, blas.dgemv(-1.0, U, np.ones(g.d),
+                                              trans=1) / w)
             f_df = np.outer(ops.f_vec, ops.d_vec * u)  # f (df/dlambda)^T
             dgamma = solve(-ops.tau * ops.C * (f_df + f_df.T))
         except (EbmvarError, np.linalg.LinAlgError) as exc:
@@ -399,6 +393,10 @@ class CounterexampleResult:
 def counterexample_operators(s, c, lam) -> SpatialOperators:
     """2x2 additive-noise system with anticorrelated noise:
     M = [[-1, s], [s, -1]], C = [[1, -c], [-c, 1]], f = (lam, 1)."""
+    if not (0.0 < s < 1.0) or not (0.0 < c < 1.0):
+        raise ParamOutOfRange("need 0 < s < 1 and 0 < c < 1")
+    if lam < 0.0:
+        raise ParamOutOfRange("lambda must be >= 0")
     M = np.array([[-1.0, s], [s, -1.0]])
     C = np.array([[1.0, -c], [-c, 1.0]])
     L = np.linalg.cholesky(C)
@@ -409,13 +407,9 @@ def counterexample_operators(s, c, lam) -> SpatialOperators:
 def counterexample_trace(s, c, lam) -> CounterexampleResult:
     """Closed-form stationary trace (lam^2 - 2 c s lam + 1)/(2(1 - s^2)) and
     derivative (lam - c s)/(1 - s^2), alongside the Lyapunov-solver trace."""
-    if not (0.0 < s < 1.0) or not (0.0 < c < 1.0):
-        raise ParamOutOfRange("need 0 < s < 1 and 0 < c < 1")
-    if lam < 0.0:
-        raise ParamOutOfRange("lambda must be >= 0")
+    ops = counterexample_operators(s, c, lam)
     trace = (lam**2 - 2.0 * c * s * lam + 1.0) / (2.0 * (1.0 - s**2))
     deriv = (lam - c * s) / (1.0 - s**2)
-    ops = counterexample_operators(s, c, lam)
     cs = stationary_covariance(ops)
     return CounterexampleResult(trace=float(trace),
                                 d_trace_d_lambda=float(deriv),
@@ -423,22 +417,22 @@ def counterexample_trace(s, c, lam) -> CounterexampleResult:
 
 
 def counterexample_sign_change(s, c, tol=1e-8) -> float:
-    """Locate the zero of the numeric finite-difference trace derivative by
-    bisection; the closed form predicts lambda = c*s."""
-    h = 1e-6
-
-    def fd(lam):
-        lo = counterexample_trace(s, c, max(lam - h, 0.0))
-        hi = counterexample_trace(s, c, lam + h)
-        return (hi.numeric_trace - lo.numeric_trace) / (h + min(h, lam))
+    """Locate the zero of the solver's exact trace derivative by bisection;
+    the closed form predicts lambda = c*s.  As in the sweep, dGamma/dlambda
+    solves the stationary equation with right-hand side
+    -tau C o (f' f^T + f f'^T), here with f' = (1, 0)."""
+    def slope(lam):
+        ops = counterexample_operators(s, c, lam)
+        f_df = np.outer(ops.f_vec, [1.0, 0.0])  # f (df/dlambda)^T
+        solve = _covariance_solver(ops, *drift_eigenvalues(ops))
+        return np.trace(solve(-ops.tau * ops.C * (f_df + f_df.T)))
 
     lo, hi = 0.0, 1.0
-    flo = fd(lo)
-    if flo >= 0.0:
+    if slope(lo) >= 0.0:
         return 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if fd(mid) < 0.0:
+        if slope(mid) < 0.0:
             lo = mid
         else:
             hi = mid

@@ -311,11 +311,12 @@ def wong_zakai_ladder(taus, t, x0, Q, n_paths, seed=0) -> list[WongZakaiResult]:
     for rows, start, xi in _draws(seed, n_paths, V.shape[0]):
         Z[rows] += xi[:, :, 0] @ V[start:start + xi.shape[1]]
     sq = np.ascontiguousarray((Z**2).T)
+    means = [float(np.mean(row)) for row in sq]
+    # The spread of sq / mean, as tiny gaps' squared deviations underflow.
     return [WongZakaiResult(
-        mc_estimate=float(np.mean(sq[j])),
-        exact=float(wong_zakai_exact(tau, t, x0, Q)),
-        se=float(np.std(sq[j], ddof=1) / np.sqrt(n_paths)), tau=tau, t=t)
-        for j, tau in enumerate(taus)]
+        mc_estimate=m, exact=float(wong_zakai_exact(tau, t, x0, Q)),
+        se=float(m * np.std(row / m, ddof=1) / np.sqrt(n_paths)) if m else 0.0,
+        tau=tau, t=t) for row, m, tau in zip(sq, means, taus)]
 
 
 def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig,

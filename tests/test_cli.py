@@ -223,9 +223,9 @@ class TestExitCodes:
                                                  routine):
         """At d = 64 K's abscissa comes from ARPACK on the d x d operator; a
         convergence failure there exits with the numerical-error code, not a
-        traceback.  A grid M is symmetric, so eigsh never runs here; its
-        failure is checked on a nonsymmetric system in the certificate
-        tests."""
+        traceback.  A grid M is symmetric, as the certificate requires, so
+        K is symmetric too and this abscissa is the certificate's one ARPACK
+        call."""
         def no_convergence(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence", [], [])
 
@@ -319,6 +319,23 @@ class TestWzConvergence:
         summary = json.loads((out / "wz_convergence_summary.json").read_text(),
                              parse_constant=refuse)
         assert np.isfinite(summary["fitted_slope"])
+
+    def test_tiny_horizon_keeps_its_standard_error(self, tmp_path):
+        """At t = 1e-300 the squared gaps are about 1e-300, so their squared
+        deviations underflow: the standard error must still come out
+        positive, with every row's estimate within 3 SE of the closed form."""
+        cfg = _write_cfg(tmp_path, _model_section() + (
+            "[sim]\ndt = 0.001\nn_steps = 10\nn_paths = 200\nseed = 1\n"))
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out),
+                     "wz-convergence", "--t", "1e-300"]) == EXIT_OK
+        lines = (out / "wz_convergence.csv").read_text().strip().split("\n")
+        for line in lines[1:]:
+            _, mc_est, exact, se_val = map(float, line.split(","))
+            assert se_val > 0.0
+            assert abs(mc_est - exact) <= 3.0 * se_val
+        summary = json.loads((out / "wz_convergence_summary.json").read_text())
+        assert summary["within_3se"] is True
 
 
 class TestSimulate:

@@ -5,7 +5,12 @@ from ebmvar import covariance_engine as ce
 from ebmvar import model_core as mc
 from ebmvar import sde_engine as se
 from ebmvar import spatial_model as sm
-from ebmvar.errors import NotPositiveDefinite, StepTooLarge, UnstableDrift
+from ebmvar.errors import (
+    NotPositiveDefinite,
+    ParamOutOfRange,
+    StepTooLarge,
+    UnstableDrift,
+)
 
 DEFAULT = mc.default_params()
 
@@ -227,24 +232,31 @@ class TestOperators:
 
     def test_hurwitz(self):
         ops = _default_operators()
-        assert np.max(sm.drift_eigenvalues(ops).real) < 0.0
+        assert sm.drift_eigenvalues(ops)[0][-1] < 0.0
 
     def test_drift_eigenvalues_match_the_general_solver(self):
-        """A grid's symmetric M gets real eigenvalues, those of eigvals to
-        rounding; a nonsymmetric M gets eigvals' own."""
+        """A grid's symmetric M gets real ascending eigenvalues, those of
+        eigvals to rounding, and orthonormal eigenvectors that rebuild M; a
+        nonsymmetric M is refused, by the field simulator too."""
         ops = _default_operators()
-        general = np.linalg.eigvals(ops.M.toarray())
-        got = sm.drift_eigenvalues(ops)
-        assert got.dtype == np.float64
-        np.testing.assert_allclose(got, np.sort(general.real),
-                                   rtol=0.0, atol=1e-12 * np.max(np.abs(general)))
+        M = ops.M.toarray()
+        general = np.linalg.eigvals(M)
+        w, U = sm.drift_eigenvalues(ops)
+        assert w.dtype == np.float64
+        tol = 1e-12 * np.max(np.abs(general))
+        np.testing.assert_allclose(w, np.sort(general.real), rtol=0.0, atol=tol)
+        np.testing.assert_allclose(U @ np.diag(w) @ U.T, M, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(U.T @ U, np.eye(ops.d), rtol=0.0, atol=1e-12)
 
         rng = np.random.default_rng(3)
         M = rng.standard_normal((6, 6)) - 4.0 * np.eye(6)
         ops = sm.operators_from_arrays(M, np.zeros(6), np.full(6, 0.5),
                                        np.eye(6), np.eye(6), tau=0.01)
-        np.testing.assert_array_equal(sm.drift_eigenvalues(ops),
-                                      np.linalg.eigvals(M))
+        with pytest.raises(ParamOutOfRange, match="symmetric"):
+            sm.drift_eigenvalues(ops)
+        with pytest.raises(ParamOutOfRange, match="symmetric"):
+            sm.simulate_anomaly_field(ops, se.SimConfig(dt=1e-3, n_steps=1,
+                                                        n_paths=1))
 
     def test_operators_from_arrays(self):
         M = np.array([[-2.0, 0.5], [0.5, -3.0]])
@@ -298,7 +310,7 @@ class TestAnomalySimulation:
 
     def test_step_guard(self):
         ops = _default_operators()
-        lam_min = np.min(sm.drift_eigenvalues(ops).real)
+        lam_min = sm.drift_eigenvalues(ops)[0][0]
         cfg = se.SimConfig(dt=2.0 / abs(lam_min), n_steps=1, n_paths=1)
         with pytest.raises(StepTooLarge):
             sm.simulate_anomaly_field(ops, cfg)
