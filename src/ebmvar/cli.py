@@ -128,8 +128,8 @@ def cmd_wz_convergence(cfg: ExperimentConfig, args, outdir: Path) -> int:
         results = sde.wong_zakai_ladder(WZ_TAU_LADDER, args.t, x0, p.Q,
                                         n_paths=s.n_paths, seed=s.seed)
     except ValueError as exc:
-        raise ConfigError(f"--t {args.t!r}, --x0-offset {args.x0_offset!r}: "
-                          f"{exc}") from exc
+        raise ConfigError(f"--t {args.t!r}, --x0-offset {args.x0_offset!r}, "
+                          f"[sim] n_paths = {s.n_paths}: {exc}") from exc
     _write(outdir, "wz_convergence.csv", _table(
         "tau,mc,exact,se",
         ((r.tau, r.mc_estimate, r.exact, r.se) for r in results)))

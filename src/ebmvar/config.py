@@ -80,7 +80,10 @@ def _parse_value(section, key, kind, raw):
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(strict=True, interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     sections = {}

@@ -162,10 +162,10 @@ def _lyapunov_solver(w, U):
     return solve
 
 
-def _covariance_solver(ops: SpatialOperators, w, U):
+def _covariance_solver(ops: SpatialOperators):
     """Solver R -> X of the generalized Lyapunov equation
-    M X + X M^T + tau C o (D X D) = R for symmetric R, given the
-    eigendecomposition M = U diag(w) U^T of the symmetric drift.
+    M X + X M^T + tau C o (D X D) = R for symmetric R, in the eigenbasis
+    of the symmetric drift (`drift_eigenvalues`).
 
     With L_M(X) = M X + X M^T, GMRES solves the Lyapunov-preconditioned
     form (I + L_M^-1 tau C o (D . D)) X = L_M^-1(R) on d x d matrices
@@ -176,7 +176,7 @@ def _covariance_solver(ops: SpatialOperators, w, U):
     also refuse a non-finite answer.
     """
     d = ops.d
-    lyap = _lyapunov_solver(w, U)
+    lyap = _lyapunov_solver(*drift_eigenvalues(ops))
     apply, noise_gain = _operator(ops)
     op = spla.LinearOperator(
         (d * d, d * d), dtype=float,
@@ -205,9 +205,8 @@ def _covariance_solver(ops: SpatialOperators, w, U):
 
 
 def _stationary(ops: SpatialOperators, check_stability):
-    """The stationary covariance state, the solver that produced it, and the
-    eigendecomposition (w, U) of M that the solver works in.  M must be
-    symmetric; `drift_eigenvalues` refuses it otherwise.
+    """The stationary covariance state and the solver that produced it.  M
+    must be symmetric; `drift_eigenvalues` refuses it otherwise.
 
     The Hurwitz gate needs C to be PSD, as every noise covariance built here
     is.  Then X -> M X + X M^T + tau C o (D X D) is resolvent positive on the
@@ -215,8 +214,7 @@ def _stationary(ops: SpatialOperators, check_stability):
     definite (Damm 2004, ch. 3): one more solve in the same eigenbasis, and
     a Cholesky factorisation.
     """
-    w, U = drift_eigenvalues(ops)
-    solve = _covariance_solver(ops, w, U)
+    solve = _covariance_solver(ops)
     if check_stability:
         try:
             sla.cholesky(solve(-np.eye(ops.d)))
@@ -224,7 +222,7 @@ def _stationary(ops: SpatialOperators, check_stability):
             raise UnstableK("the solution of K(X) = -I is not positive "
                             "definite, so K is not Hurwitz") from exc
     gamma = solve(-ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec))
-    return CovarianceState.from_gamma(gamma), solve, (w, U)
+    return CovarianceState.from_gamma(gamma), solve
 
 
 def stationary_covariance(ops: SpatialOperators,
@@ -352,7 +350,8 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
         try:
             T_star = solve_equilibrium_profile(g, Q_field, lam, theta, p)
             ops = build_operators(g, T_star, Q_field, p, noise)
-            cs, solve, (w, U) = _stationary(ops, check_stability=True)
+            cs, solve = _stationary(ops, check_stability=True)
+            w, U = drift_eigenvalues(ops)
             u = blas.dgemv(1.0, U, blas.dgemv(-1.0, U, np.ones(g.d),
                                               trans=1) / w)
             f_df = np.outer(ops.f_vec, ops.d_vec * u)  # f (df/dlambda)^T
@@ -424,7 +423,7 @@ def counterexample_sign_change(s, c, tol=1e-8) -> float:
     def slope(lam):
         ops = counterexample_operators(s, c, lam)
         f_df = np.outer(ops.f_vec, [1.0, 0.0])  # f (df/dlambda)^T
-        solve = _covariance_solver(ops, *drift_eigenvalues(ops))
+        solve = _covariance_solver(ops)
         return np.trace(solve(-ops.tau * ops.C * (f_df + f_df.T)))
 
     lo, hi = 0.0, 1.0

@@ -127,59 +127,47 @@ def gaussian_increments(streams, n, columns=1, out=None):
 
 
 # Paths per batch: this many // (n_steps * normals per step), and at least
-# one.  A batch is the row count of every step and of every Wong-Zakai block
-# product, on which the rounding of a dense-L field product and of the
-# ladder depends, so it must not depend on anything else.
+# one.  A batch is the row count of every step, on which the rounding of a
+# dense-L field product depends, so it must not depend on anything else.
 _BATCH_NORMALS = 20_000_000
 
 # Normals per draw: a batch draws this many // (batch * normals per step)
 # steps at a time, and at least one, into one reused buffer.  Philox draws
-# taken in pieces are the draws taken at once, so this sets memory, and the
-# rounding of the Wong-Zakai ladder's block products, only.
+# taken in pieces are the draws taken at once, so this sets memory only.
 _DRAW_NORMALS = 1 << 20
 
 
-def _draws(seed, n_paths, n_steps, width=1):
-    """Each path's normals, `width` a step, in batches of paths and blocks
-    of steps: yields (rows, start, xi), `xi` of shape (B, m, width) holding
-    steps start..start+m-1 of the B paths `rows`, in one reused buffer."""
-    batch = max(1, _BATCH_NORMALS // (n_steps * width))
-    for lo in range(0, n_paths, batch):
-        B = min(batch, n_paths - lo)
-        streams = [path_generator(seed, k) for k in range(lo, lo + B)]
-        block = min(n_steps, max(1, _DRAW_NORMALS // (B * width)))
-        buf = np.empty((B, block, width))
-        for start in range(0, n_steps, block):
-            yield (slice(lo, lo + B), start,
-                   gaussian_increments(streams, min(block, n_steps - start),
-                                       columns=width, out=buf))
-
-
 def _run_paths(seed, n_paths, n_steps, init, step, shape=(), keep=None):
-    """Advance `n_paths` paths by `n_steps` steps on the draws of `_draws`.
+    """Advance `n_paths` paths by `n_steps` steps, in batches of paths that
+    draw blocks of steps from their own streams into one reused buffer.
 
     `init(B)` returns the start state of B paths, one row per path, and
     `step(state, xi, k)` the state after step k (0-based), where `xi` holds
     the step's raw standard normals, shape (B,) + `shape`, from each path's
-    stream.  Returns the states at the steps in `keep` (default: all of
-    them), shape (n_paths, len(keep)) + state.shape[1:].  A step that acts
-    row by row gives the same paths whatever the batch size.
-    """
+    stream.  Returns the states at the steps in `keep` (default: all), shape
+    (n_paths, len(keep)) + state.shape[1:], the same whatever the batch size
+    for a step that acts row by row."""
+    width = math.prod(shape)
     pos = {k: j for j, k in enumerate(range(n_steps + 1) if keep is None else keep)}
-    values = None
-    for rows, start, xi in _draws(seed, n_paths, n_steps, math.prod(shape)):
-        if start == 0:
-            state = init(len(xi))
-            if values is None:
-                values = np.empty((n_paths, len(pos)) + state.shape[1:])
-            if 0 in pos:
-                values[rows, pos[0]] = state
-        xi = xi.reshape((len(xi), -1) + shape)
-        for j in range(xi.shape[1]):
-            k = start + j
-            state = step(state, xi[:, j], k)
-            if k + 1 in pos:
-                values[rows, pos[k + 1]] = state
+    batch = max(1, _BATCH_NORMALS // (n_steps * width))
+    for lo in range(0, n_paths, batch):
+        rows = slice(lo, min(lo + batch, n_paths))
+        streams = [path_generator(seed, k) for k in range(rows.start, rows.stop)]
+        block = min(n_steps, max(1, _DRAW_NORMALS // (len(streams) * width)))
+        xi = buf = None  # so that two batches' buffers are never held at once
+        buf = np.empty((len(streams), block, width))
+        state = init(len(streams))
+        if lo == 0:
+            values = np.empty((n_paths, len(pos)) + state.shape[1:])
+        if 0 in pos:
+            values[rows, pos[0]] = state
+        for start in range(0, n_steps, block):
+            xi = gaussian_increments(streams, min(block, n_steps - start), width, buf)
+            xi = xi.reshape((len(xi), -1) + shape)
+            for j in range(xi.shape[1]):
+                state = step(state, xi[:, j], start + j)
+                if start + j + 1 in pos:
+                    values[rows, pos[start + j + 1]] = state
     return values
 
 
@@ -261,10 +249,9 @@ def wong_zakai_exact(tau, t, x0, Q) -> float:
 def wong_zakai_error(tau, t, x0, Q, n_paths, seed=0) -> WongZakaiResult:
     """Monte Carlo estimate of E|W^tau_t - W_t|^2 against the closed form.
 
-    The fast process and the Brownian motion are driven by the SAME
-    increments on a fine grid (Euler step for the fast process, h << tau);
-    the integrated fluctuations use trapezoid quadrature, which matches the
-    C^1 regularity of the smoothed driver.
+    A fine-grid scheme (h << tau) drives the fast process (Euler) and the
+    Brownian motion by the SAME increments, with trapezoid quadrature for the
+    integral; its gap is sampled exactly, as the one-rung `wong_zakai_ladder`.
     """
     return wong_zakai_ladder([tau], t, x0, Q, n_paths, seed)[0]
 
@@ -297,19 +284,22 @@ def _wz_functional(taus, t, x0, Q):
 
 
 def wong_zakai_ladder(taus, t, x0, Q, n_paths, seed=0) -> list[WongZakaiResult]:
-    """`wong_zakai_error` at each tau of `taus`, in that order, by one pass.
+    """`wong_zakai_error` at each tau of `taus`, in that order.
 
-    Every rung reads a prefix of one shared draw, the first n normals of
-    each path's stream.  Its estimator is linear in them (`_wz_functional`),
-    so each draw block adds one matrix product to the rungs' gaps; the
-    product's rounding depends on the draw layout and on the other rungs.
+    A path's gaps are c0 + xi V in its fine-grid normals xi (`_wz_functional`),
+    so N(c0, V^T V).  They are sampled as c0 + eta R, eta the first R.shape[0]
+    normals of each path's stream and R V's triangular Householder QR factor
+    (R^T R = V^T V, full rank not needed; Glasserman 2004, sec. 2.3).  Rung 0
+    reads eta's first normal alone: it is `wong_zakai_error` bit for bit.
     """
     if not (all(map(math.isfinite, (t, x0, Q, *taus))) and min(t, *taus) > 0.0):
         raise ValueError("t, tau, x0 and Q must be finite, t and tau positive")
+    if n_paths < 2:
+        raise ValueError(f"a standard error needs n_paths >= 2, got {n_paths!r}")
     V, c0 = _wz_functional(taus, t, x0, Q)
-    Z = np.tile(c0, (n_paths, 1))
-    for rows, start, xi in _draws(seed, n_paths, V.shape[0]):
-        Z[rows] += xi[:, :, 0] @ V[start:start + xi.shape[1]]
+    R = np.linalg.qr(V, mode="r")
+    streams = [path_generator(seed, k) for k in range(n_paths)]
+    Z = c0 + gaussian_increments(streams, R.shape[0])[:, :, 0] @ R
     sq = np.ascontiguousarray((Z**2).T)
     means = [float(np.mean(row)) for row in sq]
     # The spread of sq / mean, as tiny gaps' squared deviations underflow.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -267,9 +268,10 @@ def cholesky_with_jitter(C, jitter, tries=3) -> np.ndarray:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpatialOperators:
-    """Assembled drift and noise data of the semi-discrete anomaly SDE."""
+    """Assembled drift and noise data of the semi-discrete anomaly SDE;
+    frozen, so that its cached `drift_eigenvalues` stay valid."""
 
     b_vec: np.ndarray
     d_vec: np.ndarray
@@ -282,6 +284,14 @@ class SpatialOperators:
     @property
     def d(self) -> int:
         return self.b_vec.size
+
+    @cached_property
+    def _drift_eig(self):
+        if (self.M != self.M.T).nnz != 0:
+            raise ParamOutOfRange("the drift M is not symmetric")
+        w, U = sla.eigh(self.M.toarray(), driver="evd")
+        w.flags.writeable = U.flags.writeable = False  # shared by every caller
+        return w, U
 
 
 def build_operators(g: Grid2D, T_star: SpatialField, Q_field: SpatialField,
@@ -309,12 +319,10 @@ def operators_from_arrays(M, d_vec, f_vec, C, L, tau) -> SpatialOperators:
 def drift_eigenvalues(ops: SpatialOperators) -> tuple[np.ndarray, np.ndarray]:
     """M = U diag(w) U^T, w ascending, by LAPACK's divide-and-conquer eigh
     (evd: 0.06 s at d = 900 on 2 cores, against 0.34 s for scipy's default
-    evr).  Symmetry of M is a contract: M = A_delta - diag(b) is exactly
-    symmetric on every grid, and a nonsymmetric M is refused with
-    ParamOutOfRange."""
-    if (ops.M != ops.M.T).nnz != 0:
-        raise ParamOutOfRange("the drift M is not symmetric")
-    return sla.eigh(ops.M.toarray(), driver="evd")
+    evr), once per operators object, kept on it read-only.  Symmetry of M is
+    a contract: M = A_delta - diag(b) is exactly symmetric on every grid, and
+    a nonsymmetric M is refused with ParamOutOfRange."""
+    return ops._drift_eig
 
 
 def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,

@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 import ebmvar
 from ebmvar import covariance_engine as cov
 from ebmvar import model_core as mc
+from ebmvar import spatial_model as sm
 from ebmvar.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -73,6 +74,25 @@ class TestExitCodes:
         rc = main(["--config", cfg, "--out", str(tmp_path / "o"),
                    "variance-curve"])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("blob", [
+        b'{"model": {"Q": 100.0}}\n',
+        b"[sim]\ndt = 0.1\n[sim]\ndt = 0.2\n",
+        b"[sim]\ndt = 0.1\ndt = 0.2\n",
+        b"\xff\xfe[sim]\n",
+    ], ids=["no-section-header", "duplicate-section", "duplicate-key",
+            "not-utf8"])
+    def test_malformed_config_file(self, tmp_path, capsys, blob):
+        """A file the INI parser cannot read is a config error with a
+        message, not a traceback, and nothing is written."""
+        path = tmp_path / "exp.ini"
+        path.write_bytes(blob)
+        out = tmp_path / "o"
+        rc = main(["--config", str(path), "--out", str(out), "variance-curve"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "config error: malformed config file")
+        assert not out.exists()
 
     def test_bad_threads(self, tmp_path):
         rc = main(["--threads", "0", "--out", str(tmp_path / "o"),
@@ -288,6 +308,17 @@ class TestWzConvergence:
         assert len(lines) == 5
         summary = json.loads((out / "wz_convergence_summary.json").read_text())
         assert abs(summary["fitted_slope"] - 1.0) < 0.2
+
+    def test_refuses_a_single_path(self, tmp_path, capsys):
+        """One path has no standard error: a config error, and no output."""
+        cfg = _write_cfg(tmp_path, _model_section() + (
+            "[sim]\ndt = 0.001\nn_steps = 10\nn_paths = 1\nseed = 1\n"))
+        out = tmp_path / "o"
+        rc = main(["--config", cfg, "--out", str(out), "wz-convergence"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "n_paths" in err
+        assert not out.exists()
 
     def test_thread_count_invariance(self, tmp_path):
         text = _model_section() + (
@@ -511,6 +542,29 @@ class TestSpatialStationary:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"),
                      "spatial-stationary"]) == EXIT_OK
         assert calls == [9]
+
+    @pytest.mark.parametrize("unstable", [False, True], ids=["stable", "refused"])
+    def test_one_eigh_per_run(self, tmp_path, monkeypatch, unstable):
+        """The certificate and the stationary solve share the run's one
+        eigendecomposition of M; a refused run still writes the certificate
+        first."""
+        calls = []
+        original = sm.sla.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sm.sla, "eigh", counting)
+        lam = _constant_profile_lam(280.0)
+        text = (UNSTABLE_K_CONFIG if unstable
+                else _model_section(lam=lam) + _spatial_sections())
+        out = tmp_path / "o"
+        rc = main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
+                   "spatial-stationary"])
+        assert rc == (EXIT_STABILITY if unstable else EXIT_OK)
+        assert (out / "certificate.json").exists()
+        assert calls == [(9, 9)]
 
     def test_certificate_bytes_reproducible_across_processes(self, tmp_path):
         """At d = 64 the certificate takes the ARPACK route; two fresh

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -268,7 +270,7 @@ class TestKroneckerOracle:
             noise = ops.tau * np.diag(ops.C.flatten(order="F")) @ np.kron(
                 np.diag(ops.d_vec), np.diag(ops.d_vec))
             rho = np.max(np.abs(np.linalg.eigvals(np.linalg.solve(lyap, noise))))
-            ops.d_vec *= np.sqrt(0.9 / rho)
+            ops = dataclasses.replace(ops, d_vec=ops.d_vec * np.sqrt(0.9 / rho))
             _assert_matches_kronecker(ops, check_stability=False)
 
 
