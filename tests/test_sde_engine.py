@@ -233,12 +233,19 @@ class TestWongZakai:
                                    sq.std(axis=0, ddof=1) / np.sqrt(n_paths),
                                    rtol=1e-13, atol=0)
 
-    def test_rungs_agree_with_the_stepped_loop(self):
+    @pytest.mark.parametrize("per_batch", [1, 2, None])
+    def test_ladder_rungs_are_the_single_rung_loop(self, monkeypatch, per_batch):
         """On seeds 9-11, each rung's estimate lies within 3 combined SE of
-        the loop that steps that tau alone on each path's first n normals."""
+        the loop that steps that tau alone on each path's first n normals,
+        and the ladder is the same bit for bit whatever the batch budget."""
         taus, t, x0, Q, n_paths = (0.1, 0.4, 0.025, 0.2), 1.0, 1.5, 0.3, 500
-        for seed in (9, 10, 11):
+        unbatched = [se.wong_zakai_ladder(taus, t, x0, Q, n_paths, seed)
+                     for seed in (9, 10, 11)]
+        if per_batch is not None:
+            monkeypatch.setattr(se, "_BATCH_NORMALS", per_batch * 8000)
+        for seed, expected in zip((9, 10, 11), unbatched):
             got = se.wong_zakai_ladder(taus, t, x0, Q, n_paths, seed)
+            assert got == expected, seed
             for r, tau in zip(got, taus):
                 loop = _wong_zakai_one_rung(tau, t, x0, Q, n_paths, seed)
                 assert abs(r.mc_estimate - loop.mc_estimate) <= 3.0 * np.hypot(
