@@ -1,5 +1,5 @@
-"""Wall time and peak memory of the stationary solve and of one sweep
-point, on a `d` ladder.
+"""Wall time and peak memory of each layer of the spatial commands, on a
+`d` ladder.
 
     python bench/scaling.py [--before SRC_DIR] [--repeats N] [--cap SECONDS]
                             [--out FILE]
@@ -7,17 +7,23 @@ point, on a `d` ladder.
 On the 8x8 domain with the exponential kernel (length 0.5), boundary
 theta = 280 and the forcing at which the constant profile T = theta is an
 equilibrium (inside the ice band), at d = 16, 64, 225, 400, 900 and 1600,
-it measures two layers:
+it measures these layers:
 
-- `stationary`: `stationary_covariance`, that is Gamma and the Hurwitz gate;
+- `newton`: `solve_equilibrium_profile`, the equilibrium profile;
+- `certify`: `certify`, with the eigendecomposition of M it needs;
+- `stationary`: `stationary_covariance`, that is Gamma and the Hurwitz gate,
+  with the eigendecomposition of M;
 - `sweep-point`: `monotonicity_sweep` at that one forcing: the Newton
-  solve, Gamma, the gate and dGamma/dlambda.
+  solve, Gamma, the gate and dGamma/dlambda;
+- `import`: `import ebmvar.cli` in a fresh interpreter, which does not
+  depend on d and is measured once, under the key "d0".
 
 Each run is a fresh interpreter with this checkout's `src/` on PYTHONPATH.
 It builds its inputs, times the one call (`time.perf_counter`), and reports
 its own peak RSS (`VmHWM` of /proc/self/status, which unlike `ru_maxrss`
-does not inherit the launching process's high-water mark) and the trace of
-Gamma.  With `--before`, every run is repeated on another package tree,
+does not inherit the launching process's high-water mark) and a `value` to
+compare between trees: the sum of the profile, K's spectral abscissa, the
+trace of Gamma, or nothing for `import`.  With `--before`, every run is repeated on another package tree,
 such as the parent commit's `src/` unpacked by `git archive`, alternating
 which tree goes first.  A run that takes longer than `--cap` seconds in
 all is killed; it, the rest of its repeats and every larger d of that tree
@@ -40,43 +46,61 @@ from mc_stream import machine
 ROOT = Path(__file__).resolve().parent.parent
 
 SIDES = {16: 5, 64: 9, 225: 16, 400: 21, 900: 31, 1600: 41}  # d: Nx = Ny
-LAYERS = ("stationary", "sweep-point")
+LAYERS = ("newton", "certify", "stationary", "sweep-point", "import")
 
 CHILD = r"""
 import json, sys, time
-from ebmvar import covariance_engine as ce
-from ebmvar import model_core as mc
-from ebmvar import spatial_model as sm
 
 layer, n, theta = sys.argv[1], int(sys.argv[2]), 280.0
-p = mc.default_params()
-g = sm.Grid2D(Lx=8.0, Ly=8.0, Nx=n, Ny=n)
-bd = sm.BoundaryTrace.constant(theta)
-Q_field = sm.SpatialField.constant(g, p.Q)
-lam = p.r0 + p.r1 * theta - p.Q * mc.co_albedo(theta, p)
-noise = sm.build_noise_covariance(g, "exponential", variance=1.0, length=0.5)
-if layer == "stationary":
-    prof = sm.solve_equilibrium_profile(g, Q_field, lam, bd, p)
-    ops = sm.build_operators(g, prof, Q_field, p, noise)
-    run = lambda: ce.stationary_covariance(ops).spatial_variance
+if layer == "import":
+    start = time.perf_counter()
+    import ebmvar.cli
+    run = lambda: None
 else:
-    run = lambda: ce.monotonicity_sweep(g, Q_field, bd, p, noise,
-                                        [lam]).points[0].trace
-start = time.perf_counter()
-trace = run()
+    from ebmvar import covariance_engine as ce
+    from ebmvar import model_core as mc
+    from ebmvar import spatial_model as sm
+
+    p = mc.default_params()
+    g = sm.Grid2D(Lx=8.0, Ly=8.0, Nx=n, Ny=n)
+    bd = sm.BoundaryTrace.constant(theta)
+    Q_field = sm.SpatialField.constant(g, p.Q)
+    lam = p.r0 + p.r1 * theta - p.Q * mc.co_albedo(theta, p)
+    noise = sm.build_noise_covariance(g, "exponential", variance=1.0,
+                                      length=0.5)
+    if layer == "newton":
+        run = lambda: float(sm.solve_equilibrium_profile(
+            g, Q_field, lam, bd, p).values.sum())
+    elif layer == "sweep-point":
+        run = lambda: ce.monotonicity_sweep(g, Q_field, bd, p, noise,
+                                            [lam]).points[0].trace
+    else:
+        prof = sm.solve_equilibrium_profile(g, Q_field, lam, bd, p)
+        ops = sm.build_operators(g, prof, Q_field, p, noise)
+        if layer == "certify":
+            run = lambda: ce.certify(ops).k_spectral_abscissa
+        else:
+            run = lambda: ce.stationary_covariance(ops).spatial_variance
+    start = time.perf_counter()
+value = run()
 wall = time.perf_counter() - start
 with open("/proc/self/status") as fh:
     hwm_kb = next(int(line.split()[1]) for line in fh
                   if line.startswith("VmHWM:"))
 print(json.dumps({"wall_s": wall, "peak_rss_mb": hwm_kb / 1024.0,
-                  "trace": trace}))
+                  "value": value}))
 """
+
+
+def sizes(layer: str) -> dict:
+    """{d: Nx} of the layer; d = 0 for the size-free import."""
+    return {0: 2} if layer == "import" else SIDES
 
 
 def run_one(src: Path, layer: str, d: int, cap: float) -> dict | None:
     """One measured run, or None when it exceeds the cap."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-c", CHILD, layer, str(SIDES[d])]
+    argv = [sys.executable, "-c", CHILD, layer, str(sizes(layer)[d])]
     try:
         proc = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL,
                               capture_output=True, text=True, timeout=cap)
@@ -104,7 +128,7 @@ def main(argv=None) -> int:
               "layers": {layer: {} for layer in LAYERS}, "skipped": []}
     capped = set()  # (tree, layer) pairs that hit the cap
     for layer in LAYERS:
-        for d in SIDES:
+        for d in sizes(layer):
             runs = {name: [] for name in trees}
             for rep in range(args.repeats):
                 names = list(trees) if rep % 2 == 0 else list(trees)[::-1]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -83,10 +83,31 @@ def _json(obj) -> str:
 
 
 def _parallel_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
+    """[fn(x) for x in items] on min(threads, len(items)) threads.  Worker k
+    computes items k, k + n, k + 2n, ...: a fixed share, so every worker
+    runs, however quickly an item finishes, and no result depends on the
+    timing.  The exception of the first failing item is raised."""
+    n = min(threads, len(items))
+    if n <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    results, errors = [None] * len(items), {}
+
+    def work(k):
+        for i in range(k, len(items), n):
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised on the calling thread
+                errors[i] = exc
+                return
+
+    workers = [threading.Thread(target=work, args=(k,)) for k in range(n)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def cmd_variance_curve(cfg: ExperimentConfig, args, outdir: Path) -> int:

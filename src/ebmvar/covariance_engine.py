@@ -5,7 +5,8 @@ X -> M X + X M^T + tau C o (D X D): the matrix covariance ODE, the
 stationary solve, the matrix-class certificate, forcing-monotonicity sweeps,
 the spatial-variance proxy with its exceedance bound, and the 2x2
 negative-correlation counterexample.  The operator's d^2 x d^2 Kronecker
-matrix K (`assemble_vectorised`) is a test oracle only.
+matrix K (`assemble_vectorised`) is a test oracle only, and the one caller
+of scipy.
 """
 
 from __future__ import annotations
@@ -13,11 +14,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import blas
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     EbmvarError,
@@ -45,7 +41,7 @@ from .spatial_model import (
 class VectorisedSystem:
     """Column-stacked form of the covariance ODE: dq/dt = K q + F."""
 
-    K: sp.csc_matrix
+    K: "scipy.sparse.csc_matrix"
     F: np.ndarray
     d: int
 
@@ -106,9 +102,13 @@ def integrate_covariance(ops: SpatialOperators, T_end, dt) -> CovarianceState:
 
 def assemble_vectorised(ops: SpatialOperators) -> VectorisedSystem:
     """K = I x M + M x I + tau diag(vec C)(D x D),
-    F = tau diag(vec C) vec(f f^T), column-stacking convention."""
+    F = tau diag(vec C) vec(f f^T), column-stacking convention.  K is a
+    scipy.sparse matrix; scipy is imported here, so the solvers never load
+    it."""
+    import scipy.sparse as sp
+
     d = ops.d
-    M = ops.M.tocsr()
+    M = sp.csr_matrix(ops.M)
     I = sp.identity(d, format="csr")
     vec_c = np.asarray(ops.C, dtype=float).flatten(order="F")
     D = sp.diags(ops.d_vec)
@@ -118,48 +118,143 @@ def assemble_vectorised(ops: SpatialOperators) -> VectorisedSystem:
     return VectorisedSystem(K=K.tocsc(), F=F, d=d)
 
 
+# Step budget of the certificate's eigensolve; it fails past it.
+_LOBPCG_MAXITER = 100
+
+
+def _lobpcg_top(K, shift, X, tol):
+    """Largest eigenvalue of the self-adjoint operator K on d x d matrices
+    (Frobenius inner product) by single-vector LOBPCG (Knyazev, SIAM J. Sci.
+    Comput. 23, 2001), started from X and preconditioned by entrywise
+    division by the positive `shift`.
+
+    Each step is a Rayleigh-Ritz on the iterate, its preconditioned residual
+    and the previous step's direction, orthonormalised first (Hetmaniuk &
+    Lehoucq, J. Comput. Phys. 218, 2006) so that the 3 x 3 problem stays
+    well conditioned as the step shrinks: one application of K per step.  A
+    direction that orthogonalisation leaves at 1e-10 of its norm is dropped.
+    Converged when the residual's Frobenius norm is at most `tol`; raises
+    SolveFailed after _LOBPCG_MAXITER steps, or when no direction is left.
+    """
+    X = X / np.linalg.norm(X)
+    KX = K(X)
+    P = KP = None
+    for _ in range(_LOBPCG_MAXITER):
+        rho = np.vdot(X, KX)
+        R = KX - rho * X
+        if np.linalg.norm(R) <= tol:
+            return float(rho)
+        basis, images = [X], [KX]
+        for V, KV in ((R / shift, None), (P, KP)):
+            if V is None:
+                continue
+            size = np.linalg.norm(V)
+            for _ in range(2):  # Gram-Schmidt twice is enough
+                for B, KB in zip(basis, images):
+                    c = np.vdot(B, V)
+                    V = V - c * B
+                    if KV is not None:
+                        KV = KV - c * KB
+            norm = np.linalg.norm(V)
+            if norm > 1e-10 * size:
+                basis.append(V / norm)
+                images.append(K(V / norm) if KV is None else KV / norm)
+        if len(basis) == 1:
+            raise SolveFailed(f"K spectral abscissa: LOBPCG stalled at "
+                              f"residual {np.linalg.norm(R):.3e}")
+        H = np.array([[np.vdot(B, KB) for KB in images] for B in basis])
+        c = np.linalg.eigh(0.5 * (H + H.T))[1][:, -1]
+        P = sum(ci * B for ci, B in zip(c[1:], basis[1:]))
+        KP = sum(ci * KB for ci, KB in zip(c[1:], images[1:]))
+        X, KX = c[0] * X + P, c[0] * KX + KP
+    raise SolveFailed("K spectral abscissa: LOBPCG did not converge in "
+                      f"{_LOBPCG_MAXITER} steps")
+
+
 def k_spectral_abscissa(ops: SpatialOperators) -> tuple[float, str]:
     """Max real part of K's spectrum, with the route used: "iterative"
-    (ARPACK on the d x d operator), or "dense" for d = 1, where ARPACK
-    cannot run and K is its own eigenvalue.  ARPACK starts from 1 1^T, not
-    a random vector, so reruns give identical digits.  For PSD C the
-    rightmost eigenvalue of K is real with a PSD eigenvector X (Damm 2004,
-    ch. 3), which meets the start with weight 1^T X 1 >= 0."""
-    apply, _ = _operator(ops)
+    (LOBPCG on the d x d operator), or "dense" for d = 1, where K is its own
+    eigenvalue.  M must be symmetric, so K is self-adjoint and its abscissa
+    is its largest eigenvalue.
+
+    The eigensolve runs in M's eigen-coordinates Y = U^T X U, where
+    L_M(X) = M X + X M^T is multiplication by w_i + w_j and K is
+    Y -> (w_i + w_j) Y + U^T (G o (U Y U^T)) U, G = tau C o d d^T.  The
+    noise term's norm is at most g = max|G|, so sigma = 2 w_top + g bounds
+    K's spectrum from above.  The preconditioner is the inverse of
+    sigma I - L_M, plus eps times K's norm bound so that it is finite when
+    G = 0: division by sigma - (w_i + w_j) + eps |K|, positive also when M
+    or K is not Hurwitz.  The start u u^T + I/d (u M's top eigenvector,
+    that is e_top e_top^T + I/d) is positive definite, so it meets the PSD
+    eigenvector of K's rightmost eigenvalue, which exists for PSD C (Damm
+    2004, ch. 3), also when M is reducible and u lies in one of its blocks;
+    u u^T alone misses it there.  There is no random start, so reruns give
+    identical digits.  The residual tolerance is 1e-10 |K|, with the bound
+    |K| <= max|w_i + w_j| + g."""
+    apply, gain = _operator(ops)
     d = ops.d
     if d == 1:
         return float(apply(np.ones((1, 1)))[0, 0]), "dense"
-    op = spla.LinearOperator(
-        (d * d, d * d), dtype=float,
-        matvec=lambda x: apply(x.reshape(d, d)).ravel())
-    try:
-        vals = spla.eigs(op, k=1, which="LR", return_eigenvectors=False,
-                         maxiter=5000, v0=np.ones(d * d))
-    except spla.ArpackNoConvergence as exc:
-        raise SolveFailed(f"K spectral abscissa: {exc}") from exc
-    return float(vals.real.max()), "iterative"
+    w, U = drift_eigenvalues(ops)
+    denom = w[:, None] + w[None, :]
+
+    def K(Y):
+        return denom * Y + U.T @ (gain * (U @ Y @ U.T)) @ U
+
+    g = np.max(np.abs(gain))
+    knorm = np.max(np.abs(denom)) + g
+    shift = 2.0 * w[-1] + g - denom + np.finfo(float).eps * knorm
+    start = np.eye(d) / d
+    start[-1, -1] += 1.0
+    return _lobpcg_top(K, shift, start, 1e-10 * knorm), "iterative"
 
 
 def _lyapunov_solver(w, U):
     """Solver R -> X of M X + X M^T = R for the symmetric M = U diag(w) U^T:
     X = U ((U^T R U) / (w_i + w_j)) U^T, solution by diagonalisation
-    (Simoncini, SIAM Review 58, 2016, sec. 4).
-
-    The products use scipy's BLAS, which also runs the eigensolve: numpy
-    bundles a second OpenBLAS whose idle threads keep spinning after a call,
-    and alternating between the two stalls a call by about 0.1 s once d is
-    large enough for BLAS to use threads.
+    (Simoncini, SIAM Review 58, 2016, sec. 4): in M's eigen-coordinates
+    Y = U^T X U the Lyapunov operator is multiplication by w_i + w_j.
     """
     denom = w[:, None] + w[None, :]
     if np.any(denom == 0.0):
         raise SolveFailed("Lyapunov operator M X + X M^T is singular")
-    gemm = blas.dgemm
 
     def solve(R):
-        Y = gemm(1.0, gemm(1.0, U, R, trans_a=True), U) / denom
-        return gemm(1.0, gemm(1.0, U, Y), U, trans_b=True)
+        return U @ ((U.T @ R @ U) / denom) @ U.T
 
     return solve
+
+
+def _gmres(op, b):
+    """Restarted GMRES (Saad & Schultz 1986) for op(x) = b on d x d
+    matrices: at most 10 cycles of 20 Arnoldi steps (modified Gram-Schmidt),
+    stopping once the residual norm is at most 1e-14 |b|.  Returns the last
+    iterate, converged or not: the caller checks it."""
+    restart = 20
+    x = np.zeros_like(b)
+    target = 1e-14 * np.linalg.norm(b)
+    for _ in range(10):
+        r = b - op(x) if x.any() else b
+        beta = np.linalg.norm(r)
+        if beta <= target:
+            break
+        V = [r / beta]
+        H = np.zeros((restart + 1, restart))
+        rhs = np.zeros(restart + 1)
+        rhs[0] = beta
+        for j in range(restart):
+            v = op(V[j])
+            for i in range(j + 1):
+                H[i, j] = np.vdot(V[i], v)
+                v = v - H[i, j] * V[i]
+            H[j + 1, j] = np.linalg.norm(v)
+            Hj, rj = H[:j + 2, :j + 1], rhs[:j + 2]
+            y = np.linalg.lstsq(Hj, rj, rcond=None)[0]
+            if H[j + 1, j] == 0.0 or np.linalg.norm(Hj @ y - rj) <= target:
+                break
+            V.append(v / H[j + 1, j])
+        x = x + sum(yi * Vi for yi, Vi in zip(y, V))
+    return x
 
 
 def _covariance_solver(ops: SpatialOperators):
@@ -167,28 +262,24 @@ def _covariance_solver(ops: SpatialOperators):
     M X + X M^T + tau C o (D X D) = R for symmetric R, in the eigenbasis
     of the symmetric drift (`drift_eigenvalues`).
 
-    With L_M(X) = M X + X M^T, GMRES solves the Lyapunov-preconditioned
-    form (I + L_M^-1 tau C o (D . D)) X = L_M^-1(R) on d x d matrices
-    (Damm 2008; Benner & Breiten 2013).  The multiplicative-noise term is a
-    small perturbation on every grid operator, so this converges in one or
-    two iterations; D = 0 makes it a plain Lyapunov solve.  The one
-    eigendecomposition of M serves every right-hand side.  The checks below
-    also refuse a non-finite answer.
+    With L_M(X) = M X + X M^T, restarted GMRES (`_gmres`) solves the
+    Lyapunov-preconditioned form (I + L_M^-1 tau C o (D . D)) X = L_M^-1(R)
+    on d x d matrices (Damm 2008; Benner & Breiten 2013), L_M^-1 being
+    division by w_i + w_j in M's eigen-coordinates (`_lyapunov_solver`).
+    The multiplicative-noise term is a small perturbation on every grid
+    operator, so this converges in one or two iterations; D = 0 makes it a
+    plain Lyapunov solve.  The one eigendecomposition of M serves every
+    right-hand side.  The answer stands only if it passes the symmetry and
+    residual checks below, which also refuse a non-finite one.
     """
-    d = ops.d
     lyap = _lyapunov_solver(*drift_eigenvalues(ops))
     apply, noise_gain = _operator(ops)
-    op = spla.LinearOperator(
-        (d * d, d * d), dtype=float,
-        matvec=lambda x: x + lyap(noise_gain * x.reshape(d, d)).ravel())
 
     def solve(R):
         # At most 10 restart cycles of 20 Lyapunov solves.  GMRES may stop
         # just short of 1e-14 when the contraction is close to 1; the
         # residual check below decides whether that answer stands.
-        q, info = spla.gmres(op, lyap(R).ravel(), rtol=1e-14, atol=0.0,
-                             maxiter=10)
-        X = q.reshape(d, d)
+        X = _gmres(lambda X: X + lyap(noise_gain * X), lyap(R))
         defect = np.max(np.abs(X - X.T))
         xscale = np.max(np.abs(X)) or 1.0
         if not defect <= 1e-10 * xscale:
@@ -197,8 +288,8 @@ def _covariance_solver(ops: SpatialOperators):
         resid = np.max(np.abs(apply(X) - R))
         scale = np.max(np.abs(R)) or 1.0
         if not resid <= 1e-9 * scale:
-            raise SolveFailed(f"generalized Lyapunov residual {resid:.3e} too "
-                              f"large (GMRES exit status {info})")
+            raise SolveFailed(f"generalized Lyapunov residual {resid:.3e} "
+                              "too large")
         return X
 
     return solve
@@ -216,8 +307,9 @@ def _stationary(ops: SpatialOperators, check_stability):
     """
     solve = _covariance_solver(ops)
     if check_stability:
+        X = solve(-np.eye(ops.d))
         try:
-            sla.cholesky(solve(-np.eye(ops.d)))
+            np.linalg.cholesky(X)
         except np.linalg.LinAlgError as exc:
             raise UnstableK("the solution of K(X) = -I is not positive "
                             "definite, so K is not Hurwitz") from exc
@@ -254,25 +346,37 @@ class StabilityCertificate:
         return asdict(self)
 
 
+def _connected(adjacent) -> bool:
+    """Whether the graph of a symmetric boolean adjacency matrix is
+    connected: a breadth-first search from node 0, a frontier at a time."""
+    seen = np.zeros(len(adjacent), dtype=bool)
+    frontier = seen.copy()
+    frontier[0] = True
+    while frontier.any():
+        seen |= frontier
+        frontier = adjacent[frontier].any(axis=0) & ~seen
+    return bool(seen.all())
+
+
 def certify(ops: SpatialOperators) -> StabilityCertificate:
     """Matrix-class certificate for the stationary solve, read off M and the
     covariance operator; K is never assembled.  K = I x M + M x I + a
     diagonal, so -K is a Z-matrix iff M's off-diagonals are >= 0, and K's
     graph, the Cartesian product of M's with itself, is strongly connected
     iff M's is.  M must be symmetric (a nonsymmetric M is refused with
-    ParamOutOfRange), so K is its own symmetric part, which is negative
-    definite iff K's spectral abscissa is negative.  The sign of the inverse
-    is asserted through the M-matrix theorem only (Berman & Plemmons 1994,
-    ch. 6): -K a Z-matrix with K Hurwitz has a nonnegative inverse, strictly
-    positive when -K is irreducible.
+    ParamOutOfRange), so M's graph is undirected, strongly connected iff
+    connected (a breadth-first search over M's nonzero pattern), and K is
+    its own symmetric part, which is negative definite iff K's spectral
+    abscissa (`k_spectral_abscissa`, by LOBPCG) is negative.  The sign of
+    the inverse is asserted through the M-matrix theorem only (Berman &
+    Plemmons 1994, ch. 6): -K a Z-matrix with K Hurwitz has a nonnegative
+    inverse, strictly positive when -K is irreducible.
     """
     w, _ = drift_eigenvalues(ops)
-    M = ops.M.tocoo(copy=True)
-    M.eliminate_zeros()  # zeros stored in M are no edges of K's graph
     k_absc, eig_route = k_spectral_abscissa(ops)
-    minus_k_is_Z = bool(np.all(M.data[M.row != M.col] >= -1e-14))
-    n_comp, _ = connected_components(M, directed=True, connection="strong")
-    irreducible = n_comp == 1
+    off_diagonal = ops.M[~np.eye(ops.d, dtype=bool)]
+    minus_k_is_Z = bool(np.all(off_diagonal >= -1e-14))
+    irreducible = _connected(ops.M != 0.0)
     m_matrix = k_absc < 0.0 and minus_k_is_Z  # -K a nonsingular M-matrix
     return StabilityCertificate(
         m_spectral_abscissa=float(w[-1]),
@@ -352,8 +456,7 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
             ops = build_operators(g, T_star, Q_field, p, noise)
             cs, solve = _stationary(ops, check_stability=True)
             w, U = drift_eigenvalues(ops)
-            u = blas.dgemv(1.0, U, blas.dgemv(-1.0, U, np.ones(g.d),
-                                              trans=1) / w)
+            u = U @ (-(U.T @ np.ones(g.d)) / w)
             f_df = np.outer(ops.f_vec, ops.d_vec * u)  # f (df/dlambda)^T
             dgamma = solve(-ops.tau * ops.C * (f_df + f_df.T))
         except (EbmvarError, np.linalg.LinAlgError) as exc:

@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     NoConvergence,
@@ -112,21 +109,19 @@ class SpatialField:
         return cls(grid=grid, values=np.full(grid.d, float(value)), boundary=bd)
 
 
-def assemble_laplacian(g: Grid2D) -> sp.csr_matrix:
+def assemble_laplacian(g: Grid2D) -> np.ndarray:
     """Five-point Laplacian with homogeneous Dirichlet encoded by omission,
+    as a dense d x d array (the Kronecker sum)
 
     A = (1/hx^2)(I_{Ny-1} x Ax) + (1/hy^2)(Ay x I_{Nx-1}),
     with Ax, Ay = tridiag(1, -2, 1).
     """
     def tridiag(n):
-        return sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
-                        offsets=[-1, 0, 1], format="csr")
+        return (np.diag(np.ones(n - 1), -1) - 2.0 * np.eye(n)
+                + np.diag(np.ones(n - 1), 1))
 
-    Ax = tridiag(g.Nx - 1)
-    Ay = tridiag(g.Ny - 1)
-    A = (sp.kron(sp.identity(g.Ny - 1), Ax, format="csr") / g.hx**2
-         + sp.kron(Ay, sp.identity(g.Nx - 1), format="csr") / g.hy**2)
-    return A.tocsr()
+    return (np.kron(np.eye(g.Ny - 1), tridiag(g.Nx - 1)) / g.hx**2
+            + np.kron(tridiag(g.Ny - 1), np.eye(g.Nx - 1)) / g.hy**2)
 
 
 def dirichlet_load(g: Grid2D, theta: BoundaryTrace) -> np.ndarray:
@@ -168,7 +163,7 @@ def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
     times the largest nodewise sum of the magnitudes of its terms.
     """
     A = assemble_laplacian(g)
-    abs_A = abs(A)
+    abs_A = np.abs(A)
     g_bc = dirichlet_load(g, theta)
     Q_vals = Q_field.values
     T = np.full(g.d, (lam - p.r0) / p.r1)
@@ -186,11 +181,10 @@ def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
     for it in range(200):
         if converged(T, norm):
             return SpatialField(grid=g, values=T, boundary=theta)
-        J = A + sp.diags(Q_vals * co_albedo_slope(T, p) - p.r1)
+        J = A + np.diag(Q_vals * co_albedo_slope(T, p) - p.r1)
         try:
-            lu = spla.splu(J.tocsc())
-            step = lu.solve(-res)
-        except RuntimeError as exc:
+            step = np.linalg.solve(J, -res)
+        except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("non-finite Newton step")
@@ -276,7 +270,7 @@ class SpatialOperators:
     b_vec: np.ndarray
     d_vec: np.ndarray
     f_vec: np.ndarray
-    M: sp.csr_matrix
+    M: np.ndarray
     C: np.ndarray
     L: np.ndarray
     tau: float
@@ -287,9 +281,9 @@ class SpatialOperators:
 
     @cached_property
     def _drift_eig(self):
-        if (self.M != self.M.T).nnz != 0:
+        if not np.array_equal(self.M, self.M.T):
             raise ParamOutOfRange("the drift M is not symmetric")
-        w, U = sla.eigh(self.M.toarray(), driver="evd")
+        w, U = np.linalg.eigh(self.M)
         w.flags.writeable = U.flags.writeable = False  # shared by every caller
         return w, U
 
@@ -300,28 +294,29 @@ def build_operators(g: Grid2D, T_star: SpatialField, Q_field: SpatialField,
     bvec, dvec, fvec = sample_coefficients(T_star, Q_field, p)
     if np.any((fvec <= 0.0) | (fvec >= 1.0)):
         raise ValueError("sampled co-albedo must lie in (0, 1)")
-    M = (A - sp.diags(bvec)).tocsr()
+    M = A - np.diag(bvec)
     return SpatialOperators(b_vec=bvec, d_vec=dvec, f_vec=fvec, M=M,
                             C=noise.C, L=noise.L, tau=p.tau)
 
 
 def operators_from_arrays(M, d_vec, f_vec, C, L, tau) -> SpatialOperators:
     """Operators built directly from matrices (tests, scalar reductions,
-    hand-crafted systems)."""
-    M = sp.csr_matrix(M)
+    hand-crafted systems); M is densified, a scipy.sparse one included."""
+    M = np.array(M.toarray() if hasattr(M, "toarray") else M, dtype=float)
     d_vec = np.asarray(d_vec, dtype=float)
     f_vec = np.asarray(f_vec, dtype=float)
-    return SpatialOperators(b_vec=-M.diagonal(), d_vec=d_vec, f_vec=f_vec, M=M,
+    return SpatialOperators(b_vec=-np.diag(M), d_vec=d_vec, f_vec=f_vec, M=M,
                             C=np.asarray(C, dtype=float),
                             L=np.asarray(L, dtype=float), tau=float(tau))
 
 
 def drift_eigenvalues(ops: SpatialOperators) -> tuple[np.ndarray, np.ndarray]:
-    """M = U diag(w) U^T, w ascending, by LAPACK's divide-and-conquer eigh
-    (evd: 0.06 s at d = 900 on 2 cores, against 0.34 s for scipy's default
-    evr), once per operators object, kept on it read-only.  Symmetry of M is
-    a contract: M = A_delta - diag(b) is exactly symmetric on every grid, and
-    a nonsymmetric M is refused with ParamOutOfRange."""
+    """M = U diag(w) U^T, w ascending, by numpy's eigh, which runs LAPACK's
+    divide-and-conquer syevd (0.06 s at d = 900 on 2 cores, against 0.34 s
+    for the relatively robust syevr), once per operators object, kept on it
+    read-only.  Symmetry of M is a contract: M = A_delta - diag(b) is exactly
+    symmetric on every grid, and a nonsymmetric M is refused with
+    ParamOutOfRange."""
     return ops._drift_eig
 
 
@@ -353,7 +348,10 @@ def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
     def step(y, xi, k):
         dW = sqrt_dt * xi
         amp = y * ops.d_vec + ops.f_vec  # rows hold D y + f
-        return y + cfg.dt * (ops.M @ y.T).T + sqrt_tau * amp * (dW @ Lt)
+        # Rows hold M y (= y M, M being symmetric).  einsum, unlike BLAS,
+        # sums each row in one order whatever the batch's row count.
+        drift = np.einsum("bi,ij->bj", y, ops.M)
+        return y + cfg.dt * drift + sqrt_tau * amp * (dW @ Lt)
 
     values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
                         lambda B: np.tile(y_init, (B, 1)), step,

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 import ebmvar
 from ebmvar import covariance_engine as cov
@@ -238,18 +237,12 @@ class TestExitCodes:
         assert summary["is_psd"] is False
         assert (out / "gamma_stationary.txt").exists()
 
-    @pytest.mark.parametrize("routine", ["eigs"])
-    def test_arpack_failure_is_a_numerical_error(self, tmp_path, monkeypatch,
-                                                 routine):
-        """At d = 64 K's abscissa comes from ARPACK on the d x d operator; a
-        convergence failure there exits with the numerical-error code, not a
-        traceback.  A grid M is symmetric, as the certificate requires, so
-        K is symmetric too and this abscissa is the certificate's one ARPACK
-        call."""
-        def no_convergence(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(cov.spla, routine, no_convergence)
+    def test_eigensolver_failure_is_a_numerical_error(self, tmp_path,
+                                                      monkeypatch):
+        """At d = 64 K's abscissa comes from LOBPCG on the d x d operator;
+        with no steps allowed it cannot converge, and that failure exits
+        with the numerical-error code, not a traceback."""
+        monkeypatch.setattr(cov, "_LOBPCG_MAXITER", 0)
         lam = _constant_profile_lam(280.0)
         text = _model_section(lam=lam) + _spatial_sections(
             Lx=8.0, Ly=8.0, n=9, kernel="exponential")
@@ -489,9 +482,8 @@ class TestSpatialStationary:
                      "spatial-stationary"]) == EXIT_OK
 
     def test_single_node(self, tmp_path, monkeypatch):
-        """d = 1 (Nx = Ny = 2): ARPACK cannot run on the 1 x 1 operator K,
-        so its abscissa is the operator applied to [[1]], which equals K
-        exactly."""
+        """d = 1 (Nx = Ny = 2): K is 1 x 1, so its abscissa is the operator
+        applied to [[1]], which equals K exactly."""
         seen = []
         original = cov.certify
 
@@ -547,15 +539,17 @@ class TestSpatialStationary:
     def test_one_eigh_per_run(self, tmp_path, monkeypatch, unstable):
         """The certificate and the stationary solve share the run's one
         eigendecomposition of M; a refused run still writes the certificate
-        first."""
+        first.  LOBPCG's Rayleigh-Ritz problems are at most 3 x 3, so the
+        count keeps the d x d calls only."""
         calls = []
-        original = sm.sla.eigh
+        original = np.linalg.eigh
 
         def counting(*args, **kwargs):
-            calls.append(args[0].shape)
+            if args[0].shape[0] > 3:
+                calls.append(args[0].shape)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(sm.sla, "eigh", counting)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         lam = _constant_profile_lam(280.0)
         text = (UNSTABLE_K_CONFIG if unstable
                 else _model_section(lam=lam) + _spatial_sections())
@@ -567,7 +561,7 @@ class TestSpatialStationary:
         assert calls == [(9, 9)]
 
     def test_certificate_bytes_reproducible_across_processes(self, tmp_path):
-        """At d = 64 the certificate takes the ARPACK route; two fresh
+        """At d = 64 the certificate takes the LOBPCG route; two fresh
         interpreters must write the same bytes."""
         lam = _constant_profile_lam(280.0)
         text = _model_section(lam=lam) + _spatial_sections(
@@ -642,3 +636,47 @@ class TestCounterexample:
         assert rc == EXIT_OK
         summary = json.loads((out / "counterexample_summary.json").read_text())
         assert summary["derivative_negative_below_cs"] is None
+
+
+# Runs `import ebmvar.cli`, records the scipy modules then loaded, runs each
+# command of the JSON list in argv[1] and records them again.
+_SCIPY_PROBE = """
+import json, sys
+import ebmvar.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_modules()
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"after_import": after_import, "codes": codes,
+                  "after_commands": scipy_modules()}))
+"""
+
+
+class TestNumpyOnly:
+    def test_no_command_loads_scipy(self, tmp_path):
+        """`import ebmvar.cli` and every command, each on a tiny config, leave
+        no scipy module in sys.modules: the CLI runs on numpy alone."""
+        lam0 = _constant_profile_lam(280.0)
+        cfg = _write_cfg(tmp_path, (
+            _model_section(lam=lam0) + _spatial_sections(n=3, kernel="exponential")
+            + "[sim]\ndt = 0.001\nn_steps = 10\nn_paths = 4\nseed = 1\n"
+            + f"[sweep]\nlambda_min = {lam0 - 2.0:.17g}\n"
+              f"lambda_max = {lam0 + 2.0:.17g}\nn_points = 2\n"))
+        commands = [["spatial-stationary"], ["monotonicity"],
+                    ["wz-convergence", "--t", "0.5"], ["variance-curve"]]
+        commands += [["simulate", "--which", which] for which in
+                     ("fast-slow", "reduced", "anomaly-0d", "anomaly-field")]
+        argvs = [["--config", cfg, "--out", str(tmp_path / str(i)), *c]
+                 for i, c in enumerate(commands)]
+        argvs.append(["--out", str(tmp_path / "ce"), "counterexample",
+                      "--s", "0.5", "--c", "0.8", "--n-lambda", "3"])
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ebmvar.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                               json.dumps(argvs)], env=env, capture_output=True,
+                              text=True, check=True, timeout=300)
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"after_import": [], "codes": [EXIT_OK] * len(argvs),
+                          "after_commands": []}

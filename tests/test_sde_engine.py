@@ -193,7 +193,9 @@ class TestWongZakai:
         n = V.shape[0]
         assert n == max(1000, int(np.ceil(200 * t / tau)))
         picks = [0, 1, n // 2, n - 2, n - 1]
-        gaps = _euler_gaps(np.eye(n)[picks], tau, t, x0, Q)
+        impulses = np.zeros((len(picks), n))
+        impulses[np.arange(len(picks)), picks] = 1.0
+        gaps = _euler_gaps(impulses, tau, t, x0, Q)
         np.testing.assert_allclose(gaps, c0[0] + V[picks, 0], rtol=1e-13, atol=0)
         assert _euler_gaps(np.zeros((1, n)), tau, t, x0, Q)[0] == pytest.approx(
             c0[0], rel=1e-13, abs=0)

@@ -69,12 +69,12 @@ class TestLaplacian:
     @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (5, 6)])
     def test_matches_stencil_oracle(self, shape):
         g = sm.Grid2D(Lx=1.3, Ly=0.7, Nx=shape[0], Ny=shape[1])
-        A = sm.assemble_laplacian(g).toarray()
+        A = sm.assemble_laplacian(g)
         np.testing.assert_allclose(A, _laplacian_by_stencil(g), atol=1e-12)
 
     def test_symmetric_negative_definite(self):
         g = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=5, Ny=4)
-        A = sm.assemble_laplacian(g).toarray()
+        A = sm.assemble_laplacian(g)
         np.testing.assert_allclose(A, A.T, atol=0.0)
         assert np.max(np.linalg.eigvalsh(A)) < 0.0
 
@@ -226,8 +226,8 @@ def _default_operators(nx=4, ny=4, theta=280.0):
 class TestOperators:
     def test_drift_structure(self):
         ops = _default_operators()
-        A = sm.assemble_laplacian(sm.Grid2D(Lx=1.0, Ly=1.0, Nx=4, Ny=4)).toarray()
-        M = ops.M.toarray()
+        A = sm.assemble_laplacian(sm.Grid2D(Lx=1.0, Ly=1.0, Nx=4, Ny=4))
+        M = ops.M
         np.testing.assert_allclose(M, A - np.diag(ops.b_vec), atol=1e-14)
 
     def test_hurwitz(self):
@@ -239,7 +239,7 @@ class TestOperators:
         eigvals to rounding, and orthonormal eigenvectors that rebuild M; a
         nonsymmetric M is refused, by the field simulator too."""
         ops = _default_operators()
-        M = ops.M.toarray()
+        M = ops.M
         general = np.linalg.eigvals(M)
         w, U = sm.drift_eigenvalues(ops)
         assert w.dtype == np.float64
