@@ -142,8 +142,70 @@ def dirichlet_load(g: Grid2D, theta: BoundaryTrace) -> np.ndarray:
     return g_bc
 
 
+class _FivePointLaplacian:
+    """A_delta of `assemble_laplacian`, applied by the five-point stencil
+    and never assembled: O(d) a product, O(Ny Nx^3) a shifted solve, where
+    the dense d x d array costs O(d^2) to build and O(d^3) to solve.  `centre`
+    is the diagonal entry; abs() gives |A_delta|."""
+
+    def __init__(self, g: Grid2D, centre=None):
+        self.g = g
+        self.ax, self.ay = 1.0 / g.hx**2, 1.0 / g.hy**2
+        self.centre = (-2.0 / g.hx**2 + -2.0 / g.hy**2 if centre is None
+                       else centre)
+
+    def __abs__(self):
+        return _FivePointLaplacian(self.g, -self.centre)
+
+    def __matmul__(self, T):
+        """Each node sums its terms in the column order of its row (below,
+        left, centre, right, above), as a sparse product does."""
+        U = np.asarray(T, dtype=float).reshape(self.g.Ny - 1, self.g.Nx - 1)
+        out = np.zeros_like(U)
+        out[1:] += self.ay * U[:-1]
+        out[:, 1:] += self.ax * U[:, :-1]
+        out += self.centre * U
+        out[:, :-1] += self.ax * U[:, 1:]
+        out[:-1] += self.ay * U[1:]
+        return out.ravel()
+
+    def solve_shifted(self, shift, rhs):
+        """x with (A_delta + diag(shift)) x = rhs.
+
+        The matrix is block tridiagonal, one (Nx-1)-square block a row of
+        nodes, each coupled to the next by I/hy^2, and block elimination
+        solves it row by row.  Without pivoting this is stable when
+        -(A_delta + diag(shift)) is positive definite, as it is wherever
+        shift <= 0 (-A_delta being positive definite); a Cholesky
+        factorisation of every negated pivot block checks it.  Otherwise
+        the assembled matrix is solved densely, with partial pivoting,
+        raising np.linalg.LinAlgError if it is singular."""
+        nx, ny = self.g.Nx - 1, self.g.Ny - 1
+        couple = self.ax * (np.eye(nx, k=-1) + np.eye(nx, k=1))
+        diag = (self.centre + shift).reshape(ny, nx)
+        r = np.asarray(rhs, dtype=float).reshape(ny, nx)
+        gains, parts = [], []  # x_k = parts[k] - gains[k] x_{k+1}
+        S, y = couple + np.diag(diag[0]), r[0]
+        try:
+            for k in range(ny):
+                np.linalg.cholesky(-S)
+                sol = np.linalg.solve(S, np.column_stack([self.ay * np.eye(nx), y]))
+                gains.append(sol[:, :nx])
+                parts.append(sol[:, nx])
+                if k + 1 < ny:
+                    S = couple + np.diag(diag[k + 1]) - self.ay * gains[k]
+                    y = r[k + 1] - self.ay * parts[k]
+        except np.linalg.LinAlgError:
+            return np.linalg.solve(assemble_laplacian(self.g) + np.diag(shift), rhs)
+        x = [parts[-1]]
+        for k in range(ny - 2, -1, -1):
+            x.append(parts[k] - gains[k] @ x[-1])
+        return np.concatenate(x[::-1])
+
+
 def equilibrium_residual(T, A, g_bc, Q_vals, lam, p: EbmParams):
-    """A_delta T + g_bc + Q.beta(T) + lambda - r0 - r1 T, evaluated nodewise."""
+    """A_delta T + g_bc + Q.beta(T) + lambda - r0 - r1 T, evaluated nodewise;
+    A is `assemble_laplacian`'s array or any operator with the same `@`."""
     return A @ T + g_bc + Q_vals * co_albedo(T, p) + lam - p.r0 - p.r1 * T
 
 
@@ -161,9 +223,15 @@ def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
     The residual's max norm is converged at 1e-10, or at its rounding level
     when that is larger, as on fine grids where |A| grows as h^-2: 16 eps
     times the largest nodewise sum of the magnitudes of its terms.
+
+    The Laplacian is applied and solved by its stencil, without the d x d
+    array (`_FivePointLaplacian`): the Newton step's Jacobian
+    A_delta + diag(Q.beta'(T) - r1) is solved by block elimination over the
+    rows of nodes, which is valid when the negated Jacobian is positive
+    definite (always when Q.beta' <= r1), and densely otherwise.
     """
-    A = assemble_laplacian(g)
-    abs_A = np.abs(A)
+    A = _FivePointLaplacian(g)
+    abs_A = abs(A)
     g_bc = dirichlet_load(g, theta)
     Q_vals = Q_field.values
     T = np.full(g.d, (lam - p.r0) / p.r1)
@@ -181,9 +249,8 @@ def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
     for it in range(200):
         if converged(T, norm):
             return SpatialField(grid=g, values=T, boundary=theta)
-        J = A + np.diag(Q_vals * co_albedo_slope(T, p) - p.r1)
         try:
-            step = np.linalg.solve(J, -res)
+            step = A.solve_shifted(Q_vals * co_albedo_slope(T, p) - p.r1, -res)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(step)):
@@ -320,6 +387,36 @@ def drift_eigenvalues(ops: SpatialOperators) -> tuple[np.ndarray, np.ndarray]:
     return ops._drift_eig
 
 
+def _row_products(M):
+    """y -> the rows M y of each row y, for a symmetric M.
+
+    Each entry sums its row's nonzeros in column order whatever y's row
+    count, so that a path does not depend on its batch (BLAS blocks its sums
+    by the row count).  einsum costs d a row; a sum over M's nonzero
+    diagonals costs a few passes a diagonal, O(d) a row for a grid's five,
+    and serves when there are fewer than d/8 diagonals (d > 40 on a grid)."""
+    d = M.shape[0]
+    rows, cols = np.nonzero(M)
+    offsets = np.unique(cols - rows)
+    if 8 * len(offsets) >= d:
+        return lambda y: np.einsum("bi,ij->bj", y, M)  # y M = M y, row-wise
+    pad = int(np.max(np.abs(offsets)))
+    coefs = np.zeros((len(offsets), d))  # coefs[n, i] = M[i, i + offsets[n]]
+    for c, k in zip(coefs, offsets):
+        c[max(0, -k):d - max(0, k)] = np.diagonal(M, k)
+
+    def product(y):
+        padded = np.zeros((len(y), d + 2 * pad))
+        padded[:, pad:pad + d] = y
+        acc, term = np.zeros_like(y), np.empty_like(y)
+        for c, k in zip(coefs, offsets):
+            np.multiply(c, padded[:, pad + k:pad + k + d], out=term)
+            acc += term
+        return acc
+
+    return product
+
+
 def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
                            y0=None, store_stride=1) -> PathBundle:
     """Euler-Maruyama for dY = M Y dt + sqrt(tau) diag(D Y + f) L dW.
@@ -345,13 +442,12 @@ def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
     if kept[-1] != cfg.n_steps:
         kept.append(cfg.n_steps)
 
+    drift = _row_products(ops.M)
+
     def step(y, xi, k):
         dW = sqrt_dt * xi
         amp = y * ops.d_vec + ops.f_vec  # rows hold D y + f
-        # Rows hold M y (= y M, M being symmetric).  einsum, unlike BLAS,
-        # sums each row in one order whatever the batch's row count.
-        drift = np.einsum("bi,ij->bj", y, ops.M)
-        return y + cfg.dt * drift + sqrt_tau * amp * (dW @ Lt)
+        return y + cfg.dt * drift(y) + sqrt_tau * amp * (dW @ Lt)
 
     values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
                         lambda B: np.tile(y_init, (B, 1)), step,

@@ -430,6 +430,7 @@ def _runs():
     # Identity noise: the dW @ L^T product is then exact, whatever the row
     # count of the matrix product (see test_dense_noise_factor_batches).
     ops16 = _field_operators(5, "identity")
+    ops64 = _field_operators(9, "identity")  # drift summed by diagonals
     return {
         "ou": (lambda: se.simulate_ou(0.05, 1.0, 2.0, cfg).values,
                n_paths, n_steps, 1),
@@ -450,6 +451,8 @@ def _runs():
                      n_paths, n_steps, 1),
         "field-d16-stride": (lambda: sm.simulate_anomaly_field(
             ops16, field_cfg, store_stride=7).values, n_paths, n_steps, 16),
+        "field-d64-stride": (lambda: sm.simulate_anomaly_field(
+            ops64, field_cfg, store_stride=7).values, n_paths, n_steps, 64),
     }
 
 

@@ -108,6 +108,53 @@ class TestLaplacian:
         np.testing.assert_allclose(A @ u + g_bc, 4.0, rtol=1e-12)
 
 
+GRID_SHAPES = [(2, 2), (2, 6), (6, 2), (5, 6), (9, 9)]  # (Nx, Ny)
+
+
+class TestFivePointLaplacian:
+    """The equilibrium solve's stencil operator against the assembled A."""
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    def test_products_are_the_sparse_products(self, shape):
+        """A T and |A| |T| by the stencil repeat a sparse product bit for
+        bit: each node sums its terms in its row's column order."""
+        import scipy.sparse as sp
+        g = sm.Grid2D(Lx=1.3, Ly=0.7, Nx=shape[0], Ny=shape[1])
+        A = sp.csr_matrix(sm.assemble_laplacian(g))
+        L = sm._FivePointLaplacian(g)
+        T = 100.0 * np.random.default_rng(3).standard_normal(g.d)
+        np.testing.assert_array_equal(L @ T, A @ T)
+        np.testing.assert_array_equal(abs(L) @ np.abs(T), abs(A) @ np.abs(T))
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    def test_block_solve_matches_the_dense_solve(self, monkeypatch, shape):
+        """With a nonpositive shift the solve eliminates block by block,
+        never assembling A, and agrees with the dense solve to rounding."""
+        g = sm.Grid2D(Lx=1.3, Ly=0.7, Nx=shape[0], Ny=shape[1])
+        rng = np.random.default_rng(4)
+        shift = -rng.uniform(0.0, 3.0, g.d)
+        rhs = rng.standard_normal(g.d)
+        expected = np.linalg.solve(sm.assemble_laplacian(g) + np.diag(shift), rhs)
+        monkeypatch.setattr(sm, "assemble_laplacian", None)
+        got = sm._FivePointLaplacian(g).solve_shifted(shift, rhs)
+        np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                   atol=1e-13 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    def test_indefinite_shift_falls_back_to_the_dense_solve(self, shape):
+        """A shift that makes -(A + diag(shift)) indefinite is solved densely,
+        with partial pivoting."""
+        g = sm.Grid2D(Lx=1.3, Ly=0.7, Nx=shape[0], Ny=shape[1])
+        A = sm.assemble_laplacian(g)
+        rng = np.random.default_rng(5)
+        shift = -rng.uniform(0.0, 3.0, g.d)
+        shift[g.d // 2] = 2.0 * np.max(np.abs(A))
+        rhs = rng.standard_normal(g.d)
+        np.testing.assert_array_equal(
+            sm._FivePointLaplacian(g).solve_shifted(shift, rhs),
+            np.linalg.solve(A + np.diag(shift), rhs))
+
+
 class TestEquilibriumProfile:
     def test_constant_solution(self):
         g = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=5, Ny=5)
@@ -267,6 +314,22 @@ class TestOperators:
 
 
 class TestAnomalySimulation:
+    @pytest.mark.parametrize("n", [5, 9, 16], ids=["d16", "d64", "d225"])
+    def test_drift_products_are_the_dense_row_sums(self, n):
+        """The drift's row products, by einsum at d = 16 and by M's five
+        nonzero diagonals at d = 64 and 225, equal the dense row sums bit
+        for bit, whatever the batch's row count, and so do a dense M's."""
+        ops = _default_operators(n, n)
+        Y = np.random.default_rng(6).standard_normal((5, ops.d))
+        expected = np.einsum("bi,ij->bj", Y, ops.M)
+        product = sm._row_products(ops.M)
+        np.testing.assert_array_equal(product(Y), expected)
+        for row in range(len(Y)):
+            np.testing.assert_array_equal(product(Y[row:row + 1])[0], expected[row])
+        dense = ops.M + 1e-3
+        np.testing.assert_array_equal(sm._row_products(dense)(Y),
+                                      np.einsum("bi,ij->bj", Y, dense))
+
     def test_zero_noise_matches_matrix_exponential(self):
         from scipy.linalg import expm
         M = np.array([[-2.0, 0.4], [0.4, -1.5]])
