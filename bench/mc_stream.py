@@ -4,9 +4,9 @@
 
 Runs `wz-convergence` (the tau ladder, 4000 paths, t = 2 at --threads 1
 and 2, and t = 8 at --threads 1, four times the fine steps) and
-`simulate --which anomaly-field` at d = 16, 64 and 225 (8x8
+`simulate --which anomaly-field` at d = 16, 64, 225 and 900 (8x8
 domain, exponential kernel, 1600 steps of dt = 0.0025, 16000 // d paths,
-so that every size holds about 205 MB of paths), each in a fresh
+so that every size holds about 200 MB of paths), each in a fresh
 interpreter with this checkout's `src/` on PYTHONPATH.  With `--before`,
 every command also runs on another package tree, such as the parent
 commit's `src/` unpacked by `git archive`, alternating which tree goes
@@ -39,7 +39,7 @@ MODEL = {
     "tau": 0.00273972602739726,
 }
 THETA = 280.0
-FIELD_SIDES = {16: 5, 64: 9, 225: 16}  # d: grid points per side
+FIELD_SIDES = {16: 5, 64: 9, 225: 16, 900: 31}  # d: grid points per side
 FIELD_STEPS, FIELD_DT, FIELD_PATH_NODES = 1600, 0.0025, 16000
 WZ_PATHS, WZ_T, WZ_LONG_T = 4000, 2.0, 8.0
 

@@ -7,7 +7,9 @@ integrated fast fluctuations.
 
 Randomness comes from a counter-based Philox generator with one derived
 substream per path, so ensembles are reproducible and path-parallel safe:
-the trajectory of path k depends only on (seed, k).
+the normals of path k depend only on (seed, k), and so does its trajectory
+wherever a step acts on each path alone.  A field path's last digits also
+depend on n_paths, the row count of its BLAS products.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from threading import Thread
 
 import numpy as np
 
-from .errors import EmptySample, StepTooLarge
+from .errors import ConfigError, EmptySample, StepTooLarge
 from .model_core import (
     EbmParams,
     balance_residual,
@@ -126,53 +129,68 @@ def gaussian_increments(streams, n, columns=1, out=None):
     return out
 
 
-# Paths per batch: this many // (n_steps * normals per step), and at least
-# one.  A batch is the row count of every step, on which the rounding of a
-# dense-L field product depends, so it must not depend on anything else.
-_BATCH_NORMALS = 20_000_000
-
-# Normals per draw: a batch draws this many // (batch * normals per step)
-# steps at a time, and at least one, into one reused buffer.  Philox draws
-# taken in pieces are the draws taken at once, so this sets memory only.
+# Normals of the two draw buffers together: each holds this many // 2 //
+# (n_paths * normals per step) steps, and at least one.  Philox draws taken
+# in pieces are the draws taken at once, so this sets memory only.
 _DRAW_NORMALS = 1 << 20
 
 
-def _run_paths(seed, n_paths, n_steps, init, step, shape=(), keep=None):
-    """Advance `n_paths` paths by `n_steps` steps, in batches of paths that
-    draw blocks of steps from their own streams into one reused buffer.
-
-    `init(B)` returns the start state of B paths, one row per path, and
-    `step(state, xi, k)` the state after step k (0-based), where `xi` holds
-    the step's raw standard normals, shape (B,) + `shape`, from each path's
-    stream.  Returns the states at the steps in `keep` (default: all), shape
-    (n_paths, len(keep)) + state.shape[1:], the same whatever the batch size
-    for a step that acts row by row."""
+def _run_paths(cfg: SimConfig, x0, step, shape=(), stride=1) -> PathBundle:
+    """`cfg.n_paths` paths from the state `x0`, run as one batch through
+    `cfg.n_steps` calls of `step(state, xi)`, where `xi`, shape (n_paths,) +
+    `shape`, holds each path's next standard normals from its own stream;
+    every `stride`-th state and the last are kept.  A helper thread draws
+    the next block of steps into one of two buffers while this thread steps
+    the current block from the other, each stream in block order, and no
+    draw outlives the call.  The values, shape (n_paths, kept states) +
+    x0.shape, are allocated first: a ConfigError when they cannot be."""
+    seed, n_paths, n_steps = cfg.seed, cfg.n_paths, cfg.n_steps
+    x0 = np.asarray(x0, dtype=float)
     width = math.prod(shape)
-    pos = {k: j for j, k in enumerate(range(n_steps + 1) if keep is None else keep)}
-    batch = max(1, _BATCH_NORMALS // (n_steps * width))
-    for lo in range(0, n_paths, batch):
-        rows = slice(lo, min(lo + batch, n_paths))
-        streams = [path_generator(seed, k) for k in range(rows.start, rows.stop)]
-        block = min(n_steps, max(1, _DRAW_NORMALS // (len(streams) * width)))
-        xi = buf = None  # so that two batches' buffers are never held at once
-        buf = np.empty((len(streams), block, width))
-        state = init(len(streams))
-        if lo == 0:
-            values = np.empty((n_paths, len(pos)) + state.shape[1:])
-        if 0 in pos:
-            values[rows, pos[0]] = state
+    dims = (n_paths, -(-n_steps // stride) + 1) + x0.shape
+    try:
+        values = np.empty(dims)
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"[sim] n_paths = {n_paths} paths of {dims[1]} kept steps of "
+            f"d = {x0.size} values need {8 * math.prod(dims)} bytes, more than "
+            "can be allocated") from exc
+    values[:, 0] = state = np.broadcast_to(x0, dims[:1] + x0.shape).copy()
+    streams = [path_generator(seed, k) for k in range(n_paths)]
+    block = min(n_steps, max(1, _DRAW_NORMALS // 2 // (n_paths * width)))
+    bufs = [np.empty((n_paths, block, width)) for _ in range(2)]
+
+    def draw(start):  # starts drawing the block from step `start`
+        def fill():
+            try:
+                worker.xi = gaussian_increments(streams, min(block, n_steps - start),
+                                                width, bufs[start // block % 2])
+            except BaseException as exc:  # re-raised on the stepping thread
+                worker.xi = exc
+
+        worker = Thread(target=fill)
+        worker.start()
+        return worker
+
+    worker = draw(0)
+    try:
         for start in range(0, n_steps, block):
-            xi = gaussian_increments(streams, min(block, n_steps - start), width, buf)
-            xi = xi.reshape((len(xi), -1) + shape)
+            worker.join()
+            xi = worker.xi
+            if isinstance(xi, BaseException):
+                raise xi
+            if start + block < n_steps:
+                worker = draw(start + block)
+            xi = xi.reshape((n_paths, -1) + shape)
             for j in range(xi.shape[1]):
-                state = step(state, xi[:, j], start + j)
-                if start + j + 1 in pos:
-                    values[rows, pos[start + j + 1]] = state
-    return values
-
-
-def _times(cfg: SimConfig) -> np.ndarray:
-    return cfg.dt * np.arange(cfg.n_steps + 1)
+                state = step(state, xi[:, j])
+                k = start + j + 1
+                if k % stride == 0 or k == n_steps:
+                    values[:, -(-k // stride)] = state
+    finally:
+        worker.join()
+    times = cfg.dt * np.append(np.arange(0, n_steps, stride), n_steps)
+    return PathBundle(times=times, values=values, seed=seed)
 
 
 def _check_step(p: EbmParams, dt):
@@ -185,7 +203,7 @@ def _ou_step(tau, Q, dt, noise_scale):
     """The `_run_paths` step of `simulate_ou`'s exact transition over dt."""
     decay = np.exp(-dt / tau)
     sd = noise_scale * np.sqrt(0.5 * (1.0 - np.exp(-2.0 * dt / tau)))
-    return lambda x, xi, k: Q + (x - Q) * decay + sd * xi
+    return lambda x, xi: Q + (x - Q) * decay + sd * xi
 
 
 def simulate_ou(tau, Q, x0, cfg: SimConfig, noise_scale=1.0) -> PathBundle:
@@ -196,10 +214,7 @@ def simulate_ou(tau, Q, x0, cfg: SimConfig, noise_scale=1.0) -> PathBundle:
         X_{k+1} = Q + (X_k - Q) e^{-dt/tau} + xi_k,
         xi_k ~ N(0, (1/2)(1 - e^{-2 dt/tau})).
     """
-    values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
-                        lambda B: np.full(B, float(x0)),
-                        _ou_step(tau, Q, cfg.dt, noise_scale))
-    return PathBundle(times=_times(cfg), values=values, seed=cfg.seed)
+    return _run_paths(cfg, x0, _ou_step(tau, Q, cfg.dt, noise_scale))
 
 
 def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig,
@@ -214,18 +229,15 @@ def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig,
     _check_step(p, cfg.dt)
     ou = _ou_step(p.tau, p.Q, cfg.dt, noise_scale)
 
-    def step(s, xi, k):
+    def step(s, xi):
         x, T = s[:, 0], s[:, 1]
         drift = x * co_albedo(T, p) + p.lam - (p.r0 + p.r1 * T)
-        return np.column_stack([ou(x, xi, k), T + cfg.dt * drift])
+        return np.column_stack([ou(x, xi), T + cfg.dt * drift])
 
-    values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
-                        lambda B: np.tile([float(x0), float(theta0)], (B, 1)),
-                        step)
-    times = _times(cfg)
-    xs, ts = np.moveaxis(values, 2, 0)
-    return (PathBundle(times=times, values=xs, seed=cfg.seed),
-            PathBundle(times=times, values=ts, seed=cfg.seed))
+    paths = _run_paths(cfg, [x0, theta0], step)
+    xs, ts = np.moveaxis(paths.values, 2, 0)
+    return (PathBundle(times=paths.times, values=xs, seed=cfg.seed),
+            PathBundle(times=paths.times, values=ts, seed=cfg.seed))
 
 
 @dataclass(frozen=True)
@@ -324,7 +336,7 @@ def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig,
     corrected = cfg.drift_form == "stratonovich-corrected"
     milstein = cfg.scheme == "milstein"
 
-    def step(T, xi, k):
+    def step(T, xi):
         beta = co_albedo(T, p)
         dbeta = co_albedo_slope(T, p)
         drift = balance_residual(T, p)
@@ -336,9 +348,7 @@ def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig,
             T = T + 0.5 * p.tau * beta * dbeta * (dW**2 - noise_scale**2 * cfg.dt)
         return T
 
-    values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
-                        lambda B: np.full(B, float(T0)), step)
-    return PathBundle(times=_times(cfg), values=values, seed=cfg.seed)
+    return _run_paths(cfg, T0, step)
 
 
 def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0,
@@ -350,7 +360,7 @@ def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0,
     sqrt_tau = np.sqrt(tau)
     milstein = cfg.scheme == "milstein"
 
-    def step(y, xi, k):
+    def step(y, xi):
         dW = noise_scale * sqrt_dt * xi
         sig = sigma0 + sigma1 * y
         y_new = y - cfg.dt * b * y + sqrt_tau * sig * dW
@@ -358,9 +368,7 @@ def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0,
             y_new = y_new + 0.5 * tau * sigma1 * sig * (dW**2 - noise_scale**2 * cfg.dt)
         return y_new
 
-    values = _run_paths(cfg.seed, cfg.n_paths, cfg.n_steps,
-                        lambda B: np.full(B, float(y0)), step)
-    return PathBundle(times=_times(cfg), values=values, seed=cfg.seed)
+    return _run_paths(cfg, y0, step)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,31 @@ class TestExitCodes:
                    "simulate", "--which", "reduced"])
         assert rc == EXIT_CONFIG
 
+    # Path arrays beyond the 128 TiB user address space: nothing is allocated.
+    @pytest.mark.parametrize("which, sim, need", [
+        ("anomaly-field", "n_steps = 1600\nn_paths = 10000000000\n",
+         "n_paths = 10000000000 paths of 1601 kept steps of d = 9 values "
+         "need 1152720000000000 bytes"),
+        ("reduced", "n_steps = 1000000000000\nn_paths = 1000\n",
+         "n_paths = 1000 paths of 1000000000001 kept steps of d = 1 values "
+         "need 8000000000008000 bytes"),
+        ("anomaly-0d", "n_steps = 100000000000000000000\nn_paths = 2\n",
+         "n_paths = 2 paths of 100000000000000000001 kept steps"),
+    ], ids=["field-paths", "reduced-steps", "anomaly0d-steps-overflow"])
+    def test_outsized_sim_is_a_config_error(self, tmp_path, capsys, which, sim,
+                                            need):
+        lam = _constant_profile_lam(280.0)
+        text = (_model_section(lam=lam) + _spatial_sections()
+                + "[sim]\ndt = 0.001\nseed = 1\n" + sim)
+        out = tmp_path / "o"
+        rc = main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
+                   "simulate", "--which", which])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error: [sim] " + need)
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_numerical_error(self, tmp_path):
         # dt (r1 + Q s) = 2.86 > 1: the explicit step is refused.
         cfg = _write_cfg(tmp_path, _model_section() + (

@@ -1,4 +1,7 @@
 import dataclasses
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -239,12 +242,12 @@ class TestWongZakai:
     def test_ladder_rungs_are_the_single_rung_loop(self, monkeypatch, per_batch):
         """On seeds 9-11, each rung's estimate lies within 3 combined SE of
         the loop that steps that tau alone on each path's first n normals,
-        and the ladder is the same bit for bit whatever the batch budget."""
+        and the ladder is the same bit for bit whatever the draw budget."""
         taus, t, x0, Q, n_paths = (0.1, 0.4, 0.025, 0.2), 1.0, 1.5, 0.3, 500
         unbatched = [se.wong_zakai_ladder(taus, t, x0, Q, n_paths, seed)
                      for seed in (9, 10, 11)]
         if per_batch is not None:
-            monkeypatch.setattr(se, "_BATCH_NORMALS", per_batch * 8000)
+            monkeypatch.setattr(se, "_DRAW_NORMALS", per_batch * 8000)
         for seed, expected in zip((9, 10, 11), unbatched):
             got = se.wong_zakai_ladder(taus, t, x0, Q, n_paths, seed)
             assert got == expected, seed
@@ -417,8 +420,9 @@ def _field_operators(n, kernel):
 
 
 def _runs():
-    """(run, n_paths, n_steps, normals per step) for every simulator; a
-    Wong-Zakai run takes one step a rung, drawing one normal a path each."""
+    """(run, n_paths, n_steps, normals per step) for every simulator, where
+    run(n) simulates n paths, n_paths by default; a Wong-Zakai run takes one
+    step a rung, drawing one normal a path each."""
     root = mc.select_root(mc.equilibrium_roots(DEFAULT))
     n_paths, n_steps = 7, 40
     cfg = se.SimConfig(dt=1e-3, n_steps=n_steps, n_paths=n_paths, seed=12)
@@ -430,29 +434,42 @@ def _runs():
     # Identity noise: the dW @ L^T product is then exact, whatever the row
     # count of the matrix product (see test_dense_noise_factor_batches).
     ops16 = _field_operators(5, "identity")
-    ops64 = _field_operators(9, "identity")  # drift summed by diagonals
+    ops64 = _field_operators(9, "identity")
+
+    def paths(c, n):
+        return dataclasses.replace(c, n_paths=n)
+
     return {
-        "ou": (lambda: se.simulate_ou(0.05, 1.0, 2.0, cfg).values,
-               n_paths, n_steps, 1),
-        "fast-slow": (lambda: np.stack([b.values for b in se.simulate_fast_slow(
-            DEFAULT, DEFAULT.Q, root.T_star, cfg)]), n_paths, n_steps, 1),
-        "reduced": (lambda: se.simulate_reduced_sde(
-            DEFAULT, root.T_star + 2.0, cfg).values, n_paths, n_steps, 1),
-        "reduced-milstein-stratonovich": (lambda: se.simulate_reduced_sde(
-            DEFAULT, root.T_star + 2.0, strat).values, n_paths, n_steps, 1),
-        "linear-anomaly-milstein": (lambda: se.simulate_linear_anomaly(
-            1.0, 0.5, 0.3, 0.1, 0.2, strat).values, n_paths, n_steps, 1),
-        "wong-zakai": (lambda: np.array(dataclasses.astuple(se.wong_zakai_error(
-            0.1, 0.5, 1.0, 0.0, n_paths=n_paths, seed=3))), n_paths, 1, 1),
-        "wong-zakai-ladder": (lambda: np.array([dataclasses.astuple(r) for r in (
-            se.wong_zakai_ladder((0.1, 0.025), 0.5, 1.0, 0.0, n_paths=n_paths,
-                                 seed=3))]), n_paths, 2, 1),
-        "field-d1": (lambda: sm.simulate_anomaly_field(ops1, field_cfg).values,
-                     n_paths, n_steps, 1),
-        "field-d16-stride": (lambda: sm.simulate_anomaly_field(
-            ops16, field_cfg, store_stride=7).values, n_paths, n_steps, 16),
-        "field-d64-stride": (lambda: sm.simulate_anomaly_field(
-            ops64, field_cfg, store_stride=7).values, n_paths, n_steps, 64),
+        "ou": (lambda n=n_paths: se.simulate_ou(
+            0.05, 1.0, 2.0, paths(cfg, n)).values, n_paths, n_steps, 1),
+        "fast-slow": (lambda n=n_paths: np.stack([
+            b.values for b in se.simulate_fast_slow(
+                DEFAULT, DEFAULT.Q, root.T_star, paths(cfg, n))]),
+            n_paths, n_steps, 1),
+        "reduced": (lambda n=n_paths: se.simulate_reduced_sde(
+            DEFAULT, root.T_star + 2.0, paths(cfg, n)).values,
+            n_paths, n_steps, 1),
+        "reduced-milstein-stratonovich": (lambda n=n_paths: se.simulate_reduced_sde(
+            DEFAULT, root.T_star + 2.0, paths(strat, n)).values,
+            n_paths, n_steps, 1),
+        "linear-anomaly-milstein": (lambda n=n_paths: se.simulate_linear_anomaly(
+            1.0, 0.5, 0.3, 0.1, 0.2, paths(strat, n)).values,
+            n_paths, n_steps, 1),
+        "wong-zakai": (lambda n=n_paths: np.array(dataclasses.astuple(
+            se.wong_zakai_error(0.1, 0.5, 1.0, 0.0, n_paths=n, seed=3))),
+            n_paths, 1, 1),
+        "wong-zakai-ladder": (lambda n=n_paths: np.array([
+            dataclasses.astuple(r) for r in se.wong_zakai_ladder(
+                (0.1, 0.025), 0.5, 1.0, 0.0, n_paths=n, seed=3)]),
+            n_paths, 2, 1),
+        "field-d1": (lambda n=n_paths: sm.simulate_anomaly_field(
+            ops1, paths(field_cfg, n)).values, n_paths, n_steps, 1),
+        "field-d16-stride": (lambda n=n_paths: sm.simulate_anomaly_field(
+            ops16, paths(field_cfg, n), store_stride=7).values,
+            n_paths, n_steps, 16),
+        "field-d64-stride": (lambda n=n_paths: sm.simulate_anomaly_field(
+            ops64, paths(field_cfg, n), store_stride=7).values,
+            n_paths, n_steps, 64),
     }
 
 
@@ -462,28 +479,79 @@ RUNS = _runs()
 def _dense_field_run():
     ops = _field_operators(5, "exponential")
     cfg = se.SimConfig(dt=2e-4, n_steps=40, n_paths=7, seed=12)
-    return (lambda: sm.simulate_anomaly_field(ops, cfg, store_stride=7).values,
-            7, 40, ops.d)
+    return (lambda n=7: sm.simulate_anomaly_field(
+        ops, dataclasses.replace(cfg, n_paths=n), store_stride=7).values,
+        7, 40, ops.d)
 
 
-# With a dense noise factor only the batch boundaries must stay put.
+# A dense noise factor: the BLAS product dW @ L^T rounds by its row count.
 DRAW_RUNS = {**RUNS, "field-d16-dense": _dense_field_run()}
 
 # The Wong-Zakai runs draw their few normals a path in one call, outside the
-# batched draws whose budgets the budget test checks.
+# kernel's draw blocks whose budgets the budget test checks.
 BUDGET_RUNS = {name: run for name, run in DRAW_RUNS.items()
                if not name.startswith("wong-zakai")}
+
+# The path axis of each run's result; the Wong-Zakai runs return ensemble
+# statistics, which have none.
+PATH_AXIS = {name: 1 if name == "fast-slow" else
+             None if name.startswith("wong-zakai") else 0 for name in DRAW_RUNS}
+
+
+def _recording_draws(monkeypatch):
+    """Replace gaussian_increments by one that also keeps a copy of each
+    draw and the buffer it filled; returns the (draws, buffers) lists."""
+    draws, buffers = [], []
+    draw = se.gaussian_increments
+
+    def recording(streams, n, columns=1, out=None):
+        got = draw(streams, n, columns, out)
+        draws.append(got.copy())
+        buffers.append(out)
+        return got
+
+    monkeypatch.setattr(se, "gaussian_increments", recording)
+    return draws, buffers
+
+
+class _InlineThread:
+    """threading.Thread's start/join, with the target run inside start()."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def start(self):
+        self.target()
+
+    def join(self):
+        pass
 
 
 class TestPathKernel:
     @pytest.mark.parametrize("per_batch", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_batch_layout_invariance(self, monkeypatch, name, per_batch):
-        """Batches of 1-3 paths give the default run bit for bit."""
-        run, _, n_steps, width = RUNS[name]
+        """A path does not depend on the paths run beside it: a run of
+        per_batch + 1 paths draws the first per_batch + 1 paths' normals of
+        the default run, and gives their trajectories, bit for bit where the
+        step acts on each row alone and to rounding where a d > 1 field's
+        BLAS products round by their row count."""
+        run, n_paths, _, _ = RUNS[name]
+        draws, _ = _recording_draws(monkeypatch)
         expected = run()
-        monkeypatch.setattr(se, "_BATCH_NORMALS", per_batch * n_steps * width)
-        np.testing.assert_array_equal(run(), expected)
+        full = np.concatenate(draws, axis=1)
+        draws.clear()
+        n = per_batch + 1
+        got = run(n)
+        np.testing.assert_array_equal(np.concatenate(draws, axis=1), full[:n])
+        axis = PATH_AXIS[name]
+        if axis is None:
+            return
+        head = np.take(expected, range(n), axis=axis)
+        if name.startswith("field") and name != "field-d1":
+            np.testing.assert_allclose(got, head, rtol=1e-12, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(got, head)
 
     @pytest.mark.parametrize("per_draw", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(DRAW_RUNS))
@@ -494,38 +562,95 @@ class TestPathKernel:
         monkeypatch.setattr(se, "_DRAW_NORMALS", per_draw * n_paths * width)
         np.testing.assert_array_equal(run(), expected)
 
-    def test_dense_noise_factor_batches(self, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(DRAW_RUNS))
+    def test_inline_draws_are_the_threaded_draws(self, monkeypatch, name):
+        """Drawing each block on the stepping thread, inside start(), gives
+        the threaded run bit for bit: no result depends on thread timing."""
+        run, _, _, _ = DRAW_RUNS[name]
+        expected = run()
+        monkeypatch.setattr(se, "Thread", _InlineThread)
+        np.testing.assert_array_equal(run(), expected)
+
+    @pytest.mark.parametrize("name", ["ou", "field-d16-dense"])
+    def test_draw_ahead_under_a_short_switch_interval(self, monkeypatch, name):
+        """With one step a block and a thread switch every microsecond, the
+        draw-ahead still gives the run bit for bit, and leaves no thread."""
+        run, n_paths, _, width = DRAW_RUNS[name]
+        expected = run()
+        monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * n_paths * width)
+        before, interval = threading.enumerate(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run()
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(got, expected)
+        assert threading.enumerate() == before
+
+    def test_dense_noise_factor_batches(self):
         """With a dense L the BLAS product dW @ L^T may round differently
-        for another row count, so other batch sizes agree only to rounding."""
-        ops = _field_operators(5, "exponential")
-        cfg = se.SimConfig(dt=2e-4, n_steps=40, n_paths=7, seed=12)
-        expected = sm.simulate_anomaly_field(ops, cfg, store_stride=7).values
-        monkeypatch.setattr(se, "_BATCH_NORMALS", 2 * 40 * ops.d)
-        got = sm.simulate_anomaly_field(ops, cfg, store_stride=7).values
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+        for another row count, so a run of fewer paths gives the first
+        paths of the default run only to rounding."""
+        run, _, _, _ = DRAW_RUNS["field-d16-dense"]
+        np.testing.assert_allclose(run(2), run()[:2], rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("name", sorted(BUDGET_RUNS))
     def test_draws_stay_within_the_budget(self, monkeypatch, name):
-        """Batches of 2 paths each draw into one buffer of 3 steps: no draw
-        and no buffer exceeds the draw budget, which is below the batch
-        budget, and every normal is drawn once."""
+        """Blocks of 3 steps go to two buffers in turn, each within half the
+        draw budget, and every normal is drawn once."""
         run, n_paths, n_steps, width = BUDGET_RUNS[name]
-        batch_budget = 2 * n_steps * width + 1
-        draw_budget = 3 * 2 * width + 1
-        monkeypatch.setattr(se, "_BATCH_NORMALS", batch_budget)
+        draw_budget = 2 * 3 * n_paths * width + 1
         monkeypatch.setattr(se, "_DRAW_NORMALS", draw_budget)
-        sizes, buffers = [], []
+        draws, buffers = _recording_draws(monkeypatch)
+        run()
+        assert max(b.size for b in buffers) <= draw_budget // 2
+        ids = [id(b) for b in buffers]
+        assert len(set(ids)) == 2
+        assert all(a != b for a, b in zip(ids, ids[1:]))  # alternating
+        assert sum(d.size for d in draws) == n_paths * n_steps * width
+
+    def test_draw_and_step_failures_propagate(self, monkeypatch):
+        """An exception in a draw, and one in a step while the next block is
+        drawn, reaches the caller with its type unchanged, and no thread
+        outlives the call."""
+        monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * 2 * 3)  # 2 steps a block
+        cfg = se.SimConfig(dt=0.01, n_steps=40, n_paths=3)
+        before = threading.enumerate()
         draw = se.gaussian_increments
 
-        def recording(streams, n, columns=1, out=None):
-            got = draw(streams, n, columns, out)
-            sizes.append(got.size)
-            buffers.append(out)
-            return got
+        class DrawFailed(Exception):
+            pass
 
-        monkeypatch.setattr(se, "gaussian_increments", recording)
-        run()
-        assert max(sizes) <= draw_budget <= batch_budget
-        assert max(b.size for b in buffers) <= draw_budget
-        assert len({id(b) for b in buffers}) == -(-n_paths // 2)  # one a batch
-        assert sum(sizes) == n_paths * n_steps * width
+        def failing(streams, n, columns=1, out=None):
+            if failing.calls == 2:
+                raise DrawFailed
+            failing.calls += 1
+            return draw(streams, n, columns, out)
+
+        failing.calls = 0
+        monkeypatch.setattr(se, "gaussian_increments", failing)
+        with pytest.raises(DrawFailed):
+            se._run_paths(cfg, 0.0, lambda state, xi: state + xi)
+        assert threading.enumerate() == before
+
+        def slow(streams, n, columns=1, out=None):  # still running at the failure
+            time.sleep(0.05)
+            return draw(streams, n, columns, out)
+
+        monkeypatch.setattr(se, "gaussian_increments", slow)
+
+        class StepFailed(Exception):
+            pass
+
+        steps = []
+
+        def step(state, xi):
+            steps.append(xi)
+            if len(steps) == 5:
+                raise StepFailed
+            return state + xi
+
+        with pytest.raises(StepFailed):
+            se._run_paths(cfg, 0.0, step)
+        assert len(steps) == 5
+        assert threading.enumerate() == before

@@ -314,21 +314,27 @@ class TestOperators:
 
 
 class TestAnomalySimulation:
-    @pytest.mark.parametrize("n", [5, 9, 16], ids=["d16", "d64", "d225"])
-    def test_drift_products_are_the_dense_row_sums(self, n):
-        """The drift's row products, by einsum at d = 16 and by M's five
-        nonzero diagonals at d = 64 and 225, equal the dense row sums bit
-        for bit, whatever the batch's row count, and so do a dense M's."""
+    @pytest.mark.parametrize("n, route", [(5, "blas"), (9, "blas"), (16, "blas"),
+                                          (31, "diagonals")],
+                             ids=["d16", "d64", "d225", "d900"])
+    def test_drift_products_are_the_dense_row_sums(self, n, route):
+        """The drift's row products are BLAS's y @ M up to d = 225 and, at
+        d = 900, sums over M's five nonzero diagonals, which equal the dense
+        row sums bit for bit whatever the batch's row count; a dense M's
+        products are BLAS's."""
         ops = _default_operators(n, n)
         Y = np.random.default_rng(6).standard_normal((5, ops.d))
-        expected = np.einsum("bi,ij->bj", Y, ops.M)
         product = sm._row_products(ops.M)
-        np.testing.assert_array_equal(product(Y), expected)
-        for row in range(len(Y)):
-            np.testing.assert_array_equal(product(Y[row:row + 1])[0], expected[row])
+        if route == "blas":
+            np.testing.assert_array_equal(product(Y), Y @ ops.M)
+        else:
+            expected = np.einsum("bi,ij->bj", Y, ops.M)
+            np.testing.assert_array_equal(product(Y), expected)
+            for row in range(len(Y)):
+                np.testing.assert_array_equal(product(Y[row:row + 1])[0],
+                                              expected[row])
         dense = ops.M + 1e-3
-        np.testing.assert_array_equal(sm._row_products(dense)(Y),
-                                      np.einsum("bi,ij->bj", Y, dense))
+        np.testing.assert_array_equal(sm._row_products(dense)(Y), Y @ dense)
 
     def test_zero_noise_matches_matrix_exponential(self):
         from scipy.linalg import expm
