@@ -66,16 +66,42 @@ def _table(header: str, rows):
 
 def _write(outdir: Path, name: str, payload) -> Path:
     """Write text, or buffers (a list, or the lines of `_table`) one after
-    another, never joined."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    another, never joined.  An OSError, such as an --out that cannot be
+    made, is a ConfigError naming the path."""
     path = outdir / name
-    if isinstance(payload, str):
-        path.write_text(payload)
-    else:
-        with open(path, "wb") as fh:
-            for part in payload:
-                fh.write(part)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        if isinstance(payload, str):
+            path.write_text(payload)
+        else:
+            with open(path, "wb") as fh:
+                for part in payload:
+                    fh.write(part)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
+
+
+def _write_behind(outdir: Path, name: str, payload):
+    """`_write` started on a thread; the returned function waits for it and
+    re-raises its exception, with its type unchanged."""
+    error = []
+
+    def write():
+        try:
+            _write(outdir, name, payload)
+        except BaseException as exc:  # re-raised by wait()
+            error.append(exc)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+
+    def wait():
+        writer.join()
+        if error:
+            raise error[0]
+
+    return wait
 
 
 def _json(obj) -> str:
@@ -204,13 +230,21 @@ def _mean_square_norm(values):
 
 
 def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
+    """The paths of the `--which` simulator, with their moments; for the
+    anomaly field, the path dump and the trace of the mean square field.
+    The field's dump is written on a thread while this one reduces the
+    traces, and is complete before the traces are written."""
     p = model_params(cfg)
     s = sim_config(cfg, seed_override=args.seed)
     if args.which == "anomaly-field":
         bundle = sm.simulate_anomaly_field(_operators(cfg, p), s)
-        _write(outdir, "anomaly_field.bin", bundle.binary_parts())
+        wait = _write_behind(outdir, "anomaly_field.bin", bundle.binary_parts())
+        try:
+            traces = _mean_square_norm(bundle.values)
+        finally:
+            wait()
         _write(outdir, "anomaly_field_trace.csv", _table(
-            "time,mc_trace", zip(bundle.times, _mean_square_norm(bundle.values))))
+            "time,mc_trace", zip(bundle.times, traces)))
         return EXIT_OK
 
     root = mc.select_root(mc.equilibrium_roots(p))

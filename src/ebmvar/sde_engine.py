@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from threading import Thread
+from threading import Event, Lock, Thread
 
 import numpy as np
 
@@ -131,19 +131,93 @@ def gaussian_increments(streams, n, columns=1, out=None):
 
 # Normals of the two draw buffers together: each holds this many // 2 //
 # (n_paths * normals per step) steps, and at least one.  Philox draws taken
-# in pieces are the draws taken at once, so this sets memory only.
-_DRAW_NORMALS = 1 << 20
+# in pieces are the draws taken at once, so this sets memory and the length
+# of each stream's draw call (about 2100 normals at 1000 paths of d = 16),
+# never a value.
+_DRAW_NORMALS = 1 << 22
+
+# Streams one draw call fills: the unit of a block's draw that its two
+# threads share.
+_DRAW_STREAMS = 64
+
+
+class _Cursor:
+    """The first rows of a block's chunks of streams, an iterator that
+    threads share: each chunk goes to the one thread that asks first."""
+
+    def __init__(self, n_paths):
+        self.starts = iter(range(0, n_paths, _DRAW_STREAMS))
+        self.lock = Lock()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        with self.lock:
+            return next(self.starts)
+
+
+def draw_chunks(streams, out, cursor, started=None):
+    """Fill the rows of `out`, shape (len(streams), steps, width), with
+    their streams' next normals, one `gaussian_increments` call for each
+    chunk of `_DRAW_STREAMS` rows that `cursor` hands this thread.  The
+    Event `started`, when given, is set first, and the starter of a helper
+    thread waits for it: the helper's draws then all run inside one call
+    that began while its starter was still in its own caller, where a
+    tracer that files a new thread's calls under its starter's current
+    call nests them."""
+    if started is not None:
+        started.set()
+    steps, width = out.shape[1:]
+    for lo in cursor:
+        hi = lo + _DRAW_STREAMS
+        gaussian_increments(streams[lo:hi], steps, width, out[lo:hi])
+
+
+class _BlockDraw:
+    """The draw of one block of steps into `out`, shape (n_paths, steps,
+    width), shared through one `_Cursor` by a helper thread, started here,
+    and the thread that calls `finish`."""
+
+    def __init__(self, streams, out):
+        self.streams, self.out, self.error = streams, out, None
+        self.cursor = _Cursor(len(streams))
+        started = Event()
+        self.helper = Thread(target=self.help, args=(started,))
+        self.helper.start()
+        started.wait()
+
+    def help(self, started):
+        try:
+            draw_chunks(self.streams, self.out, self.cursor, started)
+        except BaseException as exc:  # re-raised by finish()
+            self.error = exc
+        started.set()
+
+    def finish(self):
+        """The drawn block, once this thread has drawn the chunks left and
+        the helper has ended; a failed draw raises its exception here."""
+        try:
+            draw_chunks(self.streams, self.out, self.cursor)
+        finally:
+            self.helper.join()
+        if self.error is not None:
+            raise self.error
+        return self.out
 
 
 def _run_paths(cfg: SimConfig, x0, step, shape=(), stride=1) -> PathBundle:
     """`cfg.n_paths` paths from the state `x0`, run as one batch through
     `cfg.n_steps` calls of `step(state, xi)`, where `xi`, shape (n_paths,) +
     `shape`, holds each path's next standard normals from its own stream;
-    every `stride`-th state and the last are kept.  A helper thread draws
-    the next block of steps into one of two buffers while this thread steps
-    the current block from the other, each stream in block order, and no
-    draw outlives the call.  The values, shape (n_paths, kept states) +
-    x0.shape, are allocated first: a ConfigError when they cannot be."""
+    every `stride`-th state and the last are kept.  Steps are drawn in
+    blocks, into two buffers in turn.  A helper thread starts drawing the
+    next block while this thread steps the current one; this thread then
+    draws the chunks of streams the helper has not taken (`_BlockDraw`) and
+    waits for it.  Each stream is drawn by one thread at a time, in block
+    order, and no draw outlives the call.  The values, shape (n_paths, kept
+    states) + x0.shape, are allocated first: a ConfigError when they
+    cannot be."""
     seed, n_paths, n_steps = cfg.seed, cfg.n_paths, cfg.n_steps
     x0 = np.asarray(x0, dtype=float)
     width = math.prod(shape)
@@ -161,26 +235,14 @@ def _run_paths(cfg: SimConfig, x0, step, shape=(), stride=1) -> PathBundle:
     bufs = [np.empty((n_paths, block, width)) for _ in range(2)]
 
     def draw(start):  # starts drawing the block from step `start`
-        def fill():
-            try:
-                worker.xi = gaussian_increments(streams, min(block, n_steps - start),
-                                                width, bufs[start // block % 2])
-            except BaseException as exc:  # re-raised on the stepping thread
-                worker.xi = exc
+        return _BlockDraw(streams, bufs[start // block % 2][:, :n_steps - start])
 
-        worker = Thread(target=fill)
-        worker.start()
-        return worker
-
-    worker = draw(0)
+    pending = draw(0)
     try:
         for start in range(0, n_steps, block):
-            worker.join()
-            xi = worker.xi
-            if isinstance(xi, BaseException):
-                raise xi
+            xi = pending.finish()
             if start + block < n_steps:
-                worker = draw(start + block)
+                pending = draw(start + block)
             xi = xi.reshape((n_paths, -1) + shape)
             for j in range(xi.shape[1]):
                 state = step(state, xi[:, j])
@@ -188,7 +250,7 @@ def _run_paths(cfg: SimConfig, x0, step, shape=(), stride=1) -> PathBundle:
                 if k % stride == 0 or k == n_steps:
                     values[:, -(-k // stride)] = state
     finally:
-        worker.join()
+        pending.helper.join()
     times = cfg.dt * np.append(np.arange(0, n_steps, stride), n_steps)
     return PathBundle(times=times, values=values, seed=seed)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,27 @@ class TestExitCodes:
         assert err.startswith("config error: [sim] " + need)
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", [
+        ["spatial-stationary"], ["simulate", "--which", "anomaly-field"]],
+        ids=["spatial-stationary", "anomaly-field"])
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, command):
+        """An --out below a regular file cannot be made: exit 2, naming the
+        path, with no traceback from this thread or the dump's writer."""
+        lam = _constant_profile_lam(280.0)
+        text = (_model_section(lam=lam) + _spatial_sections()
+                + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 2\nseed = 4\n")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "o"
+        before = threading.enumerate()
+        rc = main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
+                   *command])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith(f"config error: cannot write {out}")
+        assert "Traceback" not in err
+        assert threading.enumerate() == before
 
     def test_numerical_error(self, tmp_path):
         # dt (r1 + Q s) = 2.86 > 1: the explicit step is refused.
@@ -472,6 +494,35 @@ class TestSimulate:
                                         for t, tr in zip(bundle.times, traces)]
         assert ((out / "anomaly_field_trace.csv").read_text()
                 == "\n".join(expected) + "\n")
+
+    def test_anomaly_field_dump_failure_reaches_the_caller(self, tmp_path,
+                                                          monkeypatch):
+        """An exception in the thread that writes anomaly_field.bin reaches
+        the caller with its type unchanged, no trace file is written, and
+        the writer does not outlive the command."""
+        from ebmvar import cli
+
+        class DumpFailed(Exception):
+            pass
+
+        write = cli._write
+
+        def failing(outdir, name, payload):
+            if name == "anomaly_field.bin":
+                raise DumpFailed
+            return write(outdir, name, payload)
+
+        monkeypatch.setattr(cli, "_write", failing)
+        lam = _constant_profile_lam(280.0)
+        text = (_model_section(lam=lam) + _spatial_sections()
+                + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 2\nseed = 4\n")
+        out = tmp_path / "o"
+        before = threading.enumerate()
+        with pytest.raises(DumpFailed):
+            main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
+                  "simulate", "--which", "anomaly-field"])
+        assert not (out / "anomaly_field_trace.csv").exists()
+        assert threading.enumerate() == before
 
 
 class TestSpatialStationary:

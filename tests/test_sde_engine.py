@@ -484,8 +484,17 @@ def _dense_field_run():
         7, 40, ops.d)
 
 
+def _chunked_field_run():
+    ops = _field_operators(5, "exponential")
+    cfg = se.SimConfig(dt=2e-4, n_steps=40, n_paths=150, seed=12)
+    return (lambda: sm.simulate_anomaly_field(ops, cfg).values, 150, 40, ops.d)
+
+
 # A dense noise factor: the BLAS product dW @ L^T rounds by its row count.
-DRAW_RUNS = {**RUNS, "field-d16-dense": _dense_field_run()}
+# The 150-path run's blocks are three chunks of streams, the last ragged
+# (64, 64 and 22 streams), which the two drawing threads share.
+DRAW_RUNS = {**RUNS, "field-d16-dense": _dense_field_run(),
+             "field-d16-150-paths": _chunked_field_run()}
 
 # The Wong-Zakai runs draw their few normals a path in one call, outside the
 # kernel's draw blocks whose budgets the budget test checks.
@@ -500,28 +509,31 @@ PATH_AXIS = {name: 1 if name == "fast-slow" else
 
 def _recording_draws(monkeypatch):
     """Replace gaussian_increments by one that also keeps a copy of each
-    draw and the buffer it filled; returns the (draws, buffers) lists."""
-    draws, buffers = [], []
+    draw and the `out` it filled, in the order the calls end on any thread;
+    returns the (draws, outs) lists."""
+    draws, outs = [], []
     draw = se.gaussian_increments
+    lock = threading.Lock()
 
     def recording(streams, n, columns=1, out=None):
         got = draw(streams, n, columns, out)
-        draws.append(got.copy())
-        buffers.append(out)
+        with lock:
+            draws.append(got.copy())
+            outs.append(out)
         return got
 
     monkeypatch.setattr(se, "gaussian_increments", recording)
-    return draws, buffers
+    return draws, outs
 
 
 class _InlineThread:
     """threading.Thread's start/join, with the target run inside start()."""
 
-    def __init__(self, target):
-        self.target = target
+    def __init__(self, target, args=()):
+        self.target, self.args = target, args
 
     def start(self):
-        self.target()
+        self.target(*self.args)
 
     def join(self):
         pass
@@ -571,7 +583,26 @@ class TestPathKernel:
         monkeypatch.setattr(se, "Thread", _InlineThread)
         np.testing.assert_array_equal(run(), expected)
 
-    @pytest.mark.parametrize("name", ["ou", "field-d16-dense"])
+    @pytest.mark.parametrize("name", sorted(DRAW_RUNS))
+    def test_stepping_thread_draws_are_the_threaded_draws(self, monkeypatch,
+                                                          name):
+        """A helper that takes no chunk leaves every chunk of every block to
+        the stepping thread, which gives the threaded run bit for bit."""
+        run, _, _, _ = DRAW_RUNS[name]
+        expected = run()
+        draw_chunks = se.draw_chunks
+
+        def idle_helper(streams, out, cursor, started=None):
+            if started is None:  # the stepping thread's share
+                draw_chunks(streams, out, cursor)
+            else:
+                started.set()
+
+        monkeypatch.setattr(se, "draw_chunks", idle_helper)
+        np.testing.assert_array_equal(run(), expected)
+
+    @pytest.mark.parametrize("name", ["ou", "field-d16-dense",
+                                      "field-d16-150-paths"])
     def test_draw_ahead_under_a_short_switch_interval(self, monkeypatch, name):
         """With one step a block and a thread switch every microsecond, the
         draw-ahead still gives the run bit for bit, and leaves no thread."""
@@ -597,22 +628,33 @@ class TestPathKernel:
     @pytest.mark.parametrize("name", sorted(BUDGET_RUNS))
     def test_draws_stay_within_the_budget(self, monkeypatch, name):
         """Blocks of 3 steps go to two buffers in turn, each within half the
-        draw budget, and every normal is drawn once."""
+        draw budget, and every normal is drawn once.  A draw call fills one
+        chunk of a block's streams; its buffer is the call's `out.base`."""
         run, n_paths, n_steps, width = BUDGET_RUNS[name]
         draw_budget = 2 * 3 * n_paths * width + 1
         monkeypatch.setattr(se, "_DRAW_NORMALS", draw_budget)
-        draws, buffers = _recording_draws(monkeypatch)
+        draws, outs = _recording_draws(monkeypatch)
         run()
+        buffers = [out.base for out in outs]
         assert max(b.size for b in buffers) <= draw_budget // 2
         ids = [id(b) for b in buffers]
         assert len(set(ids)) == 2
-        assert all(a != b for a, b in zip(ids, ids[1:]))  # alternating
+        # Alternating by block: each block's calls, which end before the
+        # next block's begin, fill one buffer, and the next the other.
+        starts = [0] + [i for i in range(1, len(ids)) if ids[i] != ids[i - 1]]
+        assert len(starts) == -(-n_steps // 3)
+        for lo, hi in zip(starts, starts[1:] + [len(ids)]):
+            rows = np.concatenate([
+                (out.ctypes.data - out.base.ctypes.data) // out.base.strides[0]
+                + np.arange(len(out)) for out in outs[lo:hi]])
+            np.testing.assert_array_equal(np.sort(rows), np.arange(n_paths))
         assert sum(d.size for d in draws) == n_paths * n_steps * width
 
     def test_draw_and_step_failures_propagate(self, monkeypatch):
-        """An exception in a draw, and one in a step while the next block is
-        drawn, reaches the caller with its type unchanged, and no thread
-        outlives the call."""
+        """An exception in the helper's draw, one in the stepping thread's
+        share of a draw, and one in a step while the next block is drawn,
+        reaches the caller with its type unchanged, and no thread outlives
+        the call."""
         monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * 2 * 3)  # 2 steps a block
         cfg = se.SimConfig(dt=0.01, n_steps=40, n_paths=3)
         before = threading.enumerate()
@@ -631,6 +673,25 @@ class TestPathKernel:
         monkeypatch.setattr(se, "gaussian_increments", failing)
         with pytest.raises(DrawFailed):
             se._run_paths(cfg, 0.0, lambda state, xi: state + xi)
+        assert threading.enumerate() == before
+
+        # A failure in the stepping thread's share of a draw.  With one
+        # stream a chunk, the helper holds its first chunk until this
+        # thread has taken another and failed, so this thread takes one.
+        monkeypatch.setattr(se, "_DRAW_STREAMS", 1)
+        caller, failed = threading.current_thread(), threading.Event()
+
+        def shared(streams, n, columns=1, out=None):
+            if threading.current_thread() is caller:
+                failed.set()
+                raise DrawFailed
+            failed.wait(5.0)
+            return draw(streams, n, columns, out)
+
+        monkeypatch.setattr(se, "gaussian_increments", shared)
+        with pytest.raises(DrawFailed):
+            se._run_paths(cfg, 0.0, lambda state, xi: state + xi)
+        assert failed.is_set()
         assert threading.enumerate() == before
 
         def slow(streams, n, columns=1, out=None):  # still running at the failure
