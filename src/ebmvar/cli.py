@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +67,21 @@ def _table(header: str, rows):
         yield (",".join(map(_cell, row)) + "\n").encode()
 
 
+@contextmanager
+def _writing(path: Path):
+    """An OSError inside, such as an --out that cannot be made, is a
+    ConfigError naming `path`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write(outdir: Path, name: str, payload) -> Path:
     """Write text, or buffers (a list, or the lines of `_table`) one after
-    another, never joined.  An OSError, such as an --out that cannot be
-    made, is a ConfigError naming the path."""
+    another, never joined; an OSError is a ConfigError (`_writing`)."""
     path = outdir / name
-    try:
+    with _writing(path):
         outdir.mkdir(parents=True, exist_ok=True)
         if isinstance(payload, str):
             path.write_text(payload)
@@ -77,31 +89,68 @@ def _write(outdir: Path, name: str, payload) -> Path:
             with open(path, "wb") as fh:
                 for part in payload:
                     fh.write(part)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
 
 
-def _write_behind(outdir: Path, name: str, payload):
-    """`_write` started on a thread; the returned function waits for it and
-    re-raises its exception, with its type unchanged."""
-    error = []
+def _pwrite(fd, data, offset):
+    """All of `data`'s bytes into file `fd` from `offset`."""
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
 
-    def write():
-        try:
-            _write(outdir, name, payload)
-        except BaseException as exc:  # re-raised by wait()
-            error.append(exc)
 
-    writer = threading.Thread(target=write)
-    writer.start()
+@contextmanager
+def _field_dump(outdir: Path, sim, d, stride=1):
+    """A sink for `simulate_anomaly_field`'s run of `sim`, keeping every
+    `stride`-th state, that writes the run as it goes, with the kept times
+    and the traces it fills: the mean square field at each time.
 
-    def wait():
-        writer.join()
-        if error:
-            raise error[0]
+    anomaly_field.bin is made on entry, once the disk has room for its
+    values, with its header and times.  The sink writes each path's run of
+    kept states at its place in the dump's path-major layout, so the file
+    is the bundle's `to_binary()`, and adds their squared norms into the
+    traces path after path, the order of numpy's axis-0 sum, so the traces
+    are (values**2).sum(2).mean(0) bit for bit.  An OSError is a
+    ConfigError (`_writing`), and a run that fails removes the file."""
+    path = outdir / "anomaly_field.bin"
+    n_paths, n_times = sim.n_paths, -(-sim.n_steps // stride) + 1
+    need = 8 * n_paths * n_times * d
+    with _writing(path):
+        outdir.mkdir(parents=True, exist_ok=True)
+        free = shutil.disk_usage(outdir).free
+        if path.exists():  # truncated when opened
+            free += path.stat().st_size
+        if need > free:
+            raise ConfigError(
+                f"[sim] n_paths = {n_paths} paths of {n_times} kept steps of "
+                f"d = {d} values need {need} bytes, more than the {free} free "
+                f"at {outdir}")
+    head = sde.binary_header(n_paths, n_times, d, sim.seed)
+    body = len(head) + 8 * n_times  # where path 0's states begin
+    times, traces = sde.kept_times(sim, stride), np.empty(n_times)
+    with _writing(path):
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
 
-    return wait
+    def sink(first, states):
+        for k, run in enumerate(states.astype("<f8", copy=False)):
+            _pwrite(fd, run, body + 8 * d * (k * n_times + first))
+        sq = (states ** 2).sum(axis=2)
+        # accumulate adds row after row whatever the shape; a one-column
+        # sum would add its rows pairwise.
+        traces[first:first + sq.shape[1]] = np.add.accumulate(sq)[-1] / n_paths
+
+    try:
+        with _writing(path):
+            try:
+                _pwrite(fd, head, 0)
+                _pwrite(fd, times.astype("<f8"), len(head))
+                yield sink, times, traces
+            finally:
+                os.close(fd)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _json(obj) -> str:
@@ -210,41 +259,20 @@ def _operators(cfg: ExperimentConfig, p) -> sm.SpatialOperators:
     return sm.build_operators(grid, T_star, Q_field, p, noise)
 
 
-# Path values squared at a time when the field traces are reduced: whole
-# paths, and at least one.
-_TRACE_VALUES = 1 << 20
-
-
-def _mean_square_norm(values):
-    """(values ** 2).sum(axis=2).mean(axis=0), bit for bit, squaring a block
-    of paths at a time.  numpy sums over axis 0 one row after another, so
-    adding the running total to a block's first row keeps that order."""
-    block = max(1, _TRACE_VALUES // values[0].size)
-    total = None
-    for lo in range(0, values.shape[0], block):
-        sq = (values[lo:lo + block] ** 2).sum(axis=2)
-        if total is not None:
-            sq[0] += total
-        total = sq.sum(axis=0)
-    return total / values.shape[0]
-
-
 def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
     """The paths of the `--which` simulator, with their moments; for the
-    anomaly field, the path dump and the trace of the mean square field.
-    The field's dump is written on a thread while this one reduces the
-    traces, and is complete before the traces are written."""
+    anomaly field, the path dump and the trace of the mean square field,
+    both reduced from each block of states as the run makes it
+    (`_field_dump`): no path array is held, so disk, not memory, bounds the
+    run's length."""
     p = model_params(cfg)
     s = sim_config(cfg, seed_override=args.seed)
     if args.which == "anomaly-field":
-        bundle = sm.simulate_anomaly_field(_operators(cfg, p), s)
-        wait = _write_behind(outdir, "anomaly_field.bin", bundle.binary_parts())
-        try:
-            traces = _mean_square_norm(bundle.values)
-        finally:
-            wait()
+        ops = _operators(cfg, p)
+        with _field_dump(outdir, s, ops.d) as (sink, times, traces):
+            sm.simulate_anomaly_field(ops, s, sink=sink)
         _write(outdir, "anomaly_field_trace.csv", _table(
-            "time,mc_trace", zip(bundle.times, traces)))
+            "time,mc_trace", zip(times, traces)))
         return EXIT_OK
 
     root = mc.select_root(mc.equilibrium_roots(p))

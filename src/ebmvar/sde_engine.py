@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from threading import Event, Lock, Thread
 
@@ -82,13 +83,9 @@ class PathBundle:
     def binary_parts(self) -> list:
         """The little-endian float64 dump with a shape/seed header, as its
         three buffers in file order (header, times, values), uncopied."""
-        if self.values.ndim == 2:
-            n_paths, n_times = self.values.shape
-            d = 0
-        else:
-            n_paths, n_times, d = self.values.shape
-        head = _MAGIC + struct.pack("<qqqq", n_paths, n_times, d, self.seed)
-        return [head, np.ascontiguousarray(self.times, dtype="<f8"),
+        n_paths, n_times, *d = self.values.shape
+        return [binary_header(n_paths, n_times, d[0] if d else 0, self.seed),
+                np.ascontiguousarray(self.times, dtype="<f8"),
                 np.ascontiguousarray(self.values, dtype="<f8")]
 
     def to_binary(self) -> bytes:
@@ -110,17 +107,40 @@ class PathBundle:
         return cls(times=times, values=vals.reshape(shape), seed=seed)
 
 
+def binary_header(n_paths, n_times, d, seed) -> bytes:
+    """The 40-byte header of a path dump: magic, shape (d = 0 for scalar
+    states) and seed.  The times follow it, then each path's states."""
+    return _MAGIC + struct.pack("<qqqq", n_paths, n_times, d, seed)
+
+
+def _key(seed, path_index):
+    return np.array([seed & 0xFFFFFFFFFFFFFFFF, path_index], dtype=np.uint64)
+
+
 def path_generator(seed: int, path_index: int) -> np.random.Generator:
     """Philox substream for one path, keyed by (seed, path_index)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(path_index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, path_index)))
+
+
+def path_streams(seed, n_paths):
+    """`path_generator(seed, k)` for k = 0 .. n_paths - 1, in turn, as one
+    Generator whose Philox is set for each path to the fresh state under
+    its key: each is valid until the next is taken.  Building a Philox
+    gathers OS entropy, unused beside a key, which costs more than a few
+    normals."""
+    bits = np.random.Philox(key=_key(seed, 0))
+    stream, fresh = np.random.Generator(bits), bits.state  # a copy
+    for k in range(n_paths):
+        fresh["state"]["key"] = _key(seed, k)
+        bits.state = fresh
+        yield stream
 
 
 def gaussian_increments(streams, n, columns=1, out=None):
     """The next `n` draws of `columns` standard normals from each stream, in
     stream order: shape (len(streams), n, columns).  With `out`, a buffer of
-    at least that many steps, they fill out[:, :n], which is returned."""
+    at least that many steps, they fill out[:, :n], which is returned, and
+    `streams` may be any iterable, such as `path_streams`."""
     if out is None:
         out = np.empty((len(streams), n, columns))
     out = out[:, :n]
@@ -136,17 +156,19 @@ def gaussian_increments(streams, n, columns=1, out=None):
 # never a value.
 _DRAW_NORMALS = 1 << 22
 
-# Streams one draw call fills: the unit of a block's draw that its two
-# threads share.
+# Streams one draw call fills at most: the unit of a block's draw that its
+# two threads share.  A run of fewer than 2 * _DRAW_STREAMS paths draws in
+# chunks of half its streams, rounded up, so both threads draw every block.
 _DRAW_STREAMS = 64
 
 
 class _Cursor:
-    """The first rows of a block's chunks of streams, an iterator that
+    """The rows of a block's chunks of streams, as slices, an iterator that
     threads share: each chunk goes to the one thread that asks first."""
 
     def __init__(self, n_paths):
-        self.starts = iter(range(0, n_paths, _DRAW_STREAMS))
+        chunk = min(_DRAW_STREAMS, -(-n_paths // 2))
+        self.chunks = (slice(lo, lo + chunk) for lo in range(0, n_paths, chunk))
         self.lock = Lock()
 
     def __iter__(self):
@@ -154,24 +176,22 @@ class _Cursor:
 
     def __next__(self):
         with self.lock:
-            return next(self.starts)
+            return next(self.chunks)
 
 
 def draw_chunks(streams, out, cursor, started=None):
     """Fill the rows of `out`, shape (len(streams), steps, width), with
     their streams' next normals, one `gaussian_increments` call for each
-    chunk of `_DRAW_STREAMS` rows that `cursor` hands this thread.  The
-    Event `started`, when given, is set first, and the starter of a helper
-    thread waits for it: the helper's draws then all run inside one call
-    that began while its starter was still in its own caller, where a
-    tracer that files a new thread's calls under its starter's current
-    call nests them."""
+    chunk of rows that `cursor` hands this thread.  The Event `started`,
+    when given, is set first, and the starter of a helper thread waits for
+    it: the helper's draws then all run inside one call that began while
+    its starter was still in its own caller, where a tracer that files a
+    new thread's calls under its starter's current call nests them."""
     if started is not None:
         started.set()
     steps, width = out.shape[1:]
-    for lo in cursor:
-        hi = lo + _DRAW_STREAMS
-        gaussian_increments(streams[lo:hi], steps, width, out[lo:hi])
+    for rows in cursor:
+        gaussian_increments(streams[rows], steps, width, out[rows])
 
 
 class _BlockDraw:
@@ -206,53 +226,94 @@ class _BlockDraw:
         return self.out
 
 
-def _run_paths(cfg: SimConfig, x0, step, shape=(), stride=1) -> PathBundle:
+def kept_times(cfg: SimConfig, stride=1):
+    """The times of the states `_run_paths` keeps: every `stride`-th step's
+    and the last."""
+    return cfg.dt * np.append(np.arange(0, cfg.n_steps, stride), cfg.n_steps)
+
+
+def _run_paths(cfg: SimConfig, x0, step, shape=(), stride=1,
+               sink=None) -> PathBundle | None:
     """`cfg.n_paths` paths from the state `x0`, run as one batch through
     `cfg.n_steps` calls of `step(state, xi)`, where `xi`, shape (n_paths,) +
     `shape`, holds each path's next standard normals from its own stream;
-    every `stride`-th state and the last are kept.  Steps are drawn in
-    blocks, into two buffers in turn.  A helper thread starts drawing the
-    next block while this thread steps the current one; this thread then
-    draws the chunks of streams the helper has not taken (`_BlockDraw`) and
-    waits for it.  Each stream is drawn by one thread at a time, in block
-    order, and no draw outlives the call.  The values, shape (n_paths, kept
-    states) + x0.shape, are allocated first: a ConfigError when they
-    cannot be."""
+    every `stride`-th state and the last are kept.
+
+    Steps are drawn in blocks, into two buffers in turn.  A helper thread
+    starts drawing the next block while this thread steps the current one;
+    this thread then draws the chunks of streams the helper has not taken
+    (`_BlockDraw`) and waits for it.  Each stream is drawn by one thread at
+    a time, in block order, and no draw outlives the call.
+
+    The kept states go to `sink(first, states)` as they are made: the
+    initial state, then each block's, shape (n_paths, m) + x0.shape, where
+    `first` is the index of states[:, 0] among the kept states.  `states`
+    is a buffer reused for the next block, passed while the helper draws
+    it.  With no sink, the states are kept in an array, allocated first,
+    and returned as a PathBundle.  An allocation that fails, of that array
+    or of the kernel's own buffers, is a ConfigError, raised before any
+    generator is built."""
     seed, n_paths, n_steps = cfg.seed, cfg.n_paths, cfg.n_steps
     x0 = np.asarray(x0, dtype=float)
     width = math.prod(shape)
-    dims = (n_paths, -(-n_steps // stride) + 1) + x0.shape
-    try:
-        values = np.empty(dims)
-    except (MemoryError, ValueError, OverflowError) as exc:
-        raise ConfigError(
-            f"[sim] n_paths = {n_paths} paths of {dims[1]} kept steps of "
-            f"d = {x0.size} values need {8 * math.prod(dims)} bytes, more than "
-            "can be allocated") from exc
-    values[:, 0] = state = np.broadcast_to(x0, dims[:1] + x0.shape).copy()
-    streams = [path_generator(seed, k) for k in range(n_paths)]
+    values = None
+    if sink is None:
+        dims = (n_paths, -(-n_steps // stride) + 1) + x0.shape
+        with _allocating(n_paths, f"{dims[1]} kept steps of d = {x0.size} values",
+                         math.prod(dims)):
+            values = np.empty(dims)
+
+        def sink(first, states):
+            values[:, first:first + states.shape[1]] = states
+
     block = min(n_steps, max(1, _DRAW_NORMALS // 2 // (n_paths * width)))
-    bufs = [np.empty((n_paths, block, width)) for _ in range(2)]
+    # A block's kept states: its multiples of stride, and the last step.
+    rows = min(block, (block - 1) // stride + 2)
+    with _allocating(n_paths, f"d = {x0.size} values in {block}-step blocks",
+                     n_paths * ((1 + rows) * x0.size + 2 * block * width)):
+        state = np.broadcast_to(x0, (n_paths,) + x0.shape).copy()
+        bufs = [np.empty((n_paths, block, width)) for _ in range(2)]
+        kept = np.empty((n_paths, rows) + x0.shape)
+    streams = [path_generator(seed, k) for k in range(n_paths)]
 
     def draw(start):  # starts drawing the block from step `start`
         return _BlockDraw(streams, bufs[start // block % 2][:, :n_steps - start])
 
     pending = draw(0)
     try:
+        sink(0, state[:, None])
+        first = 1
         for start in range(0, n_steps, block):
             xi = pending.finish()
             if start + block < n_steps:
                 pending = draw(start + block)
             xi = xi.reshape((n_paths, -1) + shape)
+            m = 0
             for j in range(xi.shape[1]):
                 state = step(state, xi[:, j])
                 k = start + j + 1
                 if k % stride == 0 or k == n_steps:
-                    values[:, -(-k // stride)] = state
+                    kept[:, m] = state
+                    m += 1
+            if m:
+                sink(first, kept[:, :m])
+                first += m
     finally:
         pending.helper.join()
-    times = cfg.dt * np.append(np.arange(0, n_steps, stride), n_steps)
-    return PathBundle(times=times, values=values, seed=seed)
+    if values is not None:
+        return PathBundle(times=kept_times(cfg, stride), values=values, seed=seed)
+
+
+@contextmanager
+def _allocating(n_paths, what, n_values):
+    """A failed allocation inside is a ConfigError: `n_paths` paths of
+    `what` need `n_values` floats."""
+    try:
+        yield
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"[sim] n_paths = {n_paths} paths of {what} need {8 * n_values} "
+            "bytes, more than can be allocated") from exc
 
 
 def _check_step(p: EbmParams, dt):
@@ -372,8 +433,9 @@ def wong_zakai_ladder(taus, t, x0, Q, n_paths, seed=0) -> list[WongZakaiResult]:
         raise ValueError(f"a standard error needs n_paths >= 2, got {n_paths!r}")
     V, c0 = _wz_functional(taus, t, x0, Q)
     R = np.linalg.qr(V, mode="r")
-    streams = [path_generator(seed, k) for k in range(n_paths)]
-    Z = c0 + gaussian_increments(streams, R.shape[0])[:, :, 0] @ R
+    eta = gaussian_increments(path_streams(seed, n_paths), R.shape[0], 1,
+                              np.empty((n_paths, R.shape[0], 1)))
+    Z = c0 + eta[:, :, 0] @ R
     sq = np.ascontiguousarray((Z**2).T)
     means = [float(np.mean(row)) for row in sq]
     # The spread of sq / mean, as tiny gaps' squared deviations underflow.

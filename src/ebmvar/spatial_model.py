@@ -415,11 +415,14 @@ def _row_products(M):
 
 
 def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
-                           y0=None, store_stride=1) -> PathBundle:
+                           y0=None, store_stride=1, sink=None) -> PathBundle | None:
     """Euler-Maruyama for dY = M Y dt + sqrt(tau) diag(D Y + f) L dW.
 
     `store_stride` keeps every k-th time slice (plus the final one) to bound
     memory on long stationary runs; the dynamics always advance at cfg.dt.
+    With `sink`, the kept states go to sink(first, states) block by block,
+    as `_run_paths` describes, and none is returned: a run is then bounded
+    by what the sink does with them, not by memory.
     """
     d = ops.d
     w, _ = drift_eigenvalues(ops)
@@ -443,4 +446,4 @@ def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
         return out
 
     return _run_paths(cfg, np.zeros(d) if y0 is None else y0, step,
-                      shape=(d,), stride=store_stride)
+                      shape=(d,), stride=store_stride, sink=sink)

@@ -173,7 +173,8 @@ class TestExitCodes:
                    "simulate", "--which", "reduced"])
         assert rc == EXIT_CONFIG
 
-    # Path arrays beyond the 128 TiB user address space: nothing is allocated.
+    # Path arrays, or the field's dump, beyond the 128 TiB user address space
+    # or any disk: nothing is allocated or written.
     @pytest.mark.parametrize("which, sim, need", [
         ("anomaly-field", "n_steps = 1600\nn_paths = 10000000000\n",
          "n_paths = 10000000000 paths of 1601 kept steps of d = 9 values "
@@ -183,7 +184,11 @@ class TestExitCodes:
          "need 8000000000008000 bytes"),
         ("anomaly-0d", "n_steps = 100000000000000000000\nn_paths = 2\n",
          "n_paths = 2 paths of 100000000000000000001 kept steps"),
-    ], ids=["field-paths", "reduced-steps", "anomaly0d-steps-overflow"])
+        ("anomaly-field", "n_steps = 100000000000000000000\nn_paths = 2\n",
+         "n_paths = 2 paths of 100000000000000000001 kept steps of d = 9 "
+         "values need 14400000000000000000144 bytes"),
+    ], ids=["field-paths", "reduced-steps", "anomaly0d-steps-overflow",
+            "field-steps-overflow"])
     def test_outsized_sim_is_a_config_error(self, tmp_path, capsys, which, sim,
                                             need):
         lam = _constant_profile_lam(280.0)
@@ -201,9 +206,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [
         ["spatial-stationary"], ["simulate", "--which", "anomaly-field"]],
         ids=["spatial-stationary", "anomaly-field"])
-    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, command):
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys,
+                                              monkeypatch, command):
         """An --out below a regular file cannot be made: exit 2, naming the
-        path, with no traceback from this thread or the dump's writer."""
+        path, with no traceback and no thread left, and before the field
+        is simulated."""
+        simulated = []
+        monkeypatch.setattr(sm, "simulate_anomaly_field",
+                            lambda *args, **kwargs: simulated.append(args))
         lam = _constant_profile_lam(280.0)
         text = (_model_section(lam=lam) + _spatial_sections()
                 + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 2\nseed = 4\n")
@@ -218,6 +228,7 @@ class TestExitCodes:
         assert err.startswith(f"config error: cannot write {out}")
         assert "Traceback" not in err
         assert threading.enumerate() == before
+        assert simulated == []
 
     def test_numerical_error(self, tmp_path):
         # dt (r1 + Q s) = 2.86 > 1: the explicit step is refused.
@@ -467,27 +478,28 @@ class TestSimulate:
 
     def test_anomaly_field_streams_the_joined_outputs(self, tmp_path,
                                                        monkeypatch):
-        """anomaly_field.bin is the bundle's to_binary(), and the traces,
-        reduced 2 paths at a time, are (values**2).sum(2).mean(0) exactly."""
-        from ebmvar import cli
-        from ebmvar import spatial_model as sm
+        """anomaly_field.bin is the library bundle's to_binary(), and the
+        traces are (values**2).sum(2).mean(0) bit for bit, on a run that
+        the kernel hands over in blocks of 3 steps, the last one step."""
+        from ebmvar import sde_engine as se
 
-        bundles = []
+        calls = []
         simulate = sm.simulate_anomaly_field
 
         def recording(*args, **kwargs):
-            bundles.append(simulate(*args, **kwargs))
-            return bundles[-1]
+            calls.append(args)
+            return simulate(*args, **kwargs)
 
         monkeypatch.setattr(sm, "simulate_anomaly_field", recording)
-        monkeypatch.setattr(cli, "_TRACE_VALUES", 2 * 21 * 9)  # d=9, 21 times
+        monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * 3 * 40 * 9)  # d = 9
         lam = _constant_profile_lam(280.0)
         text = (_model_section(lam=lam) + _spatial_sections(kernel="exponential")
-                + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 5\nseed = 4\n")
+                + "[sim]\ndt = 0.001\nn_steps = 19\nn_paths = 40\nseed = 4\n")
         out = tmp_path / "o"
         assert main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
                      "simulate", "--which", "anomaly-field"]) == EXIT_OK
-        (bundle,) = bundles
+        ((ops, sim),) = calls
+        bundle = simulate(ops, sim)
         assert (out / "anomaly_field.bin").read_bytes() == bundle.to_binary()
         traces = (bundle.values ** 2).sum(axis=2).mean(axis=0)
         expected = ["time,mc_trace"] + [f"{t:.17g},{tr:.17g}"
@@ -495,34 +507,82 @@ class TestSimulate:
         assert ((out / "anomaly_field_trace.csv").read_text()
                 == "\n".join(expected) + "\n")
 
-    def test_anomaly_field_dump_failure_reaches_the_caller(self, tmp_path,
-                                                          monkeypatch):
-        """An exception in the thread that writes anomaly_field.bin reaches
-        the caller with its type unchanged, no trace file is written, and
-        the writer does not outlive the command."""
+    # (n_steps, store_stride, steps a block): blocks of one step, so one
+    # kept state each; a last block of one kept state (step 22, after 21);
+    # and a last block of two (steps 35 and 36).
+    @pytest.mark.parametrize("n_steps, stride, block", [
+        (6, 1, 1), (22, 7, 3), (36, 7, 3)])
+    def test_field_dump_is_the_bundle_at_any_stride(self, tmp_path, monkeypatch,
+                                                    n_steps, stride, block):
+        """The dump sink, fed by a strided run, writes the strided bundle's
+        to_binary(), and its traces are (values**2).sum(2).mean(0) exactly."""
         from ebmvar import cli
+        from ebmvar import sde_engine as se
 
-        class DumpFailed(Exception):
-            pass
+        ops = _field_ops()
+        n_paths = 40
+        cfg = se.SimConfig(dt=1e-3, n_steps=n_steps, n_paths=n_paths, seed=2)
+        monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * block * n_paths * ops.d)
+        bundle = sm.simulate_anomaly_field(ops, cfg, store_stride=stride)
+        with cli._field_dump(tmp_path, cfg, ops.d, stride) as (sink, times,
+                                                               traces):
+            assert sm.simulate_anomaly_field(ops, cfg, store_stride=stride,
+                                             sink=sink) is None
+        np.testing.assert_array_equal(times, bundle.times)
+        blob = (tmp_path / "anomaly_field.bin").read_bytes()
+        assert blob == bundle.to_binary()
+        np.testing.assert_array_equal(se.PathBundle.from_binary(blob).values,
+                                      bundle.values)
+        np.testing.assert_array_equal(
+            traces, (bundle.values ** 2).sum(axis=2).mean(axis=0))
 
-        write = cli._write
+    def test_anomaly_field_dump_failure_reaches_the_caller(self, tmp_path,
+                                                          capsys, monkeypatch):
+        """A write of anomaly_field.bin that fails mid-run, while the next
+        block is drawn, exits 2 naming the file, with no traceback, no
+        partial dump, no trace file and no thread left."""
+        from ebmvar import sde_engine as se
 
-        def failing(outdir, name, payload):
-            if name == "anomaly_field.bin":
-                raise DumpFailed
-            return write(outdir, name, payload)
+        pwrite = os.pwrite
 
-        monkeypatch.setattr(cli, "_write", failing)
+        def failing(fd, data, offset):
+            failing.calls += 1
+            if failing.calls == 40:  # in the second block of states
+                raise OSError(28, "No space left on device")
+            return pwrite(fd, data, offset)
+
+        failing.calls = 0
+        monkeypatch.setattr(os, "pwrite", failing)
+        monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * 3 * 16 * 9)  # d = 9
         lam = _constant_profile_lam(280.0)
         text = (_model_section(lam=lam) + _spatial_sections()
-                + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 2\nseed = 4\n")
+                + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 16\nseed = 4\n")
         out = tmp_path / "o"
         before = threading.enumerate()
-        with pytest.raises(DumpFailed):
-            main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
-                  "simulate", "--which", "anomaly-field"])
-        assert not (out / "anomaly_field_trace.csv").exists()
+        rc = main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
+                   "simulate", "--which", "anomaly-field"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith(
+            f"config error: cannot write {out / 'anomaly_field.bin'}: ")
+        assert "No space left on device" in err and "Traceback" not in err
+        assert failing.calls == 40
+        assert list(out.iterdir()) == []
         assert threading.enumerate() == before
+
+
+def _field_ops():
+    """Anomaly-field operators of d = 9 with a dense (exponential) noise
+    factor, at the forcing whose equilibrium is the flat 280 K profile."""
+    p = mc.default_params()
+    grid = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=4, Ny=4)
+    Q_field = sm.SpatialField.constant(grid, p.Q)
+    lam = p.r0 + p.r1 * 280.0 - p.Q * mc.co_albedo(280.0, p)
+    profile = sm.solve_equilibrium_profile(
+        grid, Q_field, lam, sm.BoundaryTrace.constant(280.0), p)
+    noise = sm.build_noise_covariance(grid, "exponential", variance=1.0,
+                                      length=0.5)
+    return sm.build_operators(grid, profile, Q_field, p, noise)
 
 
 class TestSpatialStationary:

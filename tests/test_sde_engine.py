@@ -9,7 +9,7 @@ import pytest
 from ebmvar import model_core as mc
 from ebmvar import sde_engine as se
 from ebmvar import spatial_model as sm
-from ebmvar.errors import EmptySample, StepTooLarge
+from ebmvar.errors import ConfigError, EmptySample, StepTooLarge
 
 DEFAULT = mc.default_params()
 
@@ -90,6 +90,20 @@ class TestRandomness:
         a = se.gaussian_increments(_streams(1, [0]), 8)
         b = se.gaussian_increments(_streams(2, [0]), 8)
         assert not np.array_equal(a, b)
+
+    def test_rekeyed_streams_are_the_path_generators(self):
+        """path_streams' one re-keyed Philox draws what a generator built
+        per path draws, bit for bit, at a size where the ziggurat rejects
+        some draws and so takes more than one word a normal."""
+        n_paths, seed = 4000, 0
+        streams = [se.path_generator(seed, k) for k in range(n_paths)]
+        expected = se.gaussian_increments(streams, 4)
+        rejected = sum(s.bit_generator.state["state"]["counter"][0] > 1
+                       for s in streams)
+        assert rejected > 0
+        got = se.gaussian_increments(se.path_streams(seed, n_paths), 4, 1,
+                                     np.empty((n_paths, 4, 1)))
+        np.testing.assert_array_equal(got, expected)
 
     def test_draws_in_pieces_are_the_draws_at_once(self):
         """Blocks of 1-3 steps into one reused buffer continue each stream."""
@@ -526,6 +540,20 @@ def _recording_draws(monkeypatch):
     return draws, outs
 
 
+def _draws_by_path(draws, outs, n_paths):
+    """The recorded draws as one array, shape (n_paths, steps, width): each
+    call's rows go to the paths at their place in its buffer, in the order
+    the calls end, which is block order for each path."""
+    rows = [[] for _ in range(n_paths)]
+    for got, out in zip(draws, outs):
+        lo = 0
+        if out is not None and out.base is not None:
+            lo = (out.ctypes.data - out.base.ctypes.data) // out.base.strides[0]
+        for i, row in enumerate(got):
+            rows[lo + i].append(row)
+    return np.array([np.concatenate(r) for r in rows])
+
+
 class _InlineThread:
     """threading.Thread's start/join, with the target run inside start()."""
 
@@ -549,13 +577,14 @@ class TestPathKernel:
         step acts on each row alone and to rounding where a d > 1 field's
         BLAS products round by their row count."""
         run, n_paths, _, _ = RUNS[name]
-        draws, _ = _recording_draws(monkeypatch)
+        draws, outs = _recording_draws(monkeypatch)
         expected = run()
-        full = np.concatenate(draws, axis=1)
+        full = _draws_by_path(draws, outs, n_paths)
         draws.clear()
+        outs.clear()
         n = per_batch + 1
         got = run(n)
-        np.testing.assert_array_equal(np.concatenate(draws, axis=1), full[:n])
+        np.testing.assert_array_equal(_draws_by_path(draws, outs, n), full[:n])
         axis = PATH_AXIS[name]
         if axis is None:
             return
@@ -649,6 +678,89 @@ class TestPathKernel:
                 + np.arange(len(out)) for out in outs[lo:hi]])
             np.testing.assert_array_equal(np.sort(rows), np.arange(n_paths))
         assert sum(d.size for d in draws) == n_paths * n_steps * width
+
+    @pytest.mark.parametrize("n_paths", [2, 17, 64])
+    def test_few_paths_share_each_block_draw(self, monkeypatch, n_paths):
+        """With fewer than 65 paths a block's draw is two chunks, so both
+        threads draw every block: here the helper waits in its chunk until
+        the stepping thread has taken the other.  The run is the default
+        run bit for bit."""
+        cfg = se.SimConfig(dt=0.01, n_steps=9, n_paths=n_paths, seed=5)
+
+        def run():
+            return se.simulate_ou(0.05, 1.0, 2.0, cfg).values
+
+        expected = run()
+        monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * 3 * n_paths)  # 3 blocks
+        draw, caller = se.gaussian_increments, threading.current_thread()
+        taken, threads = threading.Event(), []
+
+        def shared(streams, n, columns=1, out=None):
+            if threading.current_thread() is caller:
+                threads.append("stepping")
+                taken.set()
+            else:
+                threads.append("helper")
+                assert taken.wait(5.0)
+                taken.clear()
+            return draw(streams, n, columns, out)
+
+        monkeypatch.setattr(se, "gaussian_increments", shared)
+        np.testing.assert_array_equal(run(), expected)
+        assert sorted(threads) == ["helper"] * 3 + ["stepping"] * 3
+
+    def test_sink_takes_each_block_while_the_next_is_drawn(self, monkeypatch):
+        """A sink gets the initial state, then each block's kept states,
+        once the next block's draw has started; they are the bundle's."""
+        cfg = se.SimConfig(dt=0.01, n_steps=10, n_paths=3, seed=5)
+        expected = se.simulate_ou(0.05, 1.0, 2.0, cfg).values
+        monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * 3 * 3)  # 3 steps a block
+        events, got = [], np.full_like(expected, np.nan)
+        block_draw = se._BlockDraw
+
+        class Recording(block_draw):
+            def __init__(self, *args):
+                events.append("draw")
+                super().__init__(*args)
+
+        def sink(first, states):
+            events.append("sink")
+            got[:, first:first + states.shape[1]] = states
+
+        monkeypatch.setattr(se, "_BlockDraw", Recording)
+        assert se._run_paths(cfg, 2.0, se._ou_step(0.05, 1.0, cfg.dt, 1.0),
+                             sink=sink) is None
+        assert events == ["draw", "sink"] * 4 + ["sink"]
+        np.testing.assert_array_equal(got, expected)
+
+    def test_outsized_working_buffers_are_a_config_error(self):
+        """With a sink no path array is made, but a state beyond the 128 TiB
+        user address space is still a ConfigError, before any generator."""
+        cfg = se.SimConfig(dt=0.01, n_steps=4, n_paths=10**14)
+        with pytest.raises(ConfigError, match=r"^\[sim\] n_paths = 10{14} "
+                           r"paths of d = 9 values in 1-step blocks need \d+ "
+                           "bytes, more than can be allocated"):
+            se._run_paths(cfg, np.zeros(9), lambda state, xi: state,
+                          shape=(9,), sink=lambda first, states: None)
+
+    def test_sink_failure_propagates(self, monkeypatch):
+        """An exception in the sink, raised while the next block is drawn,
+        reaches the caller with its type unchanged, and no thread outlives
+        the call."""
+        monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * 2 * 3)  # 2 steps a block
+        cfg = se.SimConfig(dt=0.01, n_steps=40, n_paths=3)
+        before = threading.enumerate()
+
+        class SinkFailed(Exception):
+            pass
+
+        def sink(first, states):
+            if first > 0:
+                raise SinkFailed
+
+        with pytest.raises(SinkFailed):
+            se._run_paths(cfg, 0.0, lambda state, xi: state + xi, sink=sink)
+        assert threading.enumerate() == before
 
     def test_draw_and_step_failures_propagate(self, monkeypatch):
         """An exception in the helper's draw, one in the stepping thread's
