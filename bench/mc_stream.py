@@ -14,7 +14,9 @@ first.  Each run records the child's peak RSS (`ru_maxrss` from
 `os.wait4`), its wall and CPU time, and the sha256 of every output file;
 each command lists the files whose hashes agree across all its runs, and
 says per tree whether its reruns repeat every byte.  The result,
-with the machine description, goes to BENCH_mc_stream.json.
+with the machine description (`machine()`, which also records the
+PYTHONDONTWRITEBYTECODE and OPENBLAS_NUM_THREADS settings), goes to
+BENCH_mc_stream.json.
 """
 
 from __future__ import annotations
@@ -114,9 +116,13 @@ def machine() -> dict:
     import numpy as np
     import scipy
 
+    # PYTHONDONTWRITEBYTECODE set means no bytecode cache, so every CLI
+    # start compiles the package.
     return {"nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__,
-            "machine": platform.machine()}
+            "machine": platform.machine(),
+            **{name: os.environ.get(name) for name in
+               ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS")}}
 
 
 def main(argv=None) -> int:

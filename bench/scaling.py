@@ -15,6 +15,11 @@ it measures these layers:
   with the eigendecomposition of M;
 - `sweep-point`: `monotonicity_sweep` at that one forcing: the Newton
   solve, Gamma, the gate and dGamma/dlambda;
+- `write`: `cmd_spatial_stationary` writing Gamma's table, that is the
+  nonzero scan, the formatting and the file write, with the command's
+  numerics replaced by stubs that return a Gamma computed beforehand: a
+  set-up run with this checkout's `src/` saves Gamma to a .npy file, which
+  every run of both trees loads, so the timed call only writes;
 - `import`: `import ebmvar.cli` in a fresh interpreter, which does not
   depend on d and is measured once, under the key "d0".
 
@@ -23,12 +28,15 @@ It builds its inputs, times the one call (`time.perf_counter`), and reports
 its own peak RSS (`VmHWM` of /proc/self/status, which unlike `ru_maxrss`
 does not inherit the launching process's high-water mark) and a `value` to
 compare between trees: the sum of the profile, K's spectral abscissa, the
-trace of Gamma, or nothing for `import`.  With `--before`, every run is repeated on another package tree,
-such as the parent commit's `src/` unpacked by `git archive`, alternating
-which tree goes first.  A run that takes longer than `--cap` seconds in
-all is killed; it, the rest of its repeats and every larger d of that tree
-and layer are recorded as skipped, not run.  The result, with the machine
-description, goes to BENCH_scaling.json.
+trace of Gamma, the sha256 of gamma_stationary.txt, or nothing for
+`import`; `values_agree` says, per layer and d, whether every run of every
+tree gave the same value.  With `--before`, every run is repeated on
+another package tree, such as the parent commit's `src/` unpacked by
+`git archive`, alternating which tree goes first.  A run that takes
+longer than `--cap` seconds in all is killed; it, the rest of its repeats
+and every larger d of that tree and layer are recorded as skipped, not
+run.  The result, with the machine description, goes to
+BENCH_scaling.json.
 """
 
 from __future__ import annotations
@@ -36,9 +44,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 from mc_stream import machine
@@ -46,7 +56,7 @@ from mc_stream import machine
 ROOT = Path(__file__).resolve().parent.parent
 
 SIDES = {16: 5, 64: 9, 225: 16, 400: 21, 900: 31, 1600: 41}  # d: Nx = Ny
-LAYERS = ("newton", "certify", "stationary", "sweep-point", "import")
+LAYERS = ("newton", "certify", "stationary", "sweep-point", "write", "import")
 
 CHILD = r"""
 import json, sys, time
@@ -56,6 +66,25 @@ if layer == "import":
     start = time.perf_counter()
     import ebmvar.cli
     run = lambda: None
+elif layer == "write":
+    import argparse, tempfile, types
+    from pathlib import Path
+    import numpy as np
+    from ebmvar import cli, covariance_engine as ce, model_core as mc
+
+    gamma = np.load(sys.argv[3])
+    state = ce.CovarianceState(gamma=gamma, is_psd=True,
+                               spatial_variance=float(np.trace(gamma)))
+    cert = types.SimpleNamespace(to_dict=dict)
+    cli.model_params = lambda cfg: mc.default_params()
+    cli._operators = lambda cfg, p: types.SimpleNamespace(d=len(gamma))
+    cli.cov = types.SimpleNamespace(
+        certify=lambda ops: cert,
+        stationary_covariance=lambda ops, check_stability: state)
+    out = Path(tempfile.mkdtemp())
+    run = lambda: cli.cmd_spatial_stationary(
+        None, argparse.Namespace(force=False), out)
+    start = time.perf_counter()
 else:
     from ebmvar import covariance_engine as ce
     from ebmvar import model_core as mc
@@ -84,6 +113,14 @@ else:
     start = time.perf_counter()
 value = run()
 wall = time.perf_counter() - start
+if layer == "write":
+    import hashlib, shutil
+    h = hashlib.sha256()
+    with open(out / "gamma_stationary.txt", "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    value = h.hexdigest()
+    shutil.rmtree(out)
 with open("/proc/self/status") as fh:
     hwm_kb = next(int(line.split()[1]) for line in fh
                   if line.startswith("VmHWM:"))
@@ -92,15 +129,45 @@ print(json.dumps({"wall_s": wall, "peak_rss_mb": hwm_kb / 1024.0,
 """
 
 
+# Saves Gamma at argv[1] grid points per side to the .npy file argv[2].
+GAMMA = r"""
+import sys
+import numpy as np
+from ebmvar import covariance_engine as ce, model_core as mc, spatial_model as sm
+
+n, theta, p = int(sys.argv[1]), 280.0, mc.default_params()
+g = sm.Grid2D(Lx=8.0, Ly=8.0, Nx=n, Ny=n)
+bd = sm.BoundaryTrace.constant(theta)
+Q_field = sm.SpatialField.constant(g, p.Q)
+lam = p.r0 + p.r1 * theta - p.Q * mc.co_albedo(theta, p)
+noise = sm.build_noise_covariance(g, "exponential", variance=1.0, length=0.5)
+prof = sm.solve_equilibrium_profile(g, Q_field, lam, bd, p)
+ops = sm.build_operators(g, prof, Q_field, p, noise)
+np.save(sys.argv[2], ce.stationary_covariance(ops).gamma)
+"""
+
+
 def sizes(layer: str) -> dict:
     """{d: Nx} of the layer; d = 0 for the size-free import."""
     return {0: 2} if layer == "import" else SIDES
 
 
-def run_one(src: Path, layer: str, d: int, cap: float) -> dict | None:
-    """One measured run, or None when it exceeds the cap."""
+def save_gamma(src: Path, d: int, path: Path) -> Path:
+    """Gamma at d, computed by the package tree `src`, saved to `path`."""
+    subprocess.run([sys.executable, "-c", GAMMA, str(SIDES[d]), str(path)],
+                   env=dict(os.environ, PYTHONPATH=str(src)),
+                   stdin=subprocess.DEVNULL, check=True)
+    return path
+
+
+def run_one(src: Path, layer: str, d: int, cap: float,
+            gamma: Path | None = None) -> dict | None:
+    """One measured run, or None when it exceeds the cap; the `write` layer
+    reads Gamma from the .npy file `gamma`."""
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-c", CHILD, layer, str(sizes(layer)[d])]
+    if gamma is not None:
+        argv.append(str(gamma))
     try:
         proc = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL,
                               capture_output=True, text=True, timeout=cap)
@@ -125,10 +192,14 @@ def main(argv=None) -> int:
     if args.before is not None:
         trees = {"before": args.before.resolve(), **trees}
     result = {"machine": machine(), "repeats": args.repeats, "cap_s": args.cap,
-              "layers": {layer: {} for layer in LAYERS}, "skipped": []}
+              "layers": {layer: {} for layer in LAYERS}, "skipped": [],
+              "values_agree": {layer: {} for layer in LAYERS}}
     capped = set()  # (tree, layer) pairs that hit the cap
+    tmp = Path(tempfile.mkdtemp())
     for layer in LAYERS:
         for d in sizes(layer):
+            gamma = (save_gamma(trees["after"], d, tmp / "gamma.npy")
+                     if layer == "write" else None)
             runs = {name: [] for name in trees}
             for rep in range(args.repeats):
                 names = list(trees) if rep % 2 == 0 else list(trees)[::-1]
@@ -139,7 +210,7 @@ def main(argv=None) -> int:
                             "reason": "an earlier run of this tree and layer "
                                       "exceeded the cap"})
                         continue
-                    r = run_one(trees[name], layer, d, args.cap)
+                    r = run_one(trees[name], layer, d, args.cap, gamma)
                     if r is None:
                         capped.add((name, layer))
                         result["skipped"].append({
@@ -152,8 +223,11 @@ def main(argv=None) -> int:
                             "runs": rs}
                      for name, rs in runs.items() if rs}
             result["layers"][layer][f"d{d}"] = entry
+            result["values_agree"][layer][f"d{d}"] = len(
+                {r["value"] for rs in runs.values() for r in rs}) <= 1
             print(layer, d, {name: e["median"] for name, e in entry.items()},
                   flush=True)
+    shutil.rmtree(tmp)
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0
 

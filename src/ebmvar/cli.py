@@ -52,19 +52,43 @@ EXIT_STABILITY = 4
 WZ_TAU_LADDER = (0.2, 0.1, 0.05, 0.025)
 
 
-def _cell(x) -> str:
-    if isinstance(x, float):  # numpy float64 included
-        return f"{x:.17g}"
-    return "" if x is None else str(x)
+_BLOCK = 1 << 13  # cells formatted per write: 2730 rows of Gamma's table
 
 
-def _table(header: str, rows):
-    """A CSV table's encoded lines: the header, then one line per row, each
-    built only when it is written.  A float cell has 17 significant digits,
-    None is an empty cell, and any other cell prints as str() does."""
+def _reader(col):
+    """A column's % format and the function that reads a slice of it as
+    the values that format takes.  float64, integer and bool arrays
+    convert exactly with tolist(), so a float64 column fixes '%.17g' once;
+    any other column is read cell by cell, where a float has 17
+    significant digits, None is an empty cell and any other cell prints as
+    str() does (a float32 array item is not a float: it prints as str())."""
+    if isinstance(col, np.ndarray):
+        if col.dtype.type is np.float64:
+            return "%.17g", np.ndarray.tolist
+        if col.dtype.kind in "iub":
+            return "%s", np.ndarray.tolist
+    return "%s", lambda cells: [
+        f"{x:.17g}" if isinstance(x, float) else "" if x is None else str(x)
+        for x in cells]
+
+
+def _table(header: str, columns):
+    """A CSV table's encoded text, given as equal-length columns (arrays or
+    sequences): the header line, then the rows a block at a time.  A block
+    is `_BLOCK` cells, a few thousand rows of a narrow table, and is sliced
+    from each column, converted, formatted with one % per row and encoded
+    only when the one before it has been taken, so the whole text, or a
+    whole column as Python objects, is never held."""
+    n = len(columns[0])
+    if any(len(col) != n for col in columns):
+        raise ValueError("the columns of a table differ in length")
+    formats, readers = zip(*map(_reader, columns))
+    line = ",".join(formats) + "\n"
+    step = max(1, _BLOCK // len(columns))
     yield (header + "\n").encode()
-    for row in rows:
-        yield (",".join(map(_cell, row)) + "\n").encode()
+    for lo in range(0, n, step):
+        cells = [read(col[lo:lo + step]) for read, col in zip(readers, columns)]
+        yield "".join([line % row for row in zip(*cells)]).encode()
 
 
 @contextmanager
@@ -78,7 +102,7 @@ def _writing(path: Path):
 
 
 def _write(outdir: Path, name: str, payload) -> Path:
-    """Write text, or buffers (a list, or the lines of `_table`) one after
+    """Write text, or buffers (a list, or the blocks of `_table`) one after
     another, never joined; an OSError is a ConfigError (`_writing`)."""
     path = outdir / name
     with _writing(path):
@@ -135,7 +159,9 @@ def _field_dump(outdir: Path, sim, d, stride=1):
     def sink(first, states):
         for k, run in enumerate(states.astype("<f8", copy=False)):
             _pwrite(fd, run, body + 8 * d * (k * n_times + first))
-        sq = (states ** 2).sum(axis=2)
+        # Squared 64 paths at a time: no squared copy of the whole block.
+        sq = np.concatenate([(states[lo:lo + 64] ** 2).sum(axis=2)
+                             for lo in range(0, len(states), 64)])
         # accumulate adds row after row whatever the shape; a one-column
         # sum would add its rows pairwise.
         traces[first:first + sq.shape[1]] = np.add.accumulate(sq)[-1] / n_paths
@@ -189,10 +215,10 @@ def cmd_variance_curve(cfg: ExperimentConfig, args, outdir: Path) -> int:
     p = model_params(cfg)
     grid = sweep_grid(cfg)
     points = mc.variance_curve(p, grid)
+    rows = [(pt.lam, pt.T_star, pt.branch, pt.b, pt.sigma0, pt.sigma1,
+             pt.var_inf) for pt in points]
     _write(outdir, "variance_curve.csv", _table(
-        "lambda,T_star,branch,b,sigma0,sigma1,var_inf",
-        ((pt.lam, pt.T_star, pt.branch, pt.b, pt.sigma0, pt.sigma1, pt.var_inf)
-         for pt in points)))
+        "lambda,T_star,branch,b,sigma0,sigma1,var_inf", list(zip(*rows))))
 
     branches = {pt.branch for pt in points}
     diffs = np.diff([pt.var_inf for pt in points])
@@ -226,9 +252,9 @@ def cmd_wz_convergence(cfg: ExperimentConfig, args, outdir: Path) -> int:
     except ValueError as exc:
         raise ConfigError(f"--t {args.t!r}, --x0-offset {args.x0_offset!r}, "
                           f"[sim] n_paths = {s.n_paths}: {exc}") from exc
+    rows = [(r.tau, r.mc_estimate, r.exact, r.se) for r in results]
     _write(outdir, "wz_convergence.csv", _table(
-        "tau,mc,exact,se",
-        ((r.tau, r.mc_estimate, r.exact, r.se) for r in results)))
+        "tau,mc,exact,se", list(zip(*rows))))
 
     logs_tau = np.log([r.tau for r in results])
     logs_exact = np.log([r.exact for r in results])
@@ -272,7 +298,7 @@ def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
         with _field_dump(outdir, s, ops.d) as (sink, times, traces):
             sm.simulate_anomaly_field(ops, s, sink=sink)
         _write(outdir, "anomaly_field_trace.csv", _table(
-            "time,mc_trace", zip(times, traces)))
+            "time,mc_trace", (times, traces)))
         return EXIT_OK
 
     root = mc.select_root(mc.equilibrium_roots(p))
@@ -289,13 +315,13 @@ def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
     for name, bundle in bundles.items():
         _write(outdir, f"{name}_paths.csv", _table(
             "time," + ",".join(f"path_{k}" for k in range(bundle.n_paths)),
-            ((t, *col) for t, col in zip(bundle.times, bundle.values.T))))
+            (bundle.times, *bundle.values)))
         _write(outdir, f"{name}_paths.bin", bundle.binary_parts())
         rep = sde.mc_moments(bundle)
         _write(outdir, f"{name}_moments.csv", _table(
             "time,mean,variance,se_mean,se_variance",
-            zip(bundle.times, rep.mean, rep.variance, rep.se_mean,
-                rep.se_variance)))
+            (bundle.times, rep.mean, rep.variance, rep.se_mean,
+             rep.se_variance)))
     return EXIT_OK
 
 
@@ -307,7 +333,7 @@ def cmd_spatial_stationary(cfg: ExperimentConfig, args, outdir: Path) -> int:
     # Row-major, exact zeros dropped.
     rows, cols = np.nonzero(state.gamma)
     _write(outdir, "gamma_stationary.txt", _table(
-        "row,col,value", zip(rows, cols, state.gamma[rows, cols])))
+        "row,col,value", (rows, cols, state.gamma[rows, cols])))
     summary = {
         "command": "spatial-stationary",
         "lambda": p.lam,
@@ -330,12 +356,13 @@ def cmd_monotonicity(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
     points = _parallel_map(run, list(lam_grid), args.threads)
     report = cov.SweepReport(points=points)
+    rows = [(pt.lam, pt.applicable, pt.trace, pt.min_diff_entry,
+             "entrywise-positive" if pt.entrywise_positive
+             else "non-applicable" if not pt.applicable else "mixed", pt.note)
+            for pt in points]
     _write(outdir, "monotonicity_sweep.csv", _table(
         "lambda,applicable,trace,min_dgamma_entry,verdict,note",
-        ((pt.lam, pt.applicable, pt.trace, pt.min_diff_entry,
-          "entrywise-positive" if pt.entrywise_positive
-          else "non-applicable" if not pt.applicable else "mixed", pt.note)
-         for pt in points)))
+        list(zip(*rows))))
     hypothesis_notes = sorted({pt.note for pt in points if pt.note})
     summary = {
         "command": "monotonicity",
@@ -361,10 +388,10 @@ def cmd_counterexample(cfg, args, outdir: Path) -> int:
                    for lam in lam_grid]
     except ParamOutOfRange as exc:
         raise ConfigError(f"--s {args.s!r}, --c {args.c!r}: {exc}") from exc
+    rows = [(lam, r.trace, r.d_trace_d_lambda, r.numeric_trace)
+            for lam, r in zip(lam_grid, results)]
     _write(outdir, "counterexample.csv", _table(
-        "lambda,trace,derivative,numeric_trace",
-        ((lam, r.trace, r.d_trace_d_lambda, r.numeric_trace)
-         for lam, r in zip(lam_grid, results))))
+        "lambda,trace,derivative,numeric_trace", list(zip(*rows))))
     cs = args.s * args.c
     below = [r.numeric_trace for lam, r in zip(lam_grid, results) if lam < cs]
     # Read off the numeric_trace column: null when it has fewer than two

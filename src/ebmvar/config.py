@@ -60,6 +60,8 @@ SCHEMAS = {
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config file: section name -> {key: validated value}."""
+
     sections: dict = field(default_factory=dict)
 
     def section(self, name: str) -> dict:

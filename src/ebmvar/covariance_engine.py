@@ -48,6 +48,9 @@ class VectorisedSystem:
 
 @dataclass
 class CovarianceState:
+    """A covariance matrix Gamma, its trace (the spatial variance) and
+    whether its symmetric part is positive semidefinite to round-off."""
+
     gamma: np.ndarray
     spatial_variance: float
     is_psd: bool
@@ -331,6 +334,10 @@ def stationary_covariance(ops: SpatialOperators,
 
 @dataclass
 class StabilityCertificate:
+    """What `certify` reads off M and K: their spectral abscissas, the
+    M-matrix properties of -K, and the routes of its eigensolve and of the
+    sign of its inverse."""
+
     m_spectral_abscissa: float
     k_spectral_abscissa: float
     minus_k_is_Z: bool
@@ -401,6 +408,10 @@ def markov_bound(var_sp, threshold) -> float:
 
 @dataclass
 class SweepPoint:
+    """One forcing of a monotonicity sweep: whether its hypotheses hold
+    (`note` says which fail), Gamma and dGamma/dlambda with their
+    summaries, and the elliptic sensitivity u = dT*/dlambda."""
+
     lam: float
     applicable: bool
     note: str = ""
@@ -415,6 +426,8 @@ class SweepPoint:
 
 @dataclass
 class SweepReport:
+    """The points of a monotonicity sweep, with its overall verdict."""
+
     points: list[SweepPoint]
 
     @property
@@ -487,6 +500,9 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
 
 @dataclass
 class CounterexampleResult:
+    """The 2x2 counterexample's closed-form stationary trace and its forcing
+    derivative, with the trace from the Lyapunov solver."""
+
     trace: float
     d_trace_d_lambda: float
     numeric_trace: float

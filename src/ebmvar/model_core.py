@@ -104,6 +104,11 @@ def balance_residual(T, p: EbmParams, lam=None):
 
 @dataclass(frozen=True)
 class EquilibriumRoot:
+    """One equilibrium T* on its co-albedo branch, with the linearised
+    restoring rate b = r1 - Q sigma1, the co-albedo sigma0 and its slope
+    sigma1 there, and whether it is stable (b > 0) and variance-admissible
+    (2b - tau sigma1^2 > 0)."""
+
     T_star: float
     branch: str
     b: float
@@ -115,6 +120,8 @@ class EquilibriumRoot:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
+    """Every equilibrium of the 0-D model at the forcing `lam`."""
+
     roots: tuple[EquilibriumRoot, ...]
     lam: float
 
@@ -210,6 +217,9 @@ def select_root(report: EquilibriumReport, reference=None) -> EquilibriumRoot:
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """One forcing of the variance curve: the selected root's data and its
+    stationary variance `var_inf`."""
+
     lam: float
     T_star: float
     branch: str

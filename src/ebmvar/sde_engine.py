@@ -38,6 +38,9 @@ _MAGIC = b"EBMVPB01"
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A Monte Carlo run: n_paths paths of n_steps steps of dt from `seed`,
+    with the stepping scheme and the drift form; validated on creation."""
+
     dt: float
     n_steps: int
     n_paths: int
@@ -365,6 +368,9 @@ def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig,
 
 @dataclass(frozen=True)
 class WongZakaiResult:
+    """One Wong-Zakai rung: the Monte Carlo mean-square gap at time t for
+    correlation time tau, with its standard error and the closed form."""
+
     mc_estimate: float
     exact: float
     se: float
@@ -497,6 +503,9 @@ def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0,
 
 @dataclass(frozen=True)
 class MomentReport:
+    """Sample mean and variance with their standard errors: arrays over
+    the retained times, or numbers when `pooled`."""
+
     mean: np.ndarray | float
     variance: np.ndarray | float
     se_mean: np.ndarray | float

@@ -280,6 +280,9 @@ def sample_coefficients(T_star: SpatialField, Q_field: SpatialField,
 
 @dataclass
 class NoiseCovariance:
+    """The noise covariance C on the interior nodes and a factor L with
+    L L^T = C (up to the jitter of its Cholesky factorisation)."""
+
     C: np.ndarray
     L: np.ndarray
 

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ebmvar
+from ebmvar import cli
 from ebmvar import covariance_engine as cov
 from ebmvar import model_core as mc
 from ebmvar import spatial_model as sm
@@ -324,25 +327,125 @@ class TestVarianceCurve:
         assert summary["verdict"] == "strictly increasing"
 
 
+def _cell(x) -> str:
+    """One cell as the writer prints it, read cell by cell: the oracle."""
+    if isinstance(x, float):  # numpy float64 included
+        return f"{x:.17g}"
+    return "" if x is None else str(x)
+
+
+def _reference_table(header, columns):
+    rows = "".join(",".join(map(_cell, row)) + "\n" for row in zip(*columns))
+    return (header + "\n" + rows).encode()
+
+
+class _SliceLog(np.ndarray):
+    """An array that logs the length of every slice taken from it."""
+
+    log: list
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        self.log.append(len(out))
+        return out
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e308, -1e308,
+                                float("inf"), -float("inf"), float("nan"),
+                                -float("nan"), 0.1 + 0.2])
+_FLOATS = st.floats() | _EDGE_FLOATS
+_FLOATS32 = st.floats(width=32) | st.sampled_from(
+    [0.0, -0.0, 1e-45, 3.4028234663852886e38, float("inf"), float("nan")])
+_INTS = st.integers(-2**63, 2**63 - 1)
+_COLUMN_KINDS = {
+    "float64": (_FLOATS, lambda v: np.array(v, dtype=np.float64)),
+    "float32": (_FLOATS32, lambda v: np.array(v, dtype=np.float32)),
+    "int64": (_INTS, lambda v: np.array(v, dtype=np.int64)),
+    "uint64": (st.integers(2**53, 2**64 - 1),
+               lambda v: np.array(v, dtype=np.uint64)),
+    "bool": (st.booleans(), lambda v: np.array(v, dtype=bool)),
+    "list": (st.one_of(
+        _FLOATS, st.integers(-2**80, 2**80), _INTS.map(np.int64),
+        _FLOATS.map(np.float64), _FLOATS32.map(np.float32), st.booleans(),
+        st.none(), st.text(st.characters(blacklist_categories=("Cs",)),
+                           max_size=8)), list),
+}
+
+
+@st.composite
+def _tables(draw):
+    """Columns of random kinds, 0 to 3 rows long or one block's rows, one
+    less or one more."""
+    n_cols = draw(st.integers(1, 4))
+    block = cli._BLOCK // n_cols
+    n = draw(st.integers(0, 3) | st.sampled_from([block - 1, block, block + 1]))
+    columns = []
+    for _ in range(n_cols):
+        cells, make = _COLUMN_KINDS[draw(st.sampled_from(sorted(_COLUMN_KINDS)))]
+        pool = draw(st.lists(cells, min_size=1, max_size=12))
+        shift = draw(st.integers(0, 11))
+        columns.append(make([pool[(i * 7 + shift) % len(pool)]
+                             for i in range(n)]))
+    return columns
+
+
 class TestTable:
     def test_cells(self):
-        rows = [(0.1 + 0.2, 0.0, -0.0, float("nan")),
-                (float("inf"), np.float64(1.0 / 3.0), 7, True),
-                (None, "ice-sensitive", 2.5e-300, False)]
-        assert b"".join(_table("a,b,c,d", rows)) == (
+        columns = [(0.1 + 0.2, float("inf"), None),
+                   (0.0, np.float64(1.0 / 3.0), "ice-sensitive"),
+                   (-0.0, 7, 2.5e-300),
+                   (float("nan"), True, False)]
+        assert b"".join(_table("a,b,c,d", columns)) == (
             b"a,b,c,d\n"
             b"0.30000000000000004,0,-0,nan\n"
             b"inf,0.33333333333333331,7,True\n"
             b",ice-sensitive,2.5e-300,False\n")
 
-    def test_rows_are_read_as_they_are_written(self):
-        def rows():
-            yield (1.5,)
-            raise AssertionError("read past the first row")
+    def test_float32_prints_as_str(self):
+        """A float32 item is not a float: it prints as str() does, not with
+        the 17 digits of its float64 value."""
+        col = np.array([0.1, 1e-45], dtype=np.float32)
+        assert b"".join(_table("x", [col])) == b"x\n0.1\n1e-45\n"
 
-        lines = _table("x", rows())
-        assert next(lines) == b"x\n"
-        assert next(lines) == b"1.5\n"
+    @settings(max_examples=60, deadline=None)
+    @given(_tables())
+    def test_matches_the_cell_by_cell_writer(self, columns):
+        header = ",".join(f"c{k}" for k in range(len(columns)))
+        assert b"".join(_table(header, columns)) == _reference_table(
+            header, columns)
+
+    def test_one_block_is_formatted_ahead_of_the_write(self):
+        """Each part the writer yields is one block of rows, sliced from
+        each column only when the part before it has been taken."""
+        step = cli._BLOCK // 2
+        n = 2 * step + 3
+        values = np.arange(n, dtype=np.float64).view(_SliceLog)
+        values.log = []
+        cells = list(range(n))
+
+        class Listed(list):
+            def __getitem__(self, key):
+                out = super().__getitem__(key)
+                self.log.append(len(out))
+                return out
+
+        listed = Listed(cells)
+        listed.log = []
+        parts = _table("a,b", [values, listed])
+        assert next(parts) == b"a,b\n"
+        assert values.log == listed.log == []
+        first = next(parts)
+        assert values.log == listed.log == [step]
+        assert first.count(b"\n") == step
+        rest = list(parts)
+        assert values.log == listed.log == [step, step, 3]
+        assert [part.count(b"\n") for part in rest] == [step, 3]
+        assert b"".join([b"a,b\n", first, *rest]) == _reference_table(
+            "a,b", [np.arange(n, dtype=np.float64), cells])
+
+    def test_unequal_columns_are_refused(self):
+        with pytest.raises(ValueError, match="length"):
+            b"".join(_table("a,b", [[1.0, 2.0], [1.0]]))
 
 
 class TestWzConvergence:
@@ -507,20 +610,21 @@ class TestSimulate:
         assert ((out / "anomaly_field_trace.csv").read_text()
                 == "\n".join(expected) + "\n")
 
-    # (n_steps, store_stride, steps a block): blocks of one step, so one
-    # kept state each; a last block of one kept state (step 22, after 21);
-    # and a last block of two (steps 35 and 36).
-    @pytest.mark.parametrize("n_steps, stride, block", [
-        (6, 1, 1), (22, 7, 3), (36, 7, 3)])
+    # (n_steps, store_stride, steps a block, paths): blocks of one step, so
+    # one kept state each; a last block of one kept state (step 22, after
+    # 21); a last block of two (steps 35 and 36); and 150 paths, which the
+    # sink squares in chunks of 64, 64 and 22.
+    @pytest.mark.parametrize("n_steps, stride, block, n_paths", [
+        (6, 1, 1, 40), (22, 7, 3, 40), (36, 7, 3, 40), (8, 1, 3, 150)],
+        ids=["6-1-1", "22-7-3", "36-7-3", "8-1-3-150-paths"])
     def test_field_dump_is_the_bundle_at_any_stride(self, tmp_path, monkeypatch,
-                                                    n_steps, stride, block):
+                                                    n_steps, stride, block,
+                                                    n_paths):
         """The dump sink, fed by a strided run, writes the strided bundle's
         to_binary(), and its traces are (values**2).sum(2).mean(0) exactly."""
-        from ebmvar import cli
         from ebmvar import sde_engine as se
 
         ops = _field_ops()
-        n_paths = 40
         cfg = se.SimConfig(dt=1e-3, n_steps=n_steps, n_paths=n_paths, seed=2)
         monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * block * n_paths * ops.d)
         bundle = sm.simulate_anomaly_field(ops, cfg, store_stride=stride)
