@@ -382,7 +382,10 @@ def cmd_counterexample(cfg, args, outdir: Path) -> int:
     if not 0.0 <= args.lambda_min <= args.lambda_max < np.inf:
         raise ConfigError("need 0 <= --lambda-min <= --lambda-max < inf, got "
                           f"{args.lambda_min!r} and {args.lambda_max!r}")
-    lam_grid = np.linspace(args.lambda_min, args.lambda_max, args.n_lambda)
+    try:
+        lam_grid = np.linspace(args.lambda_min, args.lambda_max, args.n_lambda)
+    except ValueError as exc:  # more points than numpy can index
+        raise ConfigError(f"--n-lambda {args.n_lambda}: {exc}") from exc
     try:
         results = [cov.counterexample_trace(args.s, args.c, float(lam))
                    for lam in lam_grid]
@@ -461,7 +464,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"command {args.command} requires --config")
             cfg = load_config(args.config)
         return fn(cfg, args, outdir)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # or an input too large
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (UnstableDrift, UnstableK) as exc:

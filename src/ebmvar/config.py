@@ -170,4 +170,7 @@ def sweep_grid(cfg: ExperimentConfig) -> np.ndarray:
     s = cfg.section("sweep")
     if s["n_points"] < 1:
         raise ConfigError("sweep.n_points must be >= 1")
-    return np.linspace(s["lambda_min"], s["lambda_max"], s["n_points"])
+    try:
+        return np.linspace(s["lambda_min"], s["lambda_max"], s["n_points"])
+    except ValueError as exc:  # more points than numpy can index
+        raise ConfigError(f"sweep.n_points = {s['n_points']}: {exc}") from exc

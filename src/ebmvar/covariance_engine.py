@@ -66,22 +66,22 @@ class CovarianceState:
                    is_psd=float(w[0]) >= -1e-8 * scale)
 
 
-def _operator(ops: SpatialOperators):
-    """X -> M X + X M^T + tau C o (D X D) on d x d matrices (K is its
-    column-stacked matrix), and its noise gain tau C o d d^T."""
-    M, gain = ops.M, ops.tau * ops.C * np.outer(ops.d_vec, ops.d_vec)
+def _gain(ops: SpatialOperators) -> np.ndarray:
+    """The operator's noise gain tau C o d d^T."""
+    return ops.tau * ops.C * np.outer(ops.d_vec, ops.d_vec)
 
-    def apply(X):
-        return M @ X + (M @ X.T).T + gain * X
 
-    return apply, gain
+def _apply(ops: SpatialOperators, X) -> np.ndarray:
+    """X -> M X + X M^T + tau C o (D X D) on d x d matrices; K is its
+    column-stacked matrix."""
+    return ops.M @ X + (ops.M @ X.T).T + _gain(ops) * X
 
 
 def covariance_rhs(gamma, ops: SpatialOperators) -> np.ndarray:
     """M G + G M^T + tau * (C o (D G D^T + f f^T)) with o the entrywise
     product; identical to the column-factor sum since sum_k l^k (l^k)^T = C."""
     gamma = np.asarray(gamma, dtype=float)
-    return (_operator(ops)[0](gamma)
+    return (_apply(ops, gamma)
             + ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec))
 
 
@@ -194,11 +194,11 @@ def k_spectral_abscissa(ops: SpatialOperators) -> tuple[float, str]:
     u u^T alone misses it there.  There is no random start, so reruns give
     identical digits.  The residual tolerance is 1e-10 |K|, with the bound
     |K| <= max|w_i + w_j| + g."""
-    apply, gain = _operator(ops)
     d = ops.d
     if d == 1:
-        return float(apply(np.ones((1, 1)))[0, 0]), "dense"
+        return float(_apply(ops, np.ones((1, 1)))[0, 0]), "dense"
     w, U = drift_eigenvalues(ops)
+    gain = _gain(ops)
     denom = w[:, None] + w[None, :]
 
     def K(Y):
@@ -210,22 +210,6 @@ def k_spectral_abscissa(ops: SpatialOperators) -> tuple[float, str]:
     start = np.eye(d) / d
     start[-1, -1] += 1.0
     return _lobpcg_top(K, shift, start, 1e-10 * knorm), "iterative"
-
-
-def _lyapunov_solver(w, U):
-    """Solver R -> X of M X + X M^T = R for the symmetric M = U diag(w) U^T:
-    X = U ((U^T R U) / (w_i + w_j)) U^T, solution by diagonalisation
-    (Simoncini, SIAM Review 58, 2016, sec. 4): in M's eigen-coordinates
-    Y = U^T X U the Lyapunov operator is multiplication by w_i + w_j.
-    """
-    denom = w[:, None] + w[None, :]
-    if np.any(denom == 0.0):
-        raise SolveFailed("Lyapunov operator M X + X M^T is singular")
-
-    def solve(R):
-        return U @ ((U.T @ R @ U) / denom) @ U.T
-
-    return solve
 
 
 def _gmres(op, b):
@@ -260,76 +244,70 @@ def _gmres(op, b):
     return x
 
 
-def _covariance_solver(ops: SpatialOperators):
-    """Solver R -> X of the generalized Lyapunov equation
+def _solve(ops: SpatialOperators, R) -> np.ndarray:
+    """The solution X of the generalized Lyapunov equation
     M X + X M^T + tau C o (D X D) = R for symmetric R, in the eigenbasis
-    of the symmetric drift (`drift_eigenvalues`).
+    of the symmetric drift (`drift_eigenvalues`, which refuses any other M).
 
     With L_M(X) = M X + X M^T, restarted GMRES (`_gmres`) solves the
     Lyapunov-preconditioned form (I + L_M^-1 tau C o (D . D)) X = L_M^-1(R)
-    on d x d matrices (Damm 2008; Benner & Breiten 2013), L_M^-1 being
-    division by w_i + w_j in M's eigen-coordinates (`_lyapunov_solver`).
-    The multiplicative-noise term is a small perturbation on every grid
+    on d x d matrices (Damm 2008; Benner & Breiten 2013).  L_M^-1 is a
+    solution by diagonalisation (Simoncini, SIAM Review 58, 2016, sec. 4):
+    in M's eigen-coordinates Y = U^T X U, L_M is multiplication by
+    w_i + w_j, so L_M^-1(R) = U ((U^T R U) / (w_i + w_j)) U^T.  The
+    multiplicative-noise term is a small perturbation on every grid
     operator, so this converges in one or two iterations; D = 0 makes it a
-    plain Lyapunov solve.  The one eigendecomposition of M serves every
-    right-hand side.  The answer stands only if it passes the symmetry and
-    residual checks below, which also refuse a non-finite one.
+    plain Lyapunov solve.  The answer stands only if it passes the symmetry
+    and residual checks below, which also refuse a non-finite one.
     """
-    lyap = _lyapunov_solver(*drift_eigenvalues(ops))
-    apply, noise_gain = _operator(ops)
+    w, U = drift_eigenvalues(ops)
+    denom = w[:, None] + w[None, :]
+    if np.any(denom == 0.0):
+        raise SolveFailed("Lyapunov operator M X + X M^T is singular")
+    gain = _gain(ops)
 
-    def solve(R):
-        # At most 10 restart cycles of 20 Lyapunov solves.  GMRES may stop
-        # just short of 1e-14 when the contraction is close to 1; the
-        # residual check below decides whether that answer stands.
-        X = _gmres(lambda X: X + lyap(noise_gain * X), lyap(R))
-        defect = np.max(np.abs(X - X.T))
-        xscale = np.max(np.abs(X)) or 1.0
-        if not defect <= 1e-10 * xscale:
-            raise SolveFailed(f"symmetry defect {defect:.3e} too large")
-        X = 0.5 * (X + X.T)
-        resid = np.max(np.abs(apply(X) - R))
-        scale = np.max(np.abs(R)) or 1.0
-        if not resid <= 1e-9 * scale:
-            raise SolveFailed(f"generalized Lyapunov residual {resid:.3e} "
-                              "too large")
-        return X
+    def lyap(Y):  # L_M^-1
+        return U @ ((U.T @ Y @ U) / denom) @ U.T
 
-    return solve
-
-
-def _stationary(ops: SpatialOperators, check_stability):
-    """The stationary covariance state and the solver that produced it.  M
-    must be symmetric; `drift_eigenvalues` refuses it otherwise.
-
-    The Hurwitz gate needs C to be PSD, as every noise covariance built here
-    is.  Then X -> M X + X M^T + tau C o (D X D) is resolvent positive on the
-    PSD cone, and it is Hurwitz iff its solution of K(X) = -I is positive
-    definite (Damm 2004, ch. 3): one more solve in the same eigenbasis, and
-    a Cholesky factorisation.
-    """
-    solve = _covariance_solver(ops)
-    if check_stability:
-        X = solve(-np.eye(ops.d))
-        try:
-            np.linalg.cholesky(X)
-        except np.linalg.LinAlgError as exc:
-            raise UnstableK("the solution of K(X) = -I is not positive "
-                            "definite, so K is not Hurwitz") from exc
-    gamma = solve(-ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec))
-    return CovarianceState.from_gamma(gamma), solve
+    # At most 10 restart cycles of 20 Lyapunov solves.  GMRES may stop just
+    # short of 1e-14 when the contraction is close to 1; the residual check
+    # below decides whether that answer stands.
+    X = _gmres(lambda X: X + lyap(gain * X), lyap(R))
+    defect = np.max(np.abs(X - X.T))
+    xscale = np.max(np.abs(X)) or 1.0
+    if not defect <= 1e-10 * xscale:
+        raise SolveFailed(f"symmetry defect {defect:.3e} too large")
+    X = 0.5 * (X + X.T)
+    resid = np.max(np.abs(_apply(ops, X) - R))
+    scale = np.max(np.abs(R)) or 1.0
+    if not resid <= 1e-9 * scale:
+        raise SolveFailed(f"generalized Lyapunov residual {resid:.3e} "
+                          "too large")
+    return X
 
 
 def stationary_covariance(ops: SpatialOperators,
                           check_stability=True) -> CovarianceState:
     """Stationary covariance: the solution of the generalized Lyapunov
-    equation M G + G M^T + tau C o (D G D) = -tau C o (f f^T).
+    equation M G + G M^T + tau C o (D G D) = -tau C o (f f^T) (`_solve`).
 
     M must be symmetric: a nonsymmetric M is refused with ParamOutOfRange.
     Refuses a non-Hurwitz K with UnstableK; `check_stability=False` skips
-    that gate, which assumes C is PSD.
+    that gate.  The gate needs C to be PSD, as every noise covariance built
+    here is.  Then X -> M X + X M^T + tau C o (D X D) is resolvent positive
+    on the PSD cone, and it is Hurwitz iff its solution of K(X) = -I is
+    positive definite (Damm 2004, ch. 3): one more solve in the same
+    eigenbasis, and a Cholesky factorisation.
     """
-    return _stationary(ops, check_stability)[0]
+    if check_stability:
+        X = _solve(ops, -np.eye(ops.d))
+        try:
+            np.linalg.cholesky(X)
+        except np.linalg.LinAlgError as exc:
+            raise UnstableK("the solution of K(X) = -I is not positive "
+                            "definite, so K is not Hurwitz") from exc
+    gamma = _solve(ops, -ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec))
+    return CovarianceState.from_gamma(gamma)
 
 
 @dataclass
@@ -467,11 +445,11 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
         try:
             T_star = solve_equilibrium_profile(g, Q_field, lam, theta, p)
             ops = build_operators(g, T_star, Q_field, p, noise)
-            cs, solve = _stationary(ops, check_stability=True)
+            cs = stationary_covariance(ops)
             w, U = drift_eigenvalues(ops)
             u = U @ (-(U.T @ np.ones(g.d)) / w)
             f_df = np.outer(ops.f_vec, ops.d_vec * u)  # f (df/dlambda)^T
-            dgamma = solve(-ops.tau * ops.C * (f_df + f_df.T))
+            dgamma = _solve(ops, -ops.tau * ops.C * (f_df + f_df.T))
         except (EbmvarError, np.linalg.LinAlgError) as exc:
             points.append(SweepPoint(lam=lam, applicable=False,
                                      note=f"solver error: {exc}"))
@@ -542,8 +520,7 @@ def counterexample_sign_change(s, c, tol=1e-8) -> float:
     def slope(lam):
         ops = counterexample_operators(s, c, lam)
         f_df = np.outer(ops.f_vec, [1.0, 0.0])  # f (df/dlambda)^T
-        solve = _covariance_solver(ops)
-        return np.trace(solve(-ops.tau * ops.C * (f_df + f_df.T)))
+        return np.trace(_solve(ops, -ops.tau * ops.C * (f_df + f_df.T)))
 
     lo, hi = 0.0, 1.0
     if slope(lo) >= 0.0:

@@ -53,6 +53,8 @@ class SimConfig:
             raise ValueError("dt must be positive and finite")
         if self.n_steps < 1 or self.n_paths < 1:
             raise ValueError("n_steps and n_paths must be >= 1")
+        if not -2**63 <= self.seed < 2**63:  # the dump header's int64
+            raise ValueError(f"seed must be in [-2**63, 2**63), got {self.seed}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.drift_form not in DRIFT_FORMS:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import ebmvar
 from ebmvar import cli
 from ebmvar import covariance_engine as cov
 from ebmvar import model_core as mc
+from ebmvar import sde_engine as sde
 from ebmvar import spatial_model as sm
 from ebmvar.cli import (
     EXIT_CONFIG,
@@ -205,6 +207,62 @@ class TestExitCodes:
         assert err.startswith("config error: [sim] " + need)
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
+
+    # Each first large request is beyond the 128 TiB user address space, so
+    # it fails at once and nothing is allocated.
+    @pytest.mark.parametrize("sections, argv", [
+        ("[sweep]\nlambda_min = 500\nlambda_max = 520\n"
+         "n_points = 100000000000000\n", ["variance-curve"]),
+        ("[sweep]\nlambda_min = 500\nlambda_max = 520\n"
+         "n_points = 100000000000000000000\n", ["variance-curve"]),
+        (_spatial_sections(kernel="exponential")
+         + "[sweep]\nlambda_min = 500\nlambda_max = 520\n"
+           "n_points = 100000000000000\n", ["monotonicity"]),
+        (None, ["counterexample", "--s", "0.5", "--c", "0.8",
+                "--n-lambda", "100000000000000"]),
+        (None, ["counterexample", "--s", "0.5", "--c", "0.8",
+                "--n-lambda", "100000000000000000000"]),
+        (_spatial_sections(Lx=8.0, Ly=8.0, n=2000, kernel="exponential"),
+         ["spatial-stationary"]),
+        ("[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 100\nseed = 1\n",
+         ["wz-convergence", "--t", "1e13"]),
+        ("[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 100000000000000\n"
+         "seed = 1\n", ["wz-convergence"]),
+    ], ids=["variance-curve-points", "variance-curve-points-overflow",
+            "monotonicity-points", "counterexample-points",
+            "counterexample-points-overflow", "stationary-grid",
+            "wz-horizon", "wz-paths"])
+    def test_oversized_input_is_a_config_error(self, tmp_path, capsys,
+                                               sections, argv):
+        out = tmp_path / "o"
+        if sections is not None:
+            argv = ["--config", _write_cfg(tmp_path, _model_section() + sections),
+                    *argv]
+        rc = main(["--out", str(out), *argv])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("seed_key, flags", [
+        ("seed = 9223372036854775808\n", []),
+        ("seed = -9223372036854775809\n", []),
+        ("", ["--seed", "18446744073709551616"]),
+    ], ids=["key-2**63", "key-below-int64", "flag-2**64"])
+    def test_seed_outside_int64_is_a_config_error(self, tmp_path, capsys,
+                                                  seed_key, flags):
+        """The path dump stores the seed as an int64, and a wider one would
+        alias another seed's streams: refused before anything runs."""
+        text = (_model_section()
+                + "[sim]\ndt = 0.001\nn_steps = 5\nn_paths = 2\n" + seed_key)
+        out = tmp_path / "o"
+        rc = main(["--config", _write_cfg(tmp_path, text), *flags,
+                   "--out", str(out), "simulate", "--which", "reduced"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error: sim: seed must be in")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["spatial-stationary"], ["simulate", "--which", "anomaly-field"]],
@@ -552,6 +610,16 @@ class TestSimulate:
         assert ((out_a / "reduced_paths.bin").read_bytes()
                 != (out_b / "reduced_paths.bin").read_bytes())
 
+    @pytest.mark.parametrize("seed", [-2**63, -1, 2**63 - 1])
+    def test_int64_seed_extremes_run(self, tmp_path, seed):
+        text = _model_section() + (
+            f"[sim]\ndt = 0.001\nn_steps = 5\nn_paths = 2\nseed = {seed}\n")
+        out = tmp_path / "o"
+        assert main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
+                     "simulate", "--which", "reduced"]) == EXIT_OK
+        blob = (out / "reduced_paths.bin").read_bytes()
+        assert sde.PathBundle.from_binary(blob).seed == seed
+
     def test_fast_slow_outputs(self, tmp_path):
         text = _model_section() + (
             "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 2\nseed = 3\n")
@@ -876,6 +944,61 @@ class TestCounterexample:
         assert rc == EXIT_OK
         summary = json.loads((out / "counterexample_summary.json").read_text())
         assert summary["derivative_negative_below_cs"] is None
+
+
+class TestOneSolve:
+    """Every generalized-Lyapunov solve goes through `cov._solve`, the one
+    caller of `_gmres`: the Hurwitz gate, Gamma and dGamma/dlambda."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        original = cov._solve
+
+        def counting(ops, R):
+            calls.append(ops.d)
+            return original(ops, R)
+
+        monkeypatch.setattr(cov, "_solve", counting)
+        return calls
+
+    @pytest.mark.parametrize("flags, expected", [([], 2), (["--force"], 1)],
+                             ids=["gate-and-gamma", "force"])
+    def test_spatial_stationary(self, tmp_path, solves, flags, expected):
+        lam = _constant_profile_lam(280.0)
+        cfg = _write_cfg(tmp_path, _model_section(lam=lam) + _spatial_sections())
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), *flags,
+                     "spatial-stationary"]) == EXIT_OK
+        assert solves == [9] * expected
+
+    def test_refused_run_stops_after_the_gate(self, tmp_path, solves):
+        cfg = _write_cfg(tmp_path, UNSTABLE_K_CONFIG)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                     "spatial-stationary"]) == EXIT_STABILITY
+        assert solves == [9]
+
+    def test_three_per_sweep_point(self, tmp_path, solves):
+        lam0 = _constant_profile_lam(280.0)
+        text = (_model_section(lam=lam0) + _spatial_sections()
+                + f"[sweep]\nlambda_min = {lam0 - 2.0:.17g}\n"
+                  f"lambda_max = {lam0 + 2.0:.17g}\nn_points = 3\n")
+        out = tmp_path / "o"
+        assert main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
+                     "monotonicity"]) == EXIT_OK
+        summary = json.loads((out / "monotonicity_summary.json").read_text())
+        assert summary["n_applicable"] == 3
+        assert solves == [9] * 9
+
+    def test_gmres_has_one_caller(self):
+        callers = []
+        for path in Path(cov.__file__).parent.glob("*.py"):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if isinstance(fn, ast.FunctionDef):
+                    callers += [(path.stem, fn.name) for node in ast.walk(fn)
+                                if isinstance(node, ast.Call)
+                                and isinstance(node.func, ast.Name)
+                                and node.func.id == "_gmres"]
+        assert callers == [("covariance_engine", "_solve")]
 
 
 # Runs `import ebmvar.cli`, records the scipy modules then loaded, runs each

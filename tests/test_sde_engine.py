@@ -24,6 +24,8 @@ class TestSimConfig:
         {"dt": 0.0}, {"n_steps": 0}, {"n_paths": 0},
         {"scheme": "heun"}, {"drift_form": "bogus"},
         {"dt": float("nan")}, {"dt": float("inf")},
+        # The path dump's header stores the seed as an int64.
+        {"seed": 2**63}, {"seed": -2**63 - 1}, {"seed": 2**64},
     ])
     def test_rejects_bad_values(self, kw):
         base = {"dt": 0.01, "n_steps": 10, "n_paths": 2}
