@@ -26,10 +26,12 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -56,13 +58,21 @@ def config_text(sections: dict) -> str:
     return "\n".join(lines)
 
 
-def commands() -> list:
-    """(label, config sections, CLI arguments) of every measured command."""
-    # Forcing at which the constant profile T = THETA is an equilibrium: the
-    # field runs about that profile, inside the ice band.
+def spatial_sections(n: int) -> dict:
+    """Config sections of the field on the 8x8 domain with n grid points per
+    side, at the forcing at which the constant profile T = THETA is an
+    equilibrium: the field runs about that profile, inside the ice band."""
     ramp = (THETA - MODEL["T_l"]) / (MODEL["T_u"] - MODEL["T_l"])
     beta = MODEL["beta_min"] + (MODEL["beta_max"] - MODEL["beta_min"]) * ramp
     lam = MODEL["r0"] + MODEL["r1"] * THETA - MODEL["Q"] * beta
+    return {"model": {**MODEL, "lambda": lam},
+            "grid": {"Lx": 8.0, "Ly": 8.0, "Nx": n, "Ny": n},
+            "boundary": {"theta": THETA},
+            "noise": {"kernel": "exponential", "length": 0.5}}
+
+
+def commands() -> list:
+    """(label, config sections, CLI arguments) of every measured command."""
     out = []
     wz = {"model": MODEL, "sim": {"dt": 0.01, "n_steps": 1,
                                   "n_paths": WZ_PATHS, "seed": 0}}
@@ -71,27 +81,38 @@ def commands() -> list:
         out.append((label, wz, ["--threads", str(threads), "wz-convergence",
                                 "--t", repr(t), "--x0-offset", "1.0"]))
     for d, n in FIELD_SIDES.items():
-        cfg = {"model": {**MODEL, "lambda": lam},
-               "grid": {"Lx": 8.0, "Ly": 8.0, "Nx": n, "Ny": n},
-               "boundary": {"theta": THETA},
-               "noise": {"kernel": "exponential", "length": 0.5},
+        cfg = {**spatial_sections(n),
                "sim": {"dt": FIELD_DT, "n_steps": FIELD_STEPS,
                        "n_paths": FIELD_PATH_NODES // d, "seed": 0}}
         out.append((f"field-d{d}", cfg, ["simulate", "--which", "anomaly-field"]))
     return out
 
 
-def run_one(src: Path, cfg: Path, args: list, outdir: Path) -> dict:
+def run_one(src: Path, cfg: Path, args: list, outdir: Path,
+            cap: float | None = None) -> dict | None:
+    """One CLI command in a fresh interpreter, timed from spawn to reap, its
+    outputs in `outdir` hashed and removed; None when it ran for `cap`
+    seconds and was killed."""
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-m", "ebmvar.cli", "--config", str(cfg),
             "--out", str(outdir)] + args
     start = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdin=subprocess.DEVNULL,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    _, status, usage = os.wait4(proc.pid, 0)
+    killer = threading.Timer(cap, proc.kill) if cap is not None else None
+    if killer is not None:
+        killer.start()
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        if killer is not None:
+            killer.cancel()
     wall = time.perf_counter() - start
     err = proc.stderr.read().decode()
     proc.stderr.close()
+    if cap is not None and wall >= cap:
+        shutil.rmtree(outdir, ignore_errors=True)
+        return None
     rc = os.waitstatus_to_exitcode(status)
     if rc != 0:
         raise RuntimeError(f"{argv} exited {rc}: {err}")

@@ -21,21 +21,27 @@ it measures these layers:
   set-up run with this checkout's `src/` saves Gamma to a .npy file, which
   every run of both trees loads, so the timed call only writes;
 - `import`: `import ebmvar.cli` in a fresh interpreter, which does not
-  depend on d and is measured once, under the key "d0".
+  depend on d and is measured once, under the key "d0";
+- `command`: a whole `python -m ebmvar.cli spatial-stationary` on that
+  grid, from spawn to reap, as `mc_stream.run_one` measures it: start-up,
+  the numerics, the writes and exit.  Its wall less that of `newton`,
+  `certify`, `stationary` and `write` is the fixed cost of a command.
 
-Each run is a fresh interpreter with this checkout's `src/` on PYTHONPATH.
-It builds its inputs, times the one call (`time.perf_counter`), and reports
-its own peak RSS (`VmHWM` of /proc/self/status, which unlike `ru_maxrss`
-does not inherit the launching process's high-water mark) and a `value` to
-compare between trees: the sum of the profile, K's spectral abscissa, the
-trace of Gamma, the sha256 of gamma_stationary.txt, or nothing for
-`import`; `values_agree` says, per layer and d, whether every run of every
-tree gave the same value.  With `--before`, every run is repeated on
-another package tree, such as the parent commit's `src/` unpacked by
-`git archive`, alternating which tree goes first.  A run that takes
-longer than `--cap` seconds in all is killed; it, the rest of its repeats
-and every larger d of that tree and layer are recorded as skipped, not
-run.  The result, with the machine description, goes to
+Each run of the other layers is a fresh interpreter with this checkout's
+`src/` on PYTHONPATH.  It builds its inputs, times the one call
+(`time.perf_counter`), and reports its own peak RSS (`VmHWM` of
+/proc/self/status, which unlike `ru_maxrss` does not inherit the launching
+process's high-water mark) and a `value` to compare between trees: the sum
+of the profile, K's spectral abscissa, the trace of Gamma, the sha256 of
+gamma_stationary.txt (for `write` and `command`), or nothing for `import`;
+`values_agree` says, per layer and d, whether every run of every tree gave
+the same value.  A `command` run also records its CPU time, and its peak
+RSS is the child's `ru_maxrss` from `os.wait4`.  With `--before`, every
+run is repeated on another package tree, such as the parent commit's
+`src/` unpacked by `git archive`, alternating which tree goes first.  A
+run that takes longer than `--cap` seconds in all is killed; it, the rest
+of its repeats and every larger d of that tree and layer are recorded as
+skipped, not run.  The result, with the machine description, goes to
 BENCH_scaling.json.
 """
 
@@ -51,12 +57,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import mc_stream
 from mc_stream import machine
 
 ROOT = Path(__file__).resolve().parent.parent
 
 SIDES = {16: 5, 64: 9, 225: 16, 400: 21, 900: 31, 1600: 41}  # d: Nx = Ny
-LAYERS = ("newton", "certify", "stationary", "sweep-point", "write", "import")
+LAYERS = ("newton", "certify", "stationary", "sweep-point", "write", "import",
+          "command")
 
 CHILD = r"""
 import json, sys, time
@@ -161,13 +169,20 @@ def save_gamma(src: Path, d: int, path: Path) -> Path:
 
 
 def run_one(src: Path, layer: str, d: int, cap: float,
-            gamma: Path | None = None) -> dict | None:
+            extra: Path | None = None) -> dict | None:
     """One measured run, or None when it exceeds the cap; the `write` layer
-    reads Gamma from the .npy file `gamma`."""
+    reads Gamma from the .npy file `extra`, the `command` layer runs on the
+    config file `extra`."""
+    if layer == "command":
+        r = mc_stream.run_one(src, extra, ["spatial-stationary"],
+                              extra.with_suffix(".out"), cap)
+        return r and {"wall_s": r["wall_s"], "cpu_s": r["cpu_s"],
+                      "peak_rss_mb": r["peak_rss_mb"],
+                      "value": r["sha256"]["gamma_stationary.txt"]}
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-c", CHILD, layer, str(sizes(layer)[d])]
-    if gamma is not None:
-        argv.append(str(gamma))
+    if extra is not None:
+        argv.append(str(extra))
     try:
         proc = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL,
                               capture_output=True, text=True, timeout=cap)
@@ -177,6 +192,19 @@ def run_one(src: Path, layer: str, d: int, cap: float,
         raise RuntimeError(f"{layer} at d = {d} on {src} exited "
                            f"{proc.returncode}: {proc.stderr}")
     return json.loads(proc.stdout)
+
+
+def layer_input(layer: str, d: int, src: Path, tmp: Path) -> Path | None:
+    """What a run of `layer` at d reads: Gamma computed by `src` for
+    `write`, the config file for `command`, or nothing."""
+    if layer == "write":
+        return save_gamma(src, d, tmp / "gamma.npy")
+    if layer == "command":
+        cfg = tmp / f"d{d}.ini"
+        cfg.write_text(mc_stream.config_text(
+            mc_stream.spatial_sections(SIDES[d])))
+        return cfg
+    return None
 
 
 def main(argv=None) -> int:
@@ -198,8 +226,7 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp())
     for layer in LAYERS:
         for d in sizes(layer):
-            gamma = (save_gamma(trees["after"], d, tmp / "gamma.npy")
-                     if layer == "write" else None)
+            extra = layer_input(layer, d, trees["after"], tmp)
             runs = {name: [] for name in trees}
             for rep in range(args.repeats):
                 names = list(trees) if rep % 2 == 0 else list(trees)[::-1]
@@ -210,7 +237,7 @@ def main(argv=None) -> int:
                             "reason": "an earlier run of this tree and layer "
                                       "exceeded the cap"})
                         continue
-                    r = run_one(trees[name], layer, d, args.cap, gamma)
+                    r = run_one(trees[name], layer, d, args.cap, extra)
                     if r is None:
                         capped.add((name, layer))
                         result["skipped"].append({
@@ -219,7 +246,9 @@ def main(argv=None) -> int:
                         continue
                     runs[name].append(r)
             entry = {name: {"median": {key: statistics.median(r[key] for r in rs)
-                                       for key in ("wall_s", "peak_rss_mb")},
+                                       for key in ("wall_s", "cpu_s",
+                                                   "peak_rss_mb")
+                                       if key in rs[0]},
                             "runs": rs}
                      for name, rs in runs.items() if rs}
             result["layers"][layer][f"d{d}"] = entry

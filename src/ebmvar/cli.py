@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 numerical-solver error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import shutil
@@ -249,7 +250,7 @@ def cmd_wz_convergence(cfg: ExperimentConfig, args, outdir: Path) -> int:
     try:
         results = sde.wong_zakai_ladder(WZ_TAU_LADDER, args.t, x0, p.Q,
                                         n_paths=s.n_paths, seed=s.seed)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"--t {args.t!r}, --x0-offset {args.x0_offset!r}, "
                           f"[sim] n_paths = {s.n_paths}: {exc}") from exc
     rows = [(r.tau, r.mc_estimate, r.exact, r.se) for r in results]
@@ -384,7 +385,7 @@ def cmd_counterexample(cfg, args, outdir: Path) -> int:
                           f"{args.lambda_min!r} and {args.lambda_max!r}")
     try:
         lam_grid = np.linspace(args.lambda_min, args.lambda_max, args.n_lambda)
-    except ValueError as exc:  # more points than numpy can index
+    except (ValueError, MemoryError) as exc:  # more points than numpy can hold
         raise ConfigError(f"--n-lambda {args.n_lambda}: {exc}") from exc
     try:
         results = [cov.counterexample_trace(args.s, args.c, float(lam))
@@ -475,5 +476,16 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
+def run() -> int:
+    """The command-line entry (`python -m ebmvar.cli` and the `ebmvar`
+    script): `main()` on sys.argv, with the heap built by importing the
+    interpreter, numpy and this package frozen first.  Those objects live
+    until exit, so no collection the command triggers, nor the full one at
+    exit, walks them.  `main()` does not freeze: a process that calls it
+    many times, such as the tests, would keep every cycle it left behind."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

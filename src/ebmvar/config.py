@@ -164,6 +164,9 @@ def noise_covariance(cfg: ExperimentConfig, grid: Grid2D) -> NoiseCovariance:
                                       length=s.get("length"))
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
+    except MemoryError as exc:  # a kernel matrix too large to hold
+        raise ConfigError(f"noise: kernel = {s['kernel']} on grid.Nx = "
+                          f"{grid.Nx}, grid.Ny = {grid.Ny}: {exc}") from exc
 
 
 def sweep_grid(cfg: ExperimentConfig) -> np.ndarray:
@@ -172,5 +175,5 @@ def sweep_grid(cfg: ExperimentConfig) -> np.ndarray:
         raise ConfigError("sweep.n_points must be >= 1")
     try:
         return np.linspace(s["lambda_min"], s["lambda_max"], s["n_points"])
-    except ValueError as exc:  # more points than numpy can index
+    except (ValueError, MemoryError) as exc:  # more points than numpy can hold
         raise ConfigError(f"sweep.n_points = {s['n_points']}: {exc}") from exc

@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -209,31 +210,37 @@ class TestExitCodes:
         assert not out.exists() or not any(out.iterdir())
 
     # Each first large request is beyond the 128 TiB user address space, so
-    # it fails at once and nothing is allocated.
-    @pytest.mark.parametrize("sections, argv", [
+    # it fails at once and nothing is allocated.  The message names the key
+    # or flag that asked for it.
+    @pytest.mark.parametrize("sections, argv, name", [
         ("[sweep]\nlambda_min = 500\nlambda_max = 520\n"
-         "n_points = 100000000000000\n", ["variance-curve"]),
+         "n_points = 100000000000000\n", ["variance-curve"],
+         "sweep.n_points = 100000000000000"),
         ("[sweep]\nlambda_min = 500\nlambda_max = 520\n"
-         "n_points = 100000000000000000000\n", ["variance-curve"]),
+         "n_points = 100000000000000000000\n", ["variance-curve"],
+         "sweep.n_points = 100000000000000000000"),
         (_spatial_sections(kernel="exponential")
          + "[sweep]\nlambda_min = 500\nlambda_max = 520\n"
-           "n_points = 100000000000000\n", ["monotonicity"]),
+           "n_points = 100000000000000\n", ["monotonicity"],
+         "sweep.n_points = 100000000000000"),
         (None, ["counterexample", "--s", "0.5", "--c", "0.8",
-                "--n-lambda", "100000000000000"]),
+                "--n-lambda", "100000000000000"], "--n-lambda 100000000000000"),
         (None, ["counterexample", "--s", "0.5", "--c", "0.8",
-                "--n-lambda", "100000000000000000000"]),
+                "--n-lambda", "100000000000000000000"],
+         "--n-lambda 100000000000000000000"),
         (_spatial_sections(Lx=8.0, Ly=8.0, n=2000, kernel="exponential"),
-         ["spatial-stationary"]),
+         ["spatial-stationary"],
+         "kernel = exponential on grid.Nx = 2000, grid.Ny = 2000"),
         ("[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 100\nseed = 1\n",
-         ["wz-convergence", "--t", "1e13"]),
+         ["wz-convergence", "--t", "1e13"], "--t 10000000000000.0"),
         ("[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 100000000000000\n"
-         "seed = 1\n", ["wz-convergence"]),
+         "seed = 1\n", ["wz-convergence"], "n_paths = 100000000000000"),
     ], ids=["variance-curve-points", "variance-curve-points-overflow",
             "monotonicity-points", "counterexample-points",
             "counterexample-points-overflow", "stationary-grid",
             "wz-horizon", "wz-paths"])
     def test_oversized_input_is_a_config_error(self, tmp_path, capsys,
-                                               sections, argv):
+                                               sections, argv, name):
         out = tmp_path / "o"
         if sections is not None:
             argv = ["--config", _write_cfg(tmp_path, _model_section() + sections),
@@ -242,6 +249,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
         assert err.startswith("config error: ")
+        assert name in err
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
@@ -1043,3 +1051,68 @@ class TestNumpyOnly:
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result == {"after_import": [], "codes": [EXIT_OK] * len(argvs),
                           "after_commands": []}
+
+
+# Prints the freeze count after `import ebmvar.cli` and after `cli.run()` on
+# the arguments that follow, and run()'s exit code.
+_FREEZE_PROBE = """
+import gc
+import ebmvar.cli as cli
+imported = gc.get_freeze_count()
+rc = cli.run()
+print(imported, gc.get_freeze_count(), rc)
+"""
+
+
+class TestEntry:
+    """`run()`, behind `python -m ebmvar.cli` and the `ebmvar` script,
+    freezes the import-time heap and then is `main()`."""
+
+    @staticmethod
+    def _python(args, tmp_path):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ebmvar.__file__).resolve().parents[1]))
+        return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_writes_the_bytes_of_main(self, tmp_path):
+        lam = _constant_profile_lam(280.0)
+        cfg = _write_cfg(tmp_path, _model_section(lam=lam) + _spatial_sections(
+            Lx=8.0, Ly=8.0, n=5, kernel="exponential"))
+        proc = self._python(["-m", "ebmvar.cli", "--config", cfg, "--out",
+                             str(tmp_path / "entry"), "spatial-stationary"],
+                            tmp_path)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert main(["--config", cfg, "--out", str(tmp_path / "main"),
+                     "spatial-stationary"]) == EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "main").iterdir())
+        assert sorted(p.name for p in (tmp_path / "entry").iterdir()) == names
+        summary = tmp_path / "main" / "spatial_stationary_summary.json"
+        assert json.loads(summary.read_text())["d"] == 16
+        for name in names:
+            assert ((tmp_path / "entry" / name).read_bytes()
+                    == (tmp_path / "main" / name).read_bytes()), name
+
+    def test_config_error_exits_2_without_a_traceback(self, tmp_path):
+        missing = tmp_path / "missing.ini"
+        proc = self._python(["-m", "ebmvar.cli", "--config", str(missing),
+                             "--out", str(tmp_path / "o"), "spatial-stationary"],
+                            tmp_path)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith(
+            f"config error: cannot read config file {str(missing)!r}")
+        assert "Traceback" not in proc.stderr
+
+    def test_run_freezes_the_heap(self, tmp_path):
+        proc = self._python(["-c", _FREEZE_PROBE, "--out", str(tmp_path / "o"),
+                             "counterexample", "--s", "0.5", "--c", "0.8"],
+                            tmp_path)
+        imported, frozen, rc = map(int, proc.stdout.split())
+        assert (imported, rc) == (0, EXIT_OK)
+        assert frozen > 0
+
+    def test_main_does_not_freeze(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["--out", str(tmp_path / "o"), "counterexample",
+                     "--s", "0.5", "--c", "0.8"]) == EXIT_OK
+        assert gc.get_freeze_count() == before
