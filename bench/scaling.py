@@ -11,10 +11,10 @@ it measures these layers:
 
 - `newton`: `solve_equilibrium_profile`, the equilibrium profile;
 - `certify`: `certify`, with the eigendecomposition of M it needs;
-- `stationary`: `stationary_covariance`, that is Gamma and the Hurwitz gate,
-  with the eigendecomposition of M;
+- `stationary`: `stationary_covariance`, that is Gamma, with the
+  eigendecomposition of M;
 - `sweep-point`: `monotonicity_sweep` at that one forcing: the Newton
-  solve, Gamma, the gate and dGamma/dlambda;
+  solve, the certificate's Hurwitz gate, Gamma and dGamma/dlambda;
 - `write`: `cmd_spatial_stationary` writing Gamma's table, that is the
   nonzero scan, the formatting and the file write, with the command's
   numerics replaced by stubs that return a Gamma computed beforehand: a
@@ -83,12 +83,12 @@ elif layer == "write":
     gamma = np.load(sys.argv[3])
     state = ce.CovarianceState(gamma=gamma, is_psd=True,
                                spatial_variance=float(np.trace(gamma)))
-    cert = types.SimpleNamespace(to_dict=dict)
+    cert = types.SimpleNamespace(to_dict=dict, require_hurwitz=lambda: None)
     cli.model_params = lambda cfg: mc.default_params()
     cli._operators = lambda cfg, p: types.SimpleNamespace(d=len(gamma))
     cli.cov = types.SimpleNamespace(
         certify=lambda ops: cert,
-        stationary_covariance=lambda ops, check_stability: state)
+        stationary_covariance=lambda ops, **_: state)
     out = Path(tempfile.mkdtemp())
     run = lambda: cli.cmd_spatial_stationary(
         None, argparse.Namespace(force=False), out)

@@ -329,8 +329,11 @@ def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
 def cmd_spatial_stationary(cfg: ExperimentConfig, args, outdir: Path) -> int:
     p = model_params(cfg)
     ops = _operators(cfg, p)
-    _write(outdir, "certificate.json", _json(cov.certify(ops).to_dict()))
-    state = cov.stationary_covariance(ops, check_stability=not args.force)
+    cert = cov.certify(ops)
+    _write(outdir, "certificate.json", _json(cert.to_dict()))
+    if not args.force:
+        cert.require_hurwitz()
+    state = cov.stationary_covariance(ops)
     # Row-major, exact zeros dropped.
     rows, cols = np.nonzero(state.gamma)
     _write(outdir, "gamma_stationary.txt", _table(

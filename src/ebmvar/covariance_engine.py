@@ -88,6 +88,8 @@ def covariance_rhs(gamma, ops: SpatialOperators) -> np.ndarray:
 def integrate_covariance(ops: SpatialOperators, T_end, dt) -> CovarianceState:
     """Classical RK4 on the matrix ODE from Gamma(0) = 0, symmetrising each
     step; the exact flow preserves symmetry, floating point does not."""
+    if not (0.0 < T_end < np.inf and 0.0 < dt < np.inf):
+        raise ParamOutOfRange(f"need finite T_end, dt > 0: {T_end!r}, {dt!r}")
     gamma = np.zeros((ops.d, ops.d))
     n_steps = int(np.ceil(T_end / dt))
     h = T_end / n_steps
@@ -286,26 +288,13 @@ def _solve(ops: SpatialOperators, R) -> np.ndarray:
     return X
 
 
-def stationary_covariance(ops: SpatialOperators,
-                          check_stability=True) -> CovarianceState:
+def stationary_covariance(ops: SpatialOperators) -> CovarianceState:
     """Stationary covariance: the solution of the generalized Lyapunov
     equation M G + G M^T + tau C o (D G D) = -tau C o (f f^T) (`_solve`).
 
     M must be symmetric: a nonsymmetric M is refused with ParamOutOfRange.
-    Refuses a non-Hurwitz K with UnstableK; `check_stability=False` skips
-    that gate.  The gate needs C to be PSD, as every noise covariance built
-    here is.  Then X -> M X + X M^T + tau C o (D X D) is resolvent positive
-    on the PSD cone, and it is Hurwitz iff its solution of K(X) = -I is
-    positive definite (Damm 2004, ch. 3): one more solve in the same
-    eigenbasis, and a Cholesky factorisation.
+    Gamma exists only if K is Hurwitz, which `require_hurwitz` decides.
     """
-    if check_stability:
-        X = _solve(ops, -np.eye(ops.d))
-        try:
-            np.linalg.cholesky(X)
-        except np.linalg.LinAlgError as exc:
-            raise UnstableK("the solution of K(X) = -I is not positive "
-                            "definite, so K is not Hurwitz") from exc
     gamma = _solve(ops, -ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec))
     return CovarianceState.from_gamma(gamma)
 
@@ -329,6 +318,12 @@ class StabilityCertificate:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def require_hurwitz(self) -> None:
+        """Raise UnstableK unless K's spectral abscissa is negative."""
+        if not self.k_symmetric_part_negative_definite:
+            raise UnstableK(f"K is not Hurwitz: its spectral abscissa is "
+                            f"{self.k_spectral_abscissa:.3e}")
 
 
 def _connected(adjacent) -> bool:
@@ -428,15 +423,15 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
     D do not depend on lambda.  Differentiating the equilibrium equation
     then gives the elliptic sensitivity u = dT*/dlambda from M u = -1, so
     df/dlambda = D u, and dGamma/dlambda solves the stationary equation with
-    right-hand side -tau C o (f' f^T + f f'^T) (Damm 2004).  Gamma, its
-    derivative and u = U (U^T (-1) / w) all come from the one
-    eigendecomposition M = U diag(w) U^T of the symmetric drift.
+    right-hand side -tau C o (f' f^T + f f'^T) (Damm 2004).  The
+    certificate, Gamma, its derivative and u = U (U^T (-1) / w) all come
+    from the one eigendecomposition M = U diag(w) U^T of the symmetric drift.
 
     A grid point is applicable only when the equilibrium profile lies
     strictly inside the ice-sensitive band at every node, the coercivity
     r1 - Q s >= 0 holds, the noise covariance is entrywise nonnegative, and
-    the vectorised operator is Hurwitz; otherwise the point is flagged and
-    no verdict is asserted there.
+    K is Hurwitz by the point's certificate (`require_hurwitz`); otherwise
+    the point is flagged and no verdict is asserted there.
     """
     points = []
     coercive = bool(np.all(p.r1 - Q_field.values * p.slope >= 0.0))
@@ -445,6 +440,7 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
         try:
             T_star = solve_equilibrium_profile(g, Q_field, lam, theta, p)
             ops = build_operators(g, T_star, Q_field, p, noise)
+            certify(ops).require_hurwitz()
             cs = stationary_covariance(ops)
             w, U = drift_eigenvalues(ops)
             u = U @ (-(U.T @ np.ones(g.d)) / w)
@@ -502,7 +498,8 @@ def counterexample_operators(s, c, lam) -> SpatialOperators:
 
 def counterexample_trace(s, c, lam) -> CounterexampleResult:
     """Closed-form stationary trace (lam^2 - 2 c s lam + 1)/(2(1 - s^2)) and
-    derivative (lam - c s)/(1 - s^2), alongside the Lyapunov-solver trace."""
+    derivative (lam - c s)/(1 - s^2), alongside the Lyapunov-solver trace.
+    D = 0 and M's eigenvalues -1 +- s < 0 make K = L_M Hurwitz by design."""
     ops = counterexample_operators(s, c, lam)
     trace = (lam**2 - 2.0 * c * s * lam + 1.0) / (2.0 * (1.0 - s**2))
     deriv = (lam - c * s) / (1.0 - s**2)

@@ -62,7 +62,7 @@ class UnstableK(EbmvarError):
 
 
 class SolveFailed(EbmvarError):
-    """Sparse factorisation or solve broke down."""
+    """A GMRES Lyapunov solve or the LOBPCG eigensolve of K broke down."""
 
 
 class NonFiniteState(EbmvarError):

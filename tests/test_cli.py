@@ -956,7 +956,8 @@ class TestCounterexample:
 
 class TestOneSolve:
     """Every generalized-Lyapunov solve goes through `cov._solve`, the one
-    caller of `_gmres`: the Hurwitz gate, Gamma and dGamma/dlambda."""
+    caller of `_gmres`: Gamma and dGamma/dlambda.  The Hurwitz gate reads
+    the certificate and solves nothing."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -970,22 +971,24 @@ class TestOneSolve:
         monkeypatch.setattr(cov, "_solve", counting)
         return calls
 
-    @pytest.mark.parametrize("flags, expected", [([], 2), (["--force"], 1)],
+    @pytest.mark.parametrize("flags", [[], ["--force"]],
                              ids=["gate-and-gamma", "force"])
-    def test_spatial_stationary(self, tmp_path, solves, flags, expected):
+    def test_spatial_stationary(self, tmp_path, solves, flags):
         lam = _constant_profile_lam(280.0)
         cfg = _write_cfg(tmp_path, _model_section(lam=lam) + _spatial_sections())
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), *flags,
                      "spatial-stationary"]) == EXIT_OK
-        assert solves == [9] * expected
+        assert solves == [9]
 
     def test_refused_run_stops_after_the_gate(self, tmp_path, solves):
         cfg = _write_cfg(tmp_path, UNSTABLE_K_CONFIG)
-        assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out),
                      "spatial-stationary"]) == EXIT_STABILITY
-        assert solves == [9]
+        assert (out / "certificate.json").exists()
+        assert solves == []
 
-    def test_three_per_sweep_point(self, tmp_path, solves):
+    def test_two_per_sweep_point(self, tmp_path, solves):
         lam0 = _constant_profile_lam(280.0)
         text = (_model_section(lam=lam0) + _spatial_sections()
                 + f"[sweep]\nlambda_min = {lam0 - 2.0:.17g}\n"
@@ -995,7 +998,7 @@ class TestOneSolve:
                      "monotonicity"]) == EXIT_OK
         summary = json.loads((out / "monotonicity_summary.json").read_text())
         assert summary["n_applicable"] == 3
-        assert solves == [9] * 9
+        assert solves == [9] * 6
 
     def test_gmres_has_one_caller(self):
         callers = []

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,15 +148,15 @@ class TestStationaryCovariance:
         ops = sm.operators_from_arrays([[1.0]], [0.0], [0.5],
                                        [[1.0]], [[1.0]], tau=0.01)
         with pytest.raises(UnstableK):
-            ce.stationary_covariance(ops)
+            ce.certify(ops).require_hurwitz()
 
     def test_gate_agrees_with_dense_spectrum_of_k(self):
-        """The Hurwitz gate (K(X) = -I has a positive definite solution)
+        """The Hurwitz gate (the certificate's spectral abscissa, by LOBPCG)
         accepts exactly the systems whose K has a negative spectral
-        abscissa, by a dense eigensolve of K; an unstable system is refused
-        as unstable or as a failed solve, never accepted.  The systems mix
-        stable and unstable drifts M with multiplicative noise strong
-        enough to destabilise a stable M.  Every M is symmetric."""
+        abscissa, by a dense eigensolve of K, and refuses every other one
+        with UnstableK.  The systems mix stable and unstable drifts M with
+        multiplicative noise strong enough to destabilise a stable M.  Every
+        M is symmetric."""
         rng = np.random.default_rng(12)
         seen = {"stable": 0, "drift-unstable": 0, "noise-unstable": 0}
         for _ in range(300):
@@ -173,9 +175,9 @@ class TestStationaryCovariance:
             if abs(alpha) < 1e-6:
                 continue
             try:
-                ce.stationary_covariance(ops)
+                ce.certify(ops).require_hurwitz()
                 accepted = True
-            except (UnstableK, SolveFailed):
+            except UnstableK:
                 accepted = False
             assert accepted == (alpha < 0.0), (d, alpha)
             if alpha < 0.0:
@@ -187,13 +189,35 @@ class TestStationaryCovariance:
         assert min(seen.values()) >= 30, seen
 
     def test_singular_lyapunov_operator_is_refused(self):
-        """M = diag(-1, 1) makes M X + X M^T singular (w_0 + w_1 = 0): with
-        the gate off the solve fails, and never returns a non-finite Gamma."""
+        """M = diag(-1, 1) makes M X + X M^T singular (w_0 + w_1 = 0): the
+        solve fails, and never returns a non-finite Gamma."""
         ops = sm.operators_from_arrays(np.diag([-1.0, 1.0]), [0.0, 0.0],
                                        [0.5, 0.5], np.eye(2), np.eye(2),
                                        tau=0.01)
         with pytest.raises(SolveFailed):
-            ce.stationary_covariance(ops, check_stability=False)
+            ce.stationary_covariance(ops)
+
+    @pytest.mark.parametrize("margin", [1e-6, -1e-6],
+                             ids=["unstable", "stable"])
+    def test_gate_reads_the_sign_at_the_margin(self, margin):
+        """Symmetric systems shifted so that K's dense spectral abscissa is
+        +-1e-6: the gate refuses each unstable one with UnstableK and
+        accepts each stable one.  Shifting M by s I shifts K by 2 s I."""
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            ops = _random_system(rng, int(rng.integers(2, 6)))
+            alpha = np.max(np.linalg.eigvalsh(
+                ce.assemble_vectorised(ops).K.toarray()))
+            ops = dataclasses.replace(
+                ops, M=ops.M + 0.5 * (margin - alpha) * np.eye(ops.d))
+            K = ce.assemble_vectorised(ops).K.toarray()
+            assert np.max(np.linalg.eigvalsh(K)) == pytest.approx(
+                margin, rel=1e-3)
+            if margin > 0.0:
+                with pytest.raises(UnstableK):
+                    ce.certify(ops).require_hurwitz()
+            else:
+                ce.certify(ops).require_hurwitz()
 
 
 class TestIntegrateCovariance:
@@ -216,6 +240,16 @@ class TestIntegrateCovariance:
         state = ce.integrate_covariance(ops, 1.0, dt=0.01)
         assert state.spatial_variance == 0.0
 
+    @pytest.mark.parametrize("T_end, dt", [
+        (0.0, 0.01), (1.0, 0.0), (np.nan, 0.01), (-1.0, 0.01), (1.0, -0.01),
+    ], ids=["zero-horizon", "zero-step", "nan-horizon", "negative-horizon",
+            "negative-step"])
+    def test_refuses_a_bad_horizon_or_step(self, T_end, dt):
+        ops = sm.operators_from_arrays([[-1.0]], [0.0], [0.5],
+                                       [[1.0]], [[1.0]], tau=0.05)
+        with pytest.raises(ParamOutOfRange):
+            ce.integrate_covariance(ops, T_end, dt)
+
 
 def _default_setup(nx=4, ny=4, theta=280.0, kernel="exponential", length=1.0):
     g = sm.Grid2D(Lx=length, Ly=length, Nx=nx, Ny=ny)
@@ -235,9 +269,9 @@ def _kronecker_gamma(ops):
     return q.reshape((ops.d, ops.d), order="F")
 
 
-def _assert_matches_kronecker(ops, **kwargs):
+def _assert_matches_kronecker(ops):
     ref = _kronecker_gamma(ops)
-    gamma = ce.stationary_covariance(ops, **kwargs).gamma
+    gamma = ce.stationary_covariance(ops).gamma
     assert np.max(np.abs(gamma - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -271,7 +305,7 @@ class TestKroneckerOracle:
                 np.diag(ops.d_vec), np.diag(ops.d_vec))
             rho = np.max(np.abs(np.linalg.eigvals(np.linalg.solve(lyap, noise))))
             ops = dataclasses.replace(ops, d_vec=ops.d_vec * np.sqrt(0.9 / rho))
-            _assert_matches_kronecker(ops, check_stability=False)
+            _assert_matches_kronecker(ops)
 
 
 class TestCertificate:
@@ -305,6 +339,20 @@ class TestCertificate:
         k_absc, route = ce.k_spectral_abscissa(ops)
         assert route == "iterative"
         assert k_absc == pytest.approx(2.0 * m_absc, rel=1e-8)
+
+    def test_unstable_k_is_raised_by_require_hurwitz_only(self):
+        """The certificate's abscissa is the package's one Hurwitz
+        decision."""
+        raisers = []
+        for path in Path(ce.__file__).parent.glob("*.py"):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if isinstance(fn, ast.FunctionDef):
+                    raisers += [
+                        (path.stem, fn.name) for node in ast.walk(fn)
+                        if isinstance(node, ast.Raise) and node.exc is not None
+                        and any(getattr(n, "id", getattr(n, "attr", None))
+                                == "UnstableK" for n in ast.walk(node.exc))]
+        assert raisers == [("covariance_engine", "require_hurwitz")]
 
 
 def _certificate_oracle(ops):
@@ -384,9 +432,7 @@ class TestCertificateOracle:
             kind = kinds[i % len(kinds)]
             ops = _oracle_system(rng, kind)
             if kind == "nonsymmetric":
-                for solve in (ce.certify, ce.stationary_covariance,
-                              lambda o: ce.stationary_covariance(
-                                  o, check_stability=False)):
+                for solve in (ce.certify, ce.stationary_covariance):
                     with pytest.raises(ParamOutOfRange, match="symmetric"):
                         solve(ops)
                 continue
@@ -482,9 +528,11 @@ class TestMonotonicitySweep:
         assert np.max(np.abs(p.dgamma - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_one_newton_solve_and_one_eigh_per_point(self, monkeypatch):
-        """The Hurwitz gate, Gamma, its derivative and the sensitivity u all
-        come from the point's one eigendecomposition of M: the sweep neither
-        assembles K nor computes its spectrum."""
+        """The certificate's Hurwitz gate, Gamma, its derivative and the
+        sensitivity u all come from the point's one eigendecomposition of M:
+        the sweep never assembles K, and reads K's abscissa once a point.
+        LOBPCG's Rayleigh-Ritz problems are at most 3 x 3, so the count
+        keeps the d x d eigh calls only."""
         counts = {"newton": 0, "assemble": 0, "abscissa": 0, "eigh": 0}
 
         def counting(key, fn):
@@ -499,12 +547,18 @@ class TestMonotonicitySweep:
                             counting("assemble", ce.assemble_vectorised))
         monkeypatch.setattr(ce, "k_spectral_abscissa",
                             counting("abscissa", ce.k_spectral_abscissa))
-        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        original_eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            counts["eigh"] += a.shape[0] > 3
+            return original_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4)
         lams = np.linspace(lam0 - 5.0, lam0 + 5.0, 3)
         rep = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lams)
         assert rep.verdict == "entrywise positive"
-        assert counts == {"newton": 3, "assemble": 0, "abscissa": 0, "eigh": 3}
+        assert counts == {"newton": 3, "assemble": 0, "abscissa": 3, "eigh": 3}
 
     def test_warm_plateau_flagged_flat(self):
         g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4, theta=305.0)

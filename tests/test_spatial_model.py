@@ -397,7 +397,7 @@ class TestCoordText:
         """gamma_stationary.txt lists Gamma's nonzero entries row by row."""
         gamma = ce.CovarianceState.from_gamma([[0.0, 1.5], [2.0, 0.0]])
         monkeypatch.setattr(ce, "stationary_covariance",
-                            lambda ops, check_stability: gamma)
+                            lambda ops: gamma)
         out = run_cli(DEFAULT, {"grid": {"Lx": 1.0, "Ly": 1.0, "Nx": 3, "Ny": 3},
                                 "boundary": {"theta": 280.0},
                                 "noise": {"kernel": "identity"}},
