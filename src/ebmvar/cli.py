@@ -286,14 +286,25 @@ def _operators(cfg: ExperimentConfig, p) -> sm.SpatialOperators:
     return sm.build_operators(grid, T_star, Q_field, p, noise)
 
 
+# The optional [sim] keys a `simulate --which` does not read: it refuses them.
+_IGNORED_SIM_KEYS = {"fast-slow": ("scheme", "drift_form"),
+                     "anomaly-0d": ("drift_form",),
+                     "anomaly-field": ("scheme", "drift_form")}
+
+
 def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
-    """The paths of the `--which` simulator, with their moments; for the
-    anomaly field, the path dump and the trace of the mean square field,
-    both reduced from each block of states as the run makes it
-    (`_field_dump`): no path array is held, so disk, not memory, bounds the
-    run's length."""
+    """Each bundle `<name>` of the `--which` simulator as its dump
+    `<name>_paths.bin` and its moments; for the anomaly field, the path
+    dump and the trace of the mean square field, both reduced from each
+    block of states as the run makes it (`_field_dump`): no path array is
+    held, so disk, not memory, bounds the run's length."""
     p = model_params(cfg)
     s = sim_config(cfg, seed_override=args.seed)
+    sim = cfg.section("sim")
+    for key in _IGNORED_SIM_KEYS.get(args.which, ()):
+        if key in sim:
+            raise ConfigError(f"[sim] {key} = {sim[key]} is not read by "
+                              f"simulate --which {args.which}")
     if args.which == "anomaly-field":
         ops = _operators(cfg, p)
         with _field_dump(outdir, s, ops.d) as (sink, times, traces):
@@ -314,9 +325,6 @@ def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
             root.b, root.sigma0, root.sigma1, p.tau, 0.0, s)}
 
     for name, bundle in bundles.items():
-        _write(outdir, f"{name}_paths.csv", _table(
-            "time," + ",".join(f"path_{k}" for k in range(bundle.n_paths)),
-            (bundle.times, *bundle.values)))
         _write(outdir, f"{name}_paths.bin", bundle.binary_parts())
         rep = sde.mc_moments(bundle)
         _write(outdir, f"{name}_moments.csv", _table(

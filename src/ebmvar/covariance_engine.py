@@ -446,6 +446,9 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
             u = U @ (-(U.T @ np.ones(g.d)) / w)
             f_df = np.outer(ops.f_vec, ops.d_vec * u)  # f (df/dlambda)^T
             dgamma = _solve(ops, -ops.tau * ops.C * (f_df + f_df.T))
+        except UnstableK as exc:  # a hypothesis that fails, not the solver
+            points.append(SweepPoint(lam=lam, applicable=False, note=str(exc)))
+            continue
         except (EbmvarError, np.linalg.LinAlgError) as exc:
             points.append(SweepPoint(lam=lam, applicable=False,
                                      note=f"solver error: {exc}"))

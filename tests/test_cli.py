@@ -26,6 +26,7 @@ from ebmvar.cli import (
     _table,
     main,
 )
+from ebmvar.config import load_config, model_params, sim_config
 
 DEFAULT = mc.default_params()
 
@@ -600,10 +601,10 @@ class TestSimulate:
             rc = main(["--config", cfg, "--out", str(out),
                        "simulate", "--which", "reduced"])
             assert rc == EXIT_OK
-            lines = (out / "reduced_paths.csv").read_text().strip().split("\n")
-            assert lines[0] == "time,path_0,path_1,path_2"
-            assert len(lines) == 52
             blobs.append((out / "reduced_paths.bin").read_bytes())
+        bundle = sde.PathBundle.from_binary(blobs[0])
+        assert bundle.values.shape == (3, 51) and bundle.seed == 2
+        assert bundle.times[0] == 0.0
         assert blobs[0] == blobs[1]
 
     def test_seed_flag_overrides(self, tmp_path):
@@ -637,8 +638,78 @@ class TestSimulate:
                    "simulate", "--which", "fast-slow"])
         assert rc == EXIT_OK
         for name in ("fast", "slow"):
-            assert (out / f"{name}_paths.csv").exists()
+            bundle = sde.PathBundle.from_binary(
+                (out / f"{name}_paths.bin").read_bytes())
+            assert bundle.values.shape == (2, 21) and bundle.seed == 3
+            assert bundle.times[0] == 0.0
             assert (out / f"{name}_moments.csv").exists()
+
+    @pytest.mark.parametrize("which, library", [
+        ("reduced", lambda p, root, s: {
+            "reduced": sde.simulate_reduced_sde(p, root.T_star, s)}),
+        ("anomaly-0d", lambda p, root, s: {
+            "anomaly0d": sde.simulate_linear_anomaly(
+                root.b, root.sigma0, root.sigma1, p.tau, 0.0, s)}),
+        ("fast-slow", lambda p, root, s: dict(zip(
+            ("fast", "slow"),
+            sde.simulate_fast_slow(p, x0=p.Q, theta0=root.T_star, cfg=s)))),
+    ], ids=["reduced", "anomaly-0d", "fast-slow"])
+    def test_one_dump_per_bundle(self, tmp_path, which, library):
+        """Each scalar bundle `<name>` is written as exactly
+        `<name>_paths.bin` and `<name>_moments.csv`, and the dump is the
+        library bundle's to_binary() on the same config, bit for bit."""
+        cfg = _write_cfg(tmp_path, _model_section() + (
+            "[sim]\ndt = 0.001\nn_steps = 30\nn_paths = 3\nseed = 5\n"))
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out),
+                     "simulate", "--which", which]) == EXIT_OK
+        config = load_config(cfg)
+        p = model_params(config)
+        root = mc.select_root(mc.equilibrium_roots(p))
+        bundles = library(p, root, sim_config(config))
+        assert {f.name for f in out.iterdir()} == {
+            f"{name}{suffix}" for name in bundles
+            for suffix in ("_paths.bin", "_moments.csv")}
+        for name, bundle in bundles.items():
+            assert ((out / f"{name}_paths.bin").read_bytes()
+                    == bundle.to_binary())
+
+    @pytest.mark.parametrize("which, key, value", [
+        ("fast-slow", "scheme", "milstein"),
+        ("fast-slow", "drift_form", "stratonovich-corrected"),
+        ("anomaly-0d", "drift_form", "stratonovich-corrected"),
+        ("anomaly-field", "scheme", "milstein"),
+        ("anomaly-field", "drift_form", "ito"),
+    ])
+    def test_an_unread_sim_key_is_refused(self, tmp_path, capsys, which, key,
+                                          value):
+        """A [sim] key the simulator would ignore exits 2 with a line that
+        names it, its value and the --which, before anything is written."""
+        lam = _constant_profile_lam(280.0)
+        cfg = _write_cfg(tmp_path, _model_section(lam=lam) + _spatial_sections()
+                         + "[sim]\ndt = 0.001\nn_steps = 5\nn_paths = 2\n"
+                         + f"{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out),
+                     "simulate", "--which", which]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: [sim] {key} = {value} is not read by "
+            f"simulate --which {which}\n")
+        assert not out.exists()
+
+    def test_reduced_reads_scheme_and_drift_form(self, tmp_path):
+        """The one simulator that reads both keys runs with them, and each
+        changes its dump."""
+        blobs = []
+        for extra in ("", "scheme = milstein\n",
+                      "drift_form = stratonovich-corrected\n"):
+            out = tmp_path / f"o{len(blobs)}"
+            cfg = _write_cfg(tmp_path, _model_section() + (
+                "[sim]\ndt = 0.001\nn_steps = 5\nn_paths = 2\n" + extra))
+            assert main(["--config", cfg, "--out", str(out),
+                         "simulate", "--which", "reduced"]) == EXIT_OK
+            blobs.append((out / "reduced_paths.bin").read_bytes())
+        assert len(set(blobs)) == 3
 
     def test_anomaly_field_outputs(self, tmp_path):
         lam = _constant_profile_lam(280.0)
@@ -926,6 +997,21 @@ class TestMonotonicity:
                          str(out), "monotonicity"]) == EXIT_OK
             outs.append((out / "monotonicity_sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_non_hurwitz_point_is_a_hypothesis_violation(self, tmp_path):
+        """A point where K is not Hurwitz is flagged with the certificate's
+        refusal, not as a solver error."""
+        text = UNSTABLE_K_CONFIG + (
+            "[sweep]\nlambda_min = 525.5\nlambda_max = 526.5\nn_points = 3\n")
+        out = tmp_path / "o"
+        assert main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
+                     "monotonicity"]) == EXIT_OK
+        note = "K is not Hurwitz: its spectral abscissa is 7.921e-01"
+        lines = (out / "monotonicity_sweep.csv").read_text().splitlines()
+        assert lines[2] == f"526,False,,,non-applicable,{note}"
+        summary = json.loads((out / "monotonicity_summary.json").read_text())
+        assert summary["hypothesis_violations"] == [
+            note, "profile leaves the ice-sensitive band"]
 
 
 class TestCounterexample:

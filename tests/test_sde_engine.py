@@ -35,12 +35,13 @@ class TestSimConfig:
 
 
 class TestPathBundle:
-    def test_csv_header(self, run_cli):
-        out = run_cli(DEFAULT, {"sim": {"dt": 0.1, "n_steps": 1, "n_paths": 2}},
+    def test_binary_header(self, run_cli):
+        out = run_cli(DEFAULT, {"sim": {"dt": 0.1, "n_steps": 1, "n_paths": 2,
+                                        "seed": 6}},
                       "simulate", "--which", "reduced")
-        lines = (out / "reduced_paths.csv").read_text().strip().split("\n")
-        assert lines[0] == "time,path_0,path_1"
-        assert lines[1].split(",")[0] == "0"
+        b = se.PathBundle.from_binary((out / "reduced_paths.bin").read_bytes())
+        assert b.values.shape == (2, 2) and b.seed == 6
+        assert b.times[0] == 0.0
 
     def test_binary_round_trip_scalar(self):
         rng = np.random.default_rng(1)
