@@ -91,8 +91,8 @@ def commands() -> list:
 def run_one(src: Path, cfg: Path, args: list, outdir: Path,
             cap: float | None = None) -> dict | None:
     """One CLI command in a fresh interpreter, timed from spawn to reap, its
-    outputs in `outdir` hashed and removed; None when it ran for `cap`
-    seconds and was killed."""
+    outputs in `outdir` hashed, summed in size and removed; None when it ran
+    for `cap` seconds and was killed."""
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-m", "ebmvar.cli", "--config", str(cfg),
             "--out", str(outdir)] + args
@@ -116,8 +116,9 @@ def run_one(src: Path, cfg: Path, args: list, outdir: Path,
     rc = os.waitstatus_to_exitcode(status)
     if rc != 0:
         raise RuntimeError(f"{argv} exited {rc}: {err}")
-    hashes = {}
+    hashes, size = {}, 0
     for path in sorted(outdir.iterdir()):
+        size += path.stat().st_size
         h = hashlib.sha256()
         with open(path, "rb") as fh:
             for block in iter(lambda: fh.read(1 << 20), b""):
@@ -125,7 +126,8 @@ def run_one(src: Path, cfg: Path, args: list, outdir: Path,
         hashes[path.name] = h.hexdigest()
         path.unlink()
     return {"peak_rss_mb": usage.ru_maxrss / 1024.0, "wall_s": wall,
-            "cpu_s": usage.ru_utime + usage.ru_stime, "sha256": hashes}
+            "cpu_s": usage.ru_utime + usage.ru_stime, "sha256": hashes,
+            "bytes": size}
 
 
 def summary(runs: list) -> dict:

@@ -243,9 +243,27 @@ def cmd_variance_curve(cfg: ExperimentConfig, args, outdir: Path) -> int:
     return EXIT_OK
 
 
+# The optional [sim] keys a command does not read: it refuses them.
+_IGNORED_SIM_KEYS = {
+    "wz-convergence": ("scheme", "drift_form"),
+    "simulate --which fast-slow": ("scheme", "drift_form"),
+    "simulate --which anomaly-0d": ("drift_form",),
+    "simulate --which anomaly-field": ("scheme", "drift_form"),
+}
+
+
+def _refuse_unread_sim_keys(cfg: ExperimentConfig, command: str) -> None:
+    sim = cfg.section("sim")
+    for key in _IGNORED_SIM_KEYS.get(command, ()):
+        if key in sim:
+            raise ConfigError(f"[sim] {key} = {sim[key]} is not read by "
+                              f"{command}")
+
+
 def cmd_wz_convergence(cfg: ExperimentConfig, args, outdir: Path) -> int:
     p = model_params(cfg)
     s = sim_config(cfg, seed_override=args.seed)
+    _refuse_unread_sim_keys(cfg, "wz-convergence")
     x0 = p.Q + args.x0_offset
     try:
         results = sde.wong_zakai_ladder(WZ_TAU_LADDER, args.t, x0, p.Q,
@@ -273,7 +291,7 @@ def cmd_wz_convergence(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 
 def _spatial_setup(cfg: ExperimentConfig, p):
-    """A spatial config's grid, boundary, noise and constant Q field."""
+    """A spatial config's grid, boundary, noise covariance and Q field."""
     grid = grid_config(cfg)
     return (grid, boundary_config(cfg), noise_covariance(cfg, grid),
             sm.SpatialField.constant(grid, p.Q))
@@ -281,15 +299,9 @@ def _spatial_setup(cfg: ExperimentConfig, p):
 
 def _operators(cfg: ExperimentConfig, p) -> sm.SpatialOperators:
     """A spatial config's operators, linearised at its equilibrium profile."""
-    grid, theta, noise, Q_field = _spatial_setup(cfg, p)
+    grid, theta, C, Q_field = _spatial_setup(cfg, p)
     T_star = sm.solve_equilibrium_profile(grid, Q_field, p.lam, theta, p)
-    return sm.build_operators(grid, T_star, Q_field, p, noise)
-
-
-# The optional [sim] keys a `simulate --which` does not read: it refuses them.
-_IGNORED_SIM_KEYS = {"fast-slow": ("scheme", "drift_form"),
-                     "anomaly-0d": ("drift_form",),
-                     "anomaly-field": ("scheme", "drift_form")}
+    return sm.build_operators(grid, T_star, Q_field, p, C)
 
 
 def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
@@ -300,11 +312,7 @@ def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
     held, so disk, not memory, bounds the run's length."""
     p = model_params(cfg)
     s = sim_config(cfg, seed_override=args.seed)
-    sim = cfg.section("sim")
-    for key in _IGNORED_SIM_KEYS.get(args.which, ()):
-        if key in sim:
-            raise ConfigError(f"[sim] {key} = {sim[key]} is not read by "
-                              f"simulate --which {args.which}")
+    _refuse_unread_sim_keys(cfg, f"simulate --which {args.which}")
     if args.which == "anomaly-field":
         ops = _operators(cfg, p)
         with _field_dump(outdir, s, ops.d) as (sink, times, traces):
@@ -359,11 +367,11 @@ def cmd_spatial_stationary(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 def cmd_monotonicity(cfg: ExperimentConfig, args, outdir: Path) -> int:
     p = model_params(cfg)
-    grid, theta, noise, Q_field = _spatial_setup(cfg, p)
+    grid, theta, C, Q_field = _spatial_setup(cfg, p)
     lam_grid = sweep_grid(cfg)
 
     def run(lam):
-        return cov.monotonicity_sweep(grid, Q_field, theta, p, noise,
+        return cov.monotonicity_sweep(grid, Q_field, theta, p, C,
                                       [lam]).points[0]
 
     points = _parallel_map(run, list(lam_grid), args.threads)

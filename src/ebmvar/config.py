@@ -18,7 +18,6 @@ from .sde_engine import DRIFT_FORMS, SCHEMES, SimConfig
 from .spatial_model import (
     BoundaryTrace,
     Grid2D,
-    NoiseCovariance,
     build_noise_covariance,
 )
 
@@ -156,7 +155,7 @@ def boundary_config(cfg: ExperimentConfig) -> BoundaryTrace:
                          bottom=s["bottom"], top=s["top"])
 
 
-def noise_covariance(cfg: ExperimentConfig, grid: Grid2D) -> NoiseCovariance:
+def noise_covariance(cfg: ExperimentConfig, grid: Grid2D) -> np.ndarray:
     s = cfg.section("noise")
     try:
         return build_noise_covariance(grid, kernel=s["kernel"],

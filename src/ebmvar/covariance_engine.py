@@ -27,7 +27,6 @@ from .model_core import EbmParams
 from .spatial_model import (
     BoundaryTrace,
     Grid2D,
-    NoiseCovariance,
     SpatialField,
     SpatialOperators,
     build_operators,
@@ -414,7 +413,7 @@ class SweepReport:
 
 
 def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
-                       p: EbmParams, noise: NoiseCovariance,
+                       p: EbmParams, C: np.ndarray,
                        lambda_grid) -> SweepReport:
     """Entrywise forcing-monotonicity of the stationary covariance, read off
     its exact forcing derivative.
@@ -428,19 +427,20 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
     from the one eigendecomposition M = U diag(w) U^T of the symmetric drift.
 
     A grid point is applicable only when the equilibrium profile lies
-    strictly inside the ice-sensitive band at every node, the coercivity
-    r1 - Q s >= 0 holds, the noise covariance is entrywise nonnegative, and
-    K is Hurwitz by the point's certificate (`require_hurwitz`); otherwise
-    the point is flagged and no verdict is asserted there.
+    strictly inside the ice-sensitive band at every node, the noise
+    covariance C is entrywise nonnegative, and the point's certificate finds
+    K Hurwitz (`require_hurwitz`) and the coercivity b = r1 - Q beta'(T*) >= 0
+    at every node (`coercivity_ok`); otherwise the point is flagged and no
+    verdict is asserted there.
     """
     points = []
-    coercive = bool(np.all(p.r1 - Q_field.values * p.slope >= 0.0))
     for lam in lambda_grid:
         lam = float(lam)
         try:
             T_star = solve_equilibrium_profile(g, Q_field, lam, theta, p)
-            ops = build_operators(g, T_star, Q_field, p, noise)
-            certify(ops).require_hurwitz()
+            ops = build_operators(g, T_star, Q_field, p, C)
+            cert = certify(ops)
+            cert.require_hurwitz()
             cs = stationary_covariance(ops)
             w, U = drift_eigenvalues(ops)
             u = U @ (-(U.T @ np.ones(g.d)) / w)
@@ -456,11 +456,11 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
 
         inside = np.all((T_star.values > p.T_l) & (T_star.values < p.T_u))
         c_nonneg = np.all(ops.C >= 0.0)
-        applicable = bool(inside and coercive and c_nonneg)
+        applicable = bool(inside and cert.coercivity_ok and c_nonneg)
         why = []
         if not inside:
             why.append("profile leaves the ice-sensitive band")
-        if not coercive:
+        if not cert.coercivity_ok:
             why.append("coercivity violated")
         if not c_nonneg:
             why.append("noise covariance has negative entries")
@@ -494,9 +494,8 @@ def counterexample_operators(s, c, lam) -> SpatialOperators:
         raise ParamOutOfRange("lambda must be >= 0")
     M = np.array([[-1.0, s], [s, -1.0]])
     C = np.array([[1.0, -c], [-c, 1.0]])
-    L = np.linalg.cholesky(C)
     return operators_from_arrays(M, d_vec=[0.0, 0.0], f_vec=[lam, 1.0],
-                                 C=C, L=L, tau=1.0)
+                                 C=C, tau=1.0)
 
 
 def counterexample_trace(s, c, lam) -> CounterexampleResult:

@@ -278,29 +278,17 @@ def sample_coefficients(T_star: SpatialField, Q_field: SpatialField,
     return bvec, dvec, fvec
 
 
-@dataclass
-class NoiseCovariance:
-    """The noise covariance C on the interior nodes and a factor L with
-    L L^T = C (up to the jitter of its Cholesky factorisation)."""
-
-    C: np.ndarray
-    L: np.ndarray
-
-
 def build_noise_covariance(g: Grid2D, kernel="identity", variance=1.0,
-                           length=None) -> NoiseCovariance:
-    """Discrete noise covariance on the interior nodes with a factor L.
+                           length=None) -> np.ndarray:
+    """Discrete noise covariance C on the interior nodes.
 
     kernel "identity": C = v*I.  kernel "exponential": C_ij =
-    v*exp(-|z_i - z_j|/l).  The Cholesky factor gets diagonal jitter
-    1e-12*v, retried at most 3 times, before giving up.
+    v*exp(-|z_i - z_j|/l).
     """
     if not (variance > 0.0 and math.isfinite(variance)):
         raise ValueError(f"variance must be positive and finite, got {variance!r}")
     if kernel == "identity":
-        C = variance * np.eye(g.d)
-        L = np.sqrt(variance) * np.eye(g.d)
-        return NoiseCovariance(C=C, L=L)
+        return variance * np.eye(g.d)
     if kernel != "exponential":
         raise ValueError(f"unknown kernel {kernel!r}")
     if length is None or not (length > 0.0 and math.isfinite(length)):
@@ -308,16 +296,14 @@ def build_noise_covariance(g: Grid2D, kernel="identity", variance=1.0,
                          f"got {length!r}")
     z = g.interior_coords()
     dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
-    C = variance * np.exp(-dist / length)
-    L = cholesky_with_jitter(C, jitter=1e-12 * variance)
-    return NoiseCovariance(C=C, L=L)
+    return variance * np.exp(-dist / length)
 
 
-def cholesky_with_jitter(C, jitter, tries=3) -> np.ndarray:
-    """Lower-triangular factor of C, adding `jitter` on the diagonal at most
-    `tries` times before raising NotPositiveDefinite."""
+def cholesky_with_jitter(C, jitter) -> np.ndarray:
+    """Lower-triangular factor of C, adding `jitter` on the diagonal, grown
+    tenfold, at most 3 times before raising NotPositiveDefinite."""
     bump = 0.0
-    for _ in range(tries + 1):
+    for _ in range(4):  # unjittered, then 3 jitters
         try:
             return np.linalg.cholesky(C + bump * np.eye(C.shape[0]))
         except np.linalg.LinAlgError:
@@ -337,7 +323,6 @@ class SpatialOperators:
     f_vec: np.ndarray
     M: np.ndarray
     C: np.ndarray
-    L: np.ndarray
     tau: float
 
     @property
@@ -354,25 +339,24 @@ class SpatialOperators:
 
 
 def build_operators(g: Grid2D, T_star: SpatialField, Q_field: SpatialField,
-                    p: EbmParams, noise: NoiseCovariance) -> SpatialOperators:
+                    p: EbmParams, C: np.ndarray) -> SpatialOperators:
     A = assemble_laplacian(g)
     bvec, dvec, fvec = sample_coefficients(T_star, Q_field, p)
     if np.any((fvec <= 0.0) | (fvec >= 1.0)):
         raise ValueError("sampled co-albedo must lie in (0, 1)")
     M = A - np.diag(bvec)
-    return SpatialOperators(b_vec=bvec, d_vec=dvec, f_vec=fvec, M=M,
-                            C=noise.C, L=noise.L, tau=p.tau)
+    return SpatialOperators(b_vec=bvec, d_vec=dvec, f_vec=fvec, M=M, C=C,
+                            tau=p.tau)
 
 
-def operators_from_arrays(M, d_vec, f_vec, C, L, tau) -> SpatialOperators:
-    """Operators built directly from matrices (tests, scalar reductions,
-    hand-crafted systems); M is densified, a scipy.sparse one included."""
-    M = np.array(M.toarray() if hasattr(M, "toarray") else M, dtype=float)
+def operators_from_arrays(M, d_vec, f_vec, C, tau) -> SpatialOperators:
+    """Operators built directly from dense matrices (tests, scalar
+    reductions, hand-crafted systems)."""
+    M = np.array(M, dtype=float)
     d_vec = np.asarray(d_vec, dtype=float)
     f_vec = np.asarray(f_vec, dtype=float)
     return SpatialOperators(b_vec=-np.diag(M), d_vec=d_vec, f_vec=f_vec, M=M,
-                            C=np.asarray(C, dtype=float),
-                            L=np.asarray(L, dtype=float), tau=float(tau))
+                            C=np.asarray(C, dtype=float), tau=float(tau))
 
 
 def drift_eigenvalues(ops: SpatialOperators) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +403,10 @@ def _row_products(M):
 
 def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
                            y0=None, store_stride=1, sink=None) -> PathBundle | None:
-    """Euler-Maruyama for dY = M Y dt + sqrt(tau) diag(D Y + f) L dW.
+    """Euler-Maruyama for dY = M Y dt + sqrt(tau) diag(D Y + f) L dW, where
+    L is the Cholesky factor of ops.C (L L^T = C), taken once a run with
+    diagonal jitter 1e-12 max(diag C) (`cholesky_with_jitter`): a C that
+    it cannot factor raises NotPositiveDefinite.
 
     `store_stride` keeps every k-th time slice (plus the final one) to bound
     memory on long stationary runs; the dynamics always advance at cfg.dt.
@@ -436,7 +423,8 @@ def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
             f"dt = {cfg.dt:.3g} exceeds 1.8/|lambda_min| = {1.8 / abs(w[0]):.3g}")
     drift = _row_products(ops.M)
     scale = np.sqrt(ops.tau * cfg.dt)
-    d_vec, f_vec, Lt = scale * ops.d_vec, scale * ops.f_vec, ops.L.T
+    Lt = cholesky_with_jitter(ops.C, 1e-12 * np.max(np.diag(ops.C))).T
+    d_vec, f_vec = scale * ops.d_vec, scale * ops.f_vec
 
     def step(y, xi):  # in place, as temporaries cost more than the sums
         out = drift(y)

@@ -160,7 +160,7 @@ def test_criterion_05_vectorisation():
         C = B @ B.T + 0.1 * np.eye(d)
         ops = sm.operators_from_arrays(
             M, 0.2 * rng.standard_normal(d), rng.uniform(0.2, 0.8, d),
-            C, np.linalg.cholesky(C), tau=0.05)
+            C, tau=0.05)
         vs = ce.assemble_vectorised(ops)
         G = rng.standard_normal((d, d))
         G = G + G.T

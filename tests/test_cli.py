@@ -1,5 +1,6 @@
 import ast
 import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -589,6 +590,36 @@ class TestWzConvergence:
         summary = json.loads((out / "wz_convergence_summary.json").read_text())
         assert summary["within_3se"] is True
 
+    @pytest.mark.parametrize("key, value", [
+        ("scheme", "milstein"), ("drift_form", "stratonovich-corrected")])
+    def test_an_unread_sim_key_is_refused(self, tmp_path, capsys, key, value):
+        """The Wong-Zakai ladder reads neither key: each exits 2 with a line
+        that names it and its value, before anything is written."""
+        cfg = _write_cfg(tmp_path, _model_section() + (
+            "[sim]\ndt = 0.001\nn_steps = 10\nn_paths = 20\nseed = 1\n"
+            f"{key} = {value}\n"))
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out),
+                     "wz-convergence"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: [sim] {key} = {value} is not read by "
+            "wz-convergence\n")
+        assert not out.exists()
+
+    def test_the_benchmark_sections_run(self, tmp_path):
+        """bench/mc_stream.py's wz sections set dt and n_steps, which the
+        ladder does not read either: they stay accepted."""
+        path = Path(__file__).parent.parent / "bench" / "mc_stream.py"
+        spec = importlib.util.spec_from_file_location("mc_stream", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        _, sections, args = bench.commands()[0]
+        assert {"dt", "n_steps"} <= set(sections["sim"])
+        cfg = _write_cfg(tmp_path, bench.config_text(sections))
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), *args]) == EXIT_OK
+        assert (out / "wz_convergence_summary.json").exists()
+
 
 class TestSimulate:
     def test_reduced_outputs_and_determinism(self, tmp_path):
@@ -1013,6 +1044,23 @@ class TestMonotonicity:
         assert summary["hypothesis_violations"] == [
             note, "profile leaves the ice-sensitive band"]
 
+    def test_coercivity_is_the_certificates(self, tmp_path):
+        """Q s = 2.59 > r1 = 2, but the profile lies on the warm plateau,
+        where beta' = 0: b = r1 at every node, so the certificate finds the
+        sweep point coercive, and the band alone is named."""
+        text = (_model_section(Q=300.0, lam=410.0)
+                + _spatial_sections(theta=310.0) + "[sweep]\nlambda_min = "
+                "408.0\nlambda_max = 412.0\nn_points = 3\n")
+        out = tmp_path / "o"
+        assert main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
+                     "monotonicity"]) == EXIT_OK
+        lines = (out / "monotonicity_sweep.csv").read_text().splitlines()
+        assert [line.split(",")[-1] for line in lines[1:]] == [
+            "profile leaves the ice-sensitive band"] * 3
+        summary = json.loads((out / "monotonicity_summary.json").read_text())
+        assert summary["hypothesis_violations"] == [
+            "profile leaves the ice-sensitive band"]
+
 
 class TestCounterexample:
     def test_outputs(self, tmp_path):
@@ -1096,6 +1144,71 @@ class TestOneSolve:
                                 and isinstance(node.func, ast.Name)
                                 and node.func.id == "_gmres"]
         assert callers == [("covariance_engine", "_solve")]
+
+
+class TestOneFactorisation:
+    """The noise covariance C is factored only where a factor is used: once
+    per anomaly-field run, by `cholesky_with_jitter`.  Counted are that
+    function and numpy's Cholesky of a d x d matrix; the Newton solve's
+    Cholesky checks of its (Nx-1)-square pivot blocks are not."""
+
+    @pytest.fixture
+    def factorisations(self, monkeypatch):
+        calls = []
+        jittered, cholesky = sm.cholesky_with_jitter, np.linalg.cholesky
+
+        def counting_jittered(C, jitter):
+            calls.append(("cholesky_with_jitter", len(C)))
+            return jittered(C, jitter)
+
+        def counting_cholesky(a, *args, **kwargs):
+            calls.append(("cholesky", len(a)))
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(sm, "cholesky_with_jitter", counting_jittered)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        return calls
+
+    def _run(self, tmp_path, extra, *command):
+        lam = _constant_profile_lam(280.0)
+        cfg = _write_cfg(tmp_path, _model_section(lam=lam)
+                         + _spatial_sections(kernel="exponential") + extra)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                     *command]) == EXIT_OK
+
+    def test_spatial_stationary(self, tmp_path, factorisations):
+        self._run(tmp_path, "", "spatial-stationary")
+        assert [c for c in factorisations if c[1] == 9] == []
+
+    def test_monotonicity(self, tmp_path, factorisations):
+        lam0 = _constant_profile_lam(280.0)
+        self._run(tmp_path, f"[sweep]\nlambda_min = {lam0 - 2.0:.17g}\n"
+                            f"lambda_max = {lam0 + 2.0:.17g}\nn_points = 3\n",
+                  "monotonicity")
+        assert [c for c in factorisations if c[1] == 9] == []
+
+    def test_counterexample(self, tmp_path, factorisations):
+        assert main(["--out", str(tmp_path / "o"), "counterexample",
+                     "--s", "0.5", "--c", "0.8"]) == EXIT_OK
+        assert factorisations == []
+
+    def test_anomaly_field(self, tmp_path, factorisations):
+        self._run(tmp_path, "[sim]\ndt = 0.001\nn_steps = 5\nn_paths = 2\n",
+                  "simulate", "--which", "anomaly-field")
+        assert [c for c in factorisations if c[1] == 9] == [
+            ("cholesky_with_jitter", 9), ("cholesky", 9)]
+
+    def test_cholesky_with_jitter_has_one_caller(self):
+        callers = []
+        for path in Path(sm.__file__).parent.glob("*.py"):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if isinstance(fn, ast.FunctionDef):
+                    callers += [(path.stem, fn.name) for node in ast.walk(fn)
+                                if isinstance(node, ast.Call)
+                                and "cholesky_with_jitter" in (
+                                    getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))]
+        assert callers == [("spatial_model", "simulate_anomaly_field")]
 
 
 # Runs `import ebmvar.cli`, records the scipy modules then loaded, runs each

@@ -32,22 +32,22 @@ def _random_system(rng, d, multiplicative=True, symmetric=True):
     M = R - (np.max(np.abs(np.linalg.eigvals(R)).real) + 1.0) * np.eye(d)
     B = rng.standard_normal((d, d))
     C = B @ B.T + 0.1 * np.eye(d)
-    L = np.linalg.cholesky(C)
     d_vec = 0.1 * rng.standard_normal(d) if multiplicative else np.zeros(d)
     f_vec = rng.uniform(0.2, 0.8, d)
-    return sm.operators_from_arrays(M, d_vec, f_vec, C, L, tau=0.05)
+    return sm.operators_from_arrays(M, d_vec, f_vec, C, tau=0.05)
 
 
 def _covariance_rhs_factor_sum(gamma, ops):
-    """Literal sum over the factor columns of C = L L^T: an independent
-    oracle for covariance_rhs."""
+    """Literal sum over the factor columns of C = L L^T, L the Cholesky
+    factor of ops.C: an independent oracle for covariance_rhs."""
     gamma = np.asarray(gamma, dtype=float)
     M = ops.M
     D = np.diag(ops.d_vec)
+    L = np.linalg.cholesky(ops.C)
     inner = D @ gamma @ D.T + np.outer(ops.f_vec, ops.f_vec)
     noise = np.zeros_like(inner)
-    for k in range(ops.L.shape[1]):
-        dk = np.diag(ops.L[:, k])
+    for k in range(L.shape[1]):
+        dk = np.diag(L[:, k])
         noise += dk @ inner @ dk
     return M @ gamma + (M @ gamma.T).T + ops.tau * noise
 
@@ -91,8 +91,7 @@ class TestVectorisation:
 
     def test_scalar_case(self):
         b, f, d_coef, tau, c = 2.0, 0.5, 0.3, 0.05, 1.0
-        ops = sm.operators_from_arrays([[-b]], [d_coef], [f], [[c]], [[1.0]],
-                                       tau=tau)
+        ops = sm.operators_from_arrays([[-b]], [d_coef], [f], [[c]], tau=tau)
         vs = ce.assemble_vectorised(ops)
         assert vs.K.toarray()[0, 0] == pytest.approx(-2.0 * b + tau * c * d_coef**2)
         assert vs.F[0] == pytest.approx(tau * c * f**2)
@@ -102,8 +101,8 @@ class TestStationaryCovariance:
     def test_scalar_reduction(self):
         """d = 1 reduces exactly to the 0-D stationary variance."""
         b, sigma0, sigma1, tau = 1.0, 0.5, 0.0086486, 1.0 / 365.0
-        ops = sm.operators_from_arrays([[-b]], [sigma1], [sigma0],
-                                       [[1.0]], [[1.0]], tau=tau)
+        ops = sm.operators_from_arrays([[-b]], [sigma1], [sigma0], [[1.0]],
+                                       tau=tau)
         cs = ce.stationary_covariance(ops)
         assert cs.gamma[0, 0] == pytest.approx(
             mc.stationary_variance(b, sigma0, sigma1, tau), rel=1e-12)
@@ -145,8 +144,8 @@ class TestStationaryCovariance:
         assert ce.CovarianceState.from_gamma(np.zeros((2, 2))).is_psd
 
     def test_unstable_rejected(self):
-        ops = sm.operators_from_arrays([[1.0]], [0.0], [0.5],
-                                       [[1.0]], [[1.0]], tau=0.01)
+        ops = sm.operators_from_arrays([[1.0]], [0.0], [0.5], [[1.0]],
+                                       tau=0.01)
         with pytest.raises(UnstableK):
             ce.certify(ops).require_hurwitz()
 
@@ -169,7 +168,7 @@ class TestStationaryCovariance:
             C = B @ B.T + 0.1 * np.eye(d)
             ops = sm.operators_from_arrays(
                 M, rng.uniform(0.0, 3.0) * rng.standard_normal(d),
-                rng.uniform(0.2, 0.8, d), C, np.linalg.cholesky(C), tau=0.5)
+                rng.uniform(0.2, 0.8, d), C, tau=0.5)
             alpha = np.max(np.linalg.eigvals(
                 ce.assemble_vectorised(ops).K.toarray()).real)
             if abs(alpha) < 1e-6:
@@ -192,8 +191,7 @@ class TestStationaryCovariance:
         """M = diag(-1, 1) makes M X + X M^T singular (w_0 + w_1 = 0): the
         solve fails, and never returns a non-finite Gamma."""
         ops = sm.operators_from_arrays(np.diag([-1.0, 1.0]), [0.0, 0.0],
-                                       [0.5, 0.5], np.eye(2), np.eye(2),
-                                       tau=0.01)
+                                       [0.5, 0.5], np.eye(2), tau=0.01)
         with pytest.raises(SolveFailed):
             ce.stationary_covariance(ops)
 
@@ -235,8 +233,8 @@ class TestIntegrateCovariance:
                                    rtol=1e-6, atol=1e-12)
 
     def test_zero_noise_stays_zero(self):
-        ops = sm.operators_from_arrays([[-1.0]], [0.0], [0.0],
-                                       [[1.0]], [[1.0]], tau=0.05)
+        ops = sm.operators_from_arrays([[-1.0]], [0.0], [0.0], [[1.0]],
+                                       tau=0.05)
         state = ce.integrate_covariance(ops, 1.0, dt=0.01)
         assert state.spatial_variance == 0.0
 
@@ -245,8 +243,8 @@ class TestIntegrateCovariance:
     ], ids=["zero-horizon", "zero-step", "nan-horizon", "negative-horizon",
             "negative-step"])
     def test_refuses_a_bad_horizon_or_step(self, T_end, dt):
-        ops = sm.operators_from_arrays([[-1.0]], [0.0], [0.5],
-                                       [[1.0]], [[1.0]], tau=0.05)
+        ops = sm.operators_from_arrays([[-1.0]], [0.0], [0.5], [[1.0]],
+                                       tau=0.05)
         with pytest.raises(ParamOutOfRange):
             ce.integrate_covariance(ops, T_end, dt)
 
@@ -410,14 +408,14 @@ def _oracle_system(rng, kind):
         M[k:, :k] = 0.0
     np.fill_diagonal(M, 0.0)
     M -= (np.max(np.linalg.eigvals(M).real) + rng.uniform(-0.5, 1.5)) * np.eye(d)
-    if kind == "reducible":  # every entry stored, zeros included
+    if kind == "reducible":  # every entry stored, zeros included, densified
         rows, cols = np.indices((d, d)).reshape(2, -1)
-        M = sp.csr_matrix((M.ravel(), (rows, cols)), shape=(d, d))
+        M = sp.csr_matrix((M.ravel(), (rows, cols)), shape=(d, d)).toarray()
     B = rng.standard_normal((d, d))
     C = B @ B.T + 0.1 * np.eye(d)
     return sm.operators_from_arrays(
         M, rng.uniform(0.0, 2.0) * rng.standard_normal(d),
-        rng.uniform(0.2, 0.8, d), C, np.linalg.cholesky(C), tau=0.5)
+        rng.uniform(0.2, 0.8, d), C, tau=0.5)
 
 
 class TestCertificateOracle:

@@ -446,8 +446,7 @@ def _runs():
     strat = dataclasses.replace(cfg, scheme="milstein",
                                 drift_form="stratonovich-corrected")
     field_cfg = dataclasses.replace(cfg, dt=2e-4)
-    ops1 = sm.operators_from_arrays([[-2.0]], [0.3], [0.5], [[1.0]], [[1.0]],
-                                    tau=0.05)
+    ops1 = sm.operators_from_arrays([[-2.0]], [0.3], [0.5], [[1.0]], tau=0.05)
     # Identity noise: the dW @ L^T product is then exact, whatever the row
     # count of the matrix product (see test_dense_noise_factor_batches).
     ops16 = _field_operators(5, "identity")

@@ -214,22 +214,24 @@ class TestCoefficients:
 class TestNoiseCovariance:
     def test_identity(self):
         g = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=4, Ny=4)
-        nc = sm.build_noise_covariance(g, "identity", variance=2.0)
-        np.testing.assert_allclose(nc.C, 2.0 * np.eye(g.d))
-        np.testing.assert_allclose(nc.L @ nc.L.T, nc.C)
+        C = sm.build_noise_covariance(g, "identity", variance=2.0)
+        np.testing.assert_allclose(C, 2.0 * np.eye(g.d))
+        L = sm.cholesky_with_jitter(C, 1e-12 * 2.0)
+        np.testing.assert_allclose(L @ L.T, C)
 
     def test_exponential(self):
         g = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=4, Ny=4)
-        nc = sm.build_noise_covariance(g, "exponential", variance=1.0,
-                                       length=0.5)
-        np.testing.assert_allclose(nc.C, nc.C.T)
-        np.testing.assert_allclose(np.diag(nc.C), 1.0)
-        assert np.all(nc.C > 0.0)
-        np.testing.assert_allclose(nc.L @ nc.L.T, nc.C, atol=1e-10)
+        C = sm.build_noise_covariance(g, "exponential", variance=1.0,
+                                      length=0.5)
+        np.testing.assert_allclose(C, C.T)
+        np.testing.assert_allclose(np.diag(C), 1.0)
+        assert np.all(C > 0.0)
+        L = sm.cholesky_with_jitter(C, 1e-12 * 1.0)
+        np.testing.assert_allclose(L @ L.T, C, atol=1e-10)
         z = g.interior_coords()
         i, j = 0, g.d - 1
         expected = np.exp(-np.linalg.norm(z[i] - z[j]) / 0.5)
-        assert nc.C[i, j] == pytest.approx(expected)
+        assert C[i, j] == pytest.approx(expected)
 
     def test_invalid_arguments(self):
         g = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=3, Ny=3)
@@ -298,7 +300,7 @@ class TestOperators:
         rng = np.random.default_rng(3)
         M = rng.standard_normal((6, 6)) - 4.0 * np.eye(6)
         ops = sm.operators_from_arrays(M, np.zeros(6), np.full(6, 0.5),
-                                       np.eye(6), np.eye(6), tau=0.01)
+                                       np.eye(6), tau=0.01)
         with pytest.raises(ParamOutOfRange, match="symmetric"):
             sm.drift_eigenvalues(ops)
         with pytest.raises(ParamOutOfRange, match="symmetric"):
@@ -308,7 +310,7 @@ class TestOperators:
     def test_operators_from_arrays(self):
         M = np.array([[-2.0, 0.5], [0.5, -3.0]])
         ops = sm.operators_from_arrays(M, [0.1, 0.1], [0.5, 0.5],
-                                       np.eye(2), np.eye(2), tau=0.02)
+                                       np.eye(2), tau=0.02)
         np.testing.assert_allclose(ops.b_vec, [2.0, 3.0])
         assert ops.d == 2
 
@@ -337,10 +339,11 @@ class TestAnomalySimulation:
         np.testing.assert_array_equal(sm._row_products(dense)(Y), Y @ dense)
 
     def test_zero_noise_matches_matrix_exponential(self):
+        """Zero noise amplitude, D = 0 and f = 0 with C = I: the run is the
+        drift's Euler flow."""
         from scipy.linalg import expm
         M = np.array([[-2.0, 0.4], [0.4, -1.5]])
-        ops = sm.operators_from_arrays(M, [0.0, 0.0], [0.5, 0.5],
-                                       np.zeros((2, 2)), np.zeros((2, 2)),
+        ops = sm.operators_from_arrays(M, [0.0, 0.0], [0.0, 0.0], np.eye(2),
                                        tau=0.01)
         y0 = np.array([1.0, -0.5])
         cfg = se.SimConfig(dt=1e-4, n_steps=5000, n_paths=1)
@@ -348,12 +351,21 @@ class TestAnomalySimulation:
         expected = expm(M * b.times[-1]) @ y0
         np.testing.assert_allclose(b.values[0, -1], expected, rtol=1e-3)
 
+    def test_unfactorable_covariance_is_refused(self):
+        """The field factors C itself: C = 0 has no Cholesky factor, and
+        its jitter, 1e-12 max(diag C), is 0."""
+        ops = sm.operators_from_arrays([[-2.0, 0.4], [0.4, -1.5]], [0.0, 0.0],
+                                       [0.5, 0.5], np.zeros((2, 2)), tau=0.01)
+        with pytest.raises(NotPositiveDefinite):
+            sm.simulate_anomaly_field(ops, se.SimConfig(dt=1e-3, n_steps=1,
+                                                        n_paths=1))
+
     def test_scalar_reduction_variance(self):
         """d = 1 with D = 0 reduces to an OU anomaly with variance
         tau f^2 / (2 b)."""
         b_rate, f, tau = 2.0, 0.5, 0.05
-        ops = sm.operators_from_arrays([[-b_rate]], [0.0], [f],
-                                       [[1.0]], [[1.0]], tau=tau)
+        ops = sm.operators_from_arrays([[-b_rate]], [0.0], [f], [[1.0]],
+                                       tau=tau)
         cfg = se.SimConfig(dt=0.005, n_steps=4000, n_paths=300, seed=17)
         bundle = sm.simulate_anomaly_field(ops, cfg)
         vals = bundle.values[:, bundle.values.shape[1] // 2:, 0]
@@ -371,8 +383,8 @@ class TestAnomalySimulation:
         assert b.values.shape == (2, 4, ops.d)
 
     def test_unstable_drift_rejected(self):
-        ops = sm.operators_from_arrays([[1.0]], [0.0], [0.5],
-                                       [[1.0]], [[1.0]], tau=0.01)
+        ops = sm.operators_from_arrays([[1.0]], [0.0], [0.5], [[1.0]],
+                                       tau=0.01)
         with pytest.raises(UnstableDrift):
             sm.simulate_anomaly_field(ops, se.SimConfig(dt=1e-3, n_steps=1,
                                                         n_paths=1))
