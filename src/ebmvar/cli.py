@@ -215,6 +215,9 @@ def _parallel_map(fn, items, threads):
 def cmd_variance_curve(cfg: ExperimentConfig, args, outdir: Path) -> int:
     p = model_params(cfg)
     grid = sweep_grid(cfg)
+    if grid[0] == grid[-1]:  # the verdict compares consecutive points
+        raise ConfigError("variance-curve needs two or more distinct forcings, "
+                          f"got sweep.n_points = {grid.size} at {float(grid[0])!r}")
     points = mc.variance_curve(p, grid)
     rows = [(pt.lam, pt.T_star, pt.branch, pt.b, pt.sigma0, pt.sigma1,
              pt.var_inf) for pt in points]

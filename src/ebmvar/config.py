@@ -172,6 +172,9 @@ def sweep_grid(cfg: ExperimentConfig) -> np.ndarray:
     s = cfg.section("sweep")
     if s["n_points"] < 1:
         raise ConfigError("sweep.n_points must be >= 1")
+    if s["lambda_min"] > s["lambda_max"]:
+        raise ConfigError("need sweep.lambda_min <= sweep.lambda_max, got "
+                          f"{s['lambda_min']!r} and {s['lambda_max']!r}")
     try:
         return np.linspace(s["lambda_min"], s["lambda_max"], s["n_points"])
     except (ValueError, MemoryError) as exc:  # more points than numpy can hold

@@ -10,7 +10,7 @@ simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -92,11 +92,10 @@ class BoundaryTrace:
 
 @dataclass
 class SpatialField:
-    """Interior nodal values plus the boundary trace on the four edges."""
+    """Nodal values on a grid's interior nodes, in m-order."""
 
     grid: Grid2D
     values: np.ndarray
-    boundary: BoundaryTrace = field(default_factory=lambda: BoundaryTrace.constant(0.0))
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -104,9 +103,8 @@ class SpatialField:
             raise ValueError("field length does not match its grid")
 
     @classmethod
-    def constant(cls, grid: Grid2D, value: float, boundary=None) -> "SpatialField":
-        bd = boundary if boundary is not None else BoundaryTrace.constant(value)
-        return cls(grid=grid, values=np.full(grid.d, float(value)), boundary=bd)
+    def constant(cls, grid: Grid2D, value: float) -> "SpatialField":
+        return cls(grid=grid, values=np.full(grid.d, float(value)))
 
 
 def assemble_laplacian(g: Grid2D) -> np.ndarray:
@@ -138,43 +136,47 @@ def dirichlet_load(g: Grid2D, theta: BoundaryTrace) -> np.ndarray:
 
 
 class _FivePointLaplacian:
-    """A_delta of `assemble_laplacian`, applied by the five-point stencil
-    and never assembled: O(d) a product, O(Ny Nx^3) a shifted solve, where
-    the dense d x d array costs O(d^2) to build and O(d^3) to solve.  `centre`
-    is the diagonal entry; abs() gives |A_delta|."""
+    """A_delta of `assemble_laplacian`, its diagonal `centre` when given
+    (one entry a node, as diag(M) of the drift M = A_delta - diag(b)),
+    applied by the five-point stencil and never assembled: O(d) a product,
+    O(Ny Nx^3) a shifted solve; abs() gives the operator of |entries|."""
 
     def __init__(self, g: Grid2D, centre=None):
         self.g = g
         self.ax, self.ay = 1.0 / g.hx**2, 1.0 / g.hy**2
-        self.centre = (-2.0 / g.hx**2 + -2.0 / g.hy**2 if centre is None
-                       else centre)
+        self.centre = np.broadcast_to(-2.0 / g.hx**2 + -2.0 / g.hy**2
+                                      if centre is None else centre, g.d)
 
     def __abs__(self):
         return _FivePointLaplacian(self.g, -self.centre)
 
     def __matmul__(self, T):
-        """Each node sums its terms in the column order of its row (below,
-        left, centre, right, above), as a sparse product does."""
-        U = np.asarray(T, dtype=float).reshape(self.g.Ny - 1, self.g.Nx - 1)
+        """The products with the node vectors along T's last axis.  Each
+        node sums its terms in its row's column order (below, left, centre,
+        right, above), as a sparse product does."""
+        T = np.asarray(T, dtype=float)
+        grid = (self.g.Ny - 1, self.g.Nx - 1)
+        U = T.reshape(T.shape[:-1] + grid)
+        xs, ys = self.ax * U, self.ay * U
         out = np.zeros_like(U)
-        out[1:] += self.ay * U[:-1]
-        out[:, 1:] += self.ax * U[:, :-1]
-        out += self.centre * U
-        out[:, :-1] += self.ax * U[:, 1:]
-        out[:-1] += self.ay * U[1:]
-        return out.ravel()
+        out[..., 1:, :] += ys[..., :-1, :]
+        out[..., 1:] += xs[..., :-1]
+        out += self.centre.reshape(grid) * U
+        out[..., :-1] += xs[..., 1:]
+        out[..., :-1, :] += ys[..., 1:, :]
+        return out.reshape(T.shape)
 
     def solve_shifted(self, shift, rhs):
-        """x with (A_delta + diag(shift)) x = rhs.
+        """x with (A + diag(shift)) x = rhs, A this operator.
 
         The matrix is block tridiagonal, one (Nx-1)-square block a row of
         nodes, each coupled to the next by I/hy^2, and block elimination
         solves it row by row.  Without pivoting this is stable when
-        -(A_delta + diag(shift)) is positive definite, as it is wherever
-        shift <= 0 (-A_delta being positive definite); a Cholesky
-        factorisation of every negated pivot block checks it.  Otherwise
-        the assembled matrix is solved densely, with partial pivoting,
-        raising np.linalg.LinAlgError if it is singular."""
+        -(A + diag(shift)) is positive definite, as for A = A_delta wherever
+        shift <= 0; a Cholesky factorisation of every negated pivot block
+        checks it.  Otherwise the matrix, of A's products with the unit
+        vectors, is solved densely, with partial pivoting, raising
+        np.linalg.LinAlgError if it is singular."""
         nx, ny = self.g.Nx - 1, self.g.Ny - 1
         couple = self.ax * (np.eye(nx, k=-1) + np.eye(nx, k=1))
         diag = (self.centre + shift).reshape(ny, nx)
@@ -191,7 +193,7 @@ class _FivePointLaplacian:
                     S = couple + np.diag(diag[k + 1]) - self.ay * gains[k]
                     y = r[k + 1] - self.ay * parts[k]
         except np.linalg.LinAlgError:
-            return np.linalg.solve(assemble_laplacian(self.g) + np.diag(shift), rhs)
+            return np.linalg.solve(self @ np.eye(nx * ny) + np.diag(shift), rhs)
         x = [parts[-1]]
         for k in range(ny - 2, -1, -1):
             x.append(parts[k] - gains[k] @ x[-1])
@@ -243,7 +245,7 @@ def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
     norm = np.linalg.norm(res, np.inf)
     for it in range(200):
         if converged(T, norm):
-            return SpatialField(grid=g, values=T, boundary=theta)
+            return SpatialField(grid=g, values=T)
         try:
             step = A.solve_shifted(Q_vals * co_albedo_slope(T, p) - p.r1, -res)
         except np.linalg.LinAlgError as exc:
@@ -262,7 +264,7 @@ def solve_equilibrium_profile(g: Grid2D, Q_field: SpatialField, lam,
             raise NoConvergence(it + 1, norm)
         T, res, norm = T_new, res_new, norm_new
     if converged(T, norm):
-        return SpatialField(grid=g, values=T, boundary=theta)
+        return SpatialField(grid=g, values=T)
     raise NoConvergence(200, norm)
 
 
@@ -324,6 +326,7 @@ class SpatialOperators:
     M: np.ndarray
     C: np.ndarray
     tau: float
+    grid: Grid2D | None = None  # whose five-point stencil M is, if any
 
     @property
     def d(self) -> int:
@@ -346,7 +349,7 @@ def build_operators(g: Grid2D, T_star: SpatialField, Q_field: SpatialField,
         raise ValueError("sampled co-albedo must lie in (0, 1)")
     M = A - np.diag(bvec)
     return SpatialOperators(b_vec=bvec, d_vec=dvec, f_vec=fvec, M=M, C=C,
-                            tau=p.tau)
+                            tau=p.tau, grid=g)
 
 
 def operators_from_arrays(M, d_vec, f_vec, C, tau) -> SpatialOperators:
@@ -369,36 +372,23 @@ def drift_eigenvalues(ops: SpatialOperators) -> tuple[np.ndarray, np.ndarray]:
     return ops._drift_eig
 
 
-# Per Euler step on 16000 // d paths (2 cores, OpenBLAS 0.3.31), BLAS's
-# drift product takes 12-17 us at d = 16, 31-34 at 64, 117-142 at 225 and
-# 614-622 at 900, growing with d, and one over a grid's five diagonals
-# 140-190 us at every d: they meet near d = 240 = 48 nodes a diagonal.
+# Per Euler step on 16000 // d paths (2 cores, OpenBLAS 0.3.31), BLAS's drift
+# product takes 11-17 us at d = 16, 30-43 at 64, 115-145 at 225 and 590-700
+# at 900, growing with d, and the five-point stencil's about 140-220 us at
+# every d from 225 to 1600: they meet near d = 240 = 48 nodes a diagonal.
 _NODES_PER_DIAGONAL = 48
 
 
-def _row_products(M):
-    """y -> the rows M y of each row y, for a symmetric M: y @ M by BLAS,
-    unless M has fewer than d / _NODES_PER_DIAGONAL nonzero diagonals.  Then
-    each entry sums its row's nonzeros in column order, whatever y's row
-    count, in O(d) a row for a grid's five diagonals."""
-    d = M.shape[0]
-    rows, cols = np.nonzero(M)
-    offsets = np.unique(cols - rows)
-    if _NODES_PER_DIAGONAL * len(offsets) >= d:
-        return lambda y: y @ M  # y M = M y, row-wise
-    pad = int(np.max(np.abs(offsets)))
-    coefs = np.zeros((len(offsets), d))  # coefs[n, i] = M[i, i + offsets[n]]
-    for c, k in zip(coefs, offsets):
-        c[max(0, -k):d - max(0, k)] = np.diagonal(M, k)
-
-    def product(y):
-        padded = np.pad(y, ((0, 0), (pad, pad)))
-        acc = np.zeros_like(y)
-        for c, k in zip(coefs, offsets):
-            acc += c * padded[:, pad + k:pad + k + d]
-        return acc
-
-    return product
+def _row_products(ops: SpatialOperators):
+    """y -> the rows M y of each row y: y @ M by BLAS (M is symmetric),
+    unless M is a grid's, with fewer than d / _NODES_PER_DIAGONAL nonzero
+    diagonals (five, three on a one-wide grid).  Then the five-point stencil
+    sums each row's nonzeros in column order, O(d) a row, for any batch."""
+    g = ops.grid
+    if (g is None or _NODES_PER_DIAGONAL * (1 + 2 * (g.Nx > 2) + 2 * (g.Ny > 2))
+            >= ops.d):
+        return lambda y: y @ ops.M  # y M = M y, row-wise
+    return _FivePointLaplacian(g, np.diag(ops.M).copy()).__matmul__
 
 
 def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
@@ -406,7 +396,8 @@ def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
     """Euler-Maruyama for dY = M Y dt + sqrt(tau) diag(D Y + f) L dW, where
     L is the Cholesky factor of ops.C (L L^T = C), taken once a run with
     diagonal jitter 1e-12 max(diag C) (`cholesky_with_jitter`): a C that
-    it cannot factor raises NotPositiveDefinite.
+    it cannot factor raises NotPositiveDefinite.  The drift product M y is
+    BLAS's, or past d = 240 on a grid the stencil's (`_row_products`).
 
     `store_stride` keeps every k-th time slice (plus the final one) to bound
     memory on long stationary runs; the dynamics always advance at cfg.dt.
@@ -421,7 +412,7 @@ def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
     if cfg.dt > 1.8 / abs(w[0]):
         raise StepTooLarge(
             f"dt = {cfg.dt:.3g} exceeds 1.8/|lambda_min| = {1.8 / abs(w[0]):.3g}")
-    drift = _row_products(ops.M)
+    drift = _row_products(ops)
     scale = np.sqrt(ops.tau * cfg.dt)
     Lt = cholesky_with_jitter(ops.C, 1e-12 * np.max(np.diag(ops.C))).T
     d_vec, f_vec = scale * ops.d_vec, scale * ops.f_vec

@@ -394,6 +394,43 @@ class TestVarianceCurve:
         summary = json.loads((out / "variance_curve_summary.json").read_text())
         assert summary["verdict"] == "strictly increasing"
 
+    def _refused(self, tmp_path, capsys, text, command):
+        out = tmp_path / "o"
+        rc = main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
+                   command])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+        return err
+
+    @pytest.mark.parametrize("command", ["variance-curve", "monotonicity"])
+    def test_a_descending_grid_is_refused(self, tmp_path, capsys, command):
+        """Both sweeps compare consecutive forcings, so their grid runs
+        upward; on the ice branch a grid from 525 down to 515 would read
+        "not monotone" although var_inf rises with lambda."""
+        err = self._refused(tmp_path, capsys, _model_section()
+                            + _spatial_sections(kernel="exponential")
+                            + "[sweep]\nlambda_min = 525.0\nlambda_max = 515.0\n"
+                              "n_points = 5\n", command)
+        assert err.startswith("config error: need sweep.lambda_min <= "
+                              "sweep.lambda_max, got 525.0 and 515.0")
+
+    @pytest.mark.parametrize("sweep", [
+        "lambda_min = 520.0\nlambda_max = 520.0\nn_points = 1\n",
+        "lambda_min = 520.0\nlambda_max = 520.0\nn_points = 3\n",
+        "lambda_min = 500.0\nlambda_max = 520.0\nn_points = 1\n"],
+        ids=["one-point", "one-forcing-thrice", "one-point-of-a-range"])
+    def test_fewer_than_two_forcings_are_refused(self, tmp_path, capsys,
+                                                 sweep):
+        """The verdict reads consecutive differences: one forcing has none,
+        and would read "strictly increasing" from the empty difference."""
+        err = self._refused(tmp_path, capsys,
+                            _model_section() + "[sweep]\n" + sweep,
+                            "variance-curve")
+        assert err.startswith("config error: variance-curve needs two or more "
+                              "distinct forcings")
+
 
 def _cell(x) -> str:
     """One cell as the writer prints it, read cell by cell: the oracle."""

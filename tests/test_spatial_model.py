@@ -127,6 +127,27 @@ class TestFivePointLaplacian:
         np.testing.assert_array_equal(abs(L) @ np.abs(T), abs(A) @ np.abs(T))
 
     @pytest.mark.parametrize("shape", GRID_SHAPES)
+    def test_a_centre_per_node_is_a_drift(self, shape):
+        """With centre diag(M), M = A - diag(b), the stencil is M: its
+        products with a batch of rows repeat the sparse products bit for
+        bit, and its shifted solves, by blocks and densely, agree with the
+        dense solve to rounding."""
+        import scipy.sparse as sp
+        g = sm.Grid2D(Lx=1.3, Ly=0.7, Nx=shape[0], Ny=shape[1])
+        rng = np.random.default_rng(9)
+        M = sm.assemble_laplacian(g) - np.diag(rng.uniform(0.5, 2.0, g.d))
+        L = sm._FivePointLaplacian(g, np.diag(M))
+        Y = 100.0 * rng.standard_normal((3, g.d))
+        np.testing.assert_array_equal(L @ Y, (sp.csr_matrix(M) @ Y.T).T)
+        rhs = rng.standard_normal(g.d)
+        for shift in (-rng.uniform(0.0, 3.0, g.d),
+                      np.full(g.d, 2.0 * np.max(np.abs(M)))):
+            expected = np.linalg.solve(M + np.diag(shift), rhs)
+            np.testing.assert_allclose(L.solve_shifted(shift, rhs), expected,
+                                       rtol=1e-12,
+                                       atol=1e-13 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
     def test_block_solve_matches_the_dense_solve(self, monkeypatch, shape):
         """With a nonpositive shift the solve eliminates block by block,
         never assembling A, and agrees with the dense solve to rounding."""
@@ -315,28 +336,78 @@ class TestOperators:
         assert ops.d == 2
 
 
+def _grid_operators(nx, ny):
+    """A grid's operators about the flat profile T = 280, without a Newton
+    solve: a field's drift products read only M and its grid."""
+    g = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=nx, Ny=ny)
+    return sm.build_operators(g, sm.SpatialField.constant(g, 280.0),
+                              sm.SpatialField.constant(g, DEFAULT.Q), DEFAULT,
+                              np.eye(g.d))
+
+
+def _dense_row_sums(ops):
+    """The drift product summed over every entry of each column of M."""
+    return lambda y: np.einsum("bi,ij->bj", y, ops.M)
+
+
 class TestAnomalySimulation:
     @pytest.mark.parametrize("n, route", [(5, "blas"), (9, "blas"), (16, "blas"),
-                                          (31, "diagonals")],
+                                          (31, "stencil")],
                              ids=["d16", "d64", "d225", "d900"])
     def test_drift_products_are_the_dense_row_sums(self, n, route):
         """The drift's row products are BLAS's y @ M up to d = 225 and, at
-        d = 900, sums over M's five nonzero diagonals, which equal the dense
-        row sums bit for bit whatever the batch's row count; a dense M's
-        products are BLAS's."""
+        d = 900, the five-point stencil's, which equal the dense row sums
+        bit for bit whatever the batch's row count; the products of an M
+        without a grid are BLAS's."""
         ops = _default_operators(n, n)
         Y = np.random.default_rng(6).standard_normal((5, ops.d))
-        product = sm._row_products(ops.M)
+        product = sm._row_products(ops)
         if route == "blas":
             np.testing.assert_array_equal(product(Y), Y @ ops.M)
         else:
-            expected = np.einsum("bi,ij->bj", Y, ops.M)
+            expected = _dense_row_sums(ops)(Y)
             np.testing.assert_array_equal(product(Y), expected)
             for row in range(len(Y)):
                 np.testing.assert_array_equal(product(Y[row:row + 1])[0],
                                               expected[row])
-        dense = ops.M + 1e-3
-        np.testing.assert_array_equal(sm._row_products(dense)(Y), Y @ dense)
+        dense = sm.operators_from_arrays(ops.M + 1e-3, ops.d_vec, ops.f_vec,
+                                         ops.C, ops.tau)
+        np.testing.assert_array_equal(sm._row_products(dense)(Y), Y @ dense.M)
+
+    @pytest.mark.parametrize("nx, ny, stencil", [
+        (17, 16, False), (17, 17, True), (2, 146, True), (2, 145, False),
+        (146, 2, True)], ids=["d240", "d256", "d145-one-wide",
+                              "d144-one-wide", "d145-one-high"])
+    def test_the_stencil_takes_over_past_48_nodes_a_diagonal(self, nx, ny,
+                                                             stencil):
+        """A grid's M has five nonzero diagonals, three when the grid is one
+        node wide, and BLAS keeps the product while 48 nodes a diagonal
+        cover d; the same M without its grid always goes to BLAS."""
+        ops = _grid_operators(nx, ny)
+        product = sm._row_products(ops)
+        taken = isinstance(getattr(product, "__self__", None),
+                           sm._FivePointLaplacian)
+        assert taken == stencil
+        Y = np.random.default_rng(7).standard_normal((3, ops.d))
+        expected = _dense_row_sums(ops)(Y) if stencil else Y @ ops.M
+        np.testing.assert_array_equal(product(Y), expected)
+        bare = sm.operators_from_arrays(ops.M, ops.d_vec, ops.f_vec, ops.C,
+                                        ops.tau)
+        assert bare.grid is None
+        np.testing.assert_array_equal(sm._row_products(bare)(Y), Y @ ops.M)
+
+    def test_stencil_field_is_the_dense_row_sums_field(self, monkeypatch):
+        """A d = 256 field run, on the stencil, repeats bit for bit the run
+        whose drift products are the dense row sums."""
+        ops = _default_operators(17, 17)
+        assert ops.grid is not None and ops.d == 256
+        cfg = se.SimConfig(dt=1e-4, n_steps=6, n_paths=3, seed=4)
+        y0 = np.random.default_rng(8).standard_normal(ops.d)
+        got = sm.simulate_anomaly_field(ops, cfg, y0=y0).values
+        monkeypatch.setattr(sm, "_row_products", _dense_row_sums)
+        expected = sm.simulate_anomaly_field(ops, cfg, y0=y0).values
+        np.testing.assert_array_equal(got, expected)
+        assert np.any(got[:, -1] != got[:, 0])
 
     def test_zero_noise_matches_matrix_exponential(self):
         """Zero noise amplitude, D = 0 and f = 0 with C = I: the run is the
