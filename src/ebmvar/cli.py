@@ -215,9 +215,11 @@ def _parallel_map(fn, items, threads):
 def cmd_variance_curve(cfg: ExperimentConfig, args, outdir: Path) -> int:
     p = model_params(cfg)
     grid = sweep_grid(cfg)
-    if grid[0] == grid[-1]:  # the verdict compares consecutive points
+    # The verdict compares consecutive points, so no two may be equal.
+    if grid.size < 2 or np.any(np.diff(grid) == 0.0):
         raise ConfigError("variance-curve needs two or more distinct forcings, "
-                          f"got sweep.n_points = {grid.size} at {float(grid[0])!r}")
+                          f"each once, got sweep.n_points = {grid.size} from "
+                          f"{float(grid[0])!r} to {float(grid[-1])!r}")
     points = mc.variance_curve(p, grid)
     rows = [(pt.lam, pt.T_star, pt.branch, pt.b, pt.sigma0, pt.sigma1,
              pt.var_inf) for pt in points]
@@ -378,7 +380,6 @@ def cmd_monotonicity(cfg: ExperimentConfig, args, outdir: Path) -> int:
                                       [lam]).points[0]
 
     points = _parallel_map(run, list(lam_grid), args.threads)
-    report = cov.SweepReport(points=points)
     rows = [(pt.lam, pt.applicable, pt.trace, pt.min_diff_entry,
              "entrywise-positive" if pt.entrywise_positive
              else "non-applicable" if not pt.applicable else "mixed", pt.note)
@@ -389,7 +390,7 @@ def cmd_monotonicity(cfg: ExperimentConfig, args, outdir: Path) -> int:
     hypothesis_notes = sorted({pt.note for pt in points if pt.note})
     summary = {
         "command": "monotonicity",
-        "verdict": report.verdict,
+        "verdict": cov.SweepReport(points).verdict,
         "n_points": len(points),
         "n_applicable": sum(1 for pt in points if pt.applicable),
         "hypothesis_violations": hypothesis_notes,

@@ -378,21 +378,33 @@ def markov_bound(var_sp, threshold) -> float:
     return float(min(1.0, var_sp / threshold**2))
 
 
+def profile_sensitivity(ops: SpatialOperators) -> np.ndarray:
+    """The elliptic sensitivity u = dT*/dlambda of the equilibrium profile:
+    M u = -1 while no node sits on a co-albedo kink, read in M's eigenbasis
+    (`drift_eigenvalues`) as u = U ((U^T (-1)) / w)."""
+    w, U = drift_eigenvalues(ops)
+    return U @ (-(U.T @ np.ones(ops.d)) / w)
+
+
+def covariance_derivative(ops: SpatialOperators, df) -> np.ndarray:
+    """dGamma/dlambda for the forcing derivative df = df/dlambda of the noise
+    amplitude, M and D held fixed: the stationary equation (`_solve`) with
+    right-hand side -tau C o (f df^T + df f^T) (Damm 2004, ch. 3)."""
+    f_df = np.outer(ops.f_vec, df)  # f (df/dlambda)^T
+    return _solve(ops, -ops.tau * ops.C * (f_df + f_df.T))
+
+
 @dataclass
 class SweepPoint:
-    """One forcing of a monotonicity sweep: whether its hypotheses hold
-    (`note` says which fail), Gamma and dGamma/dlambda with their
-    summaries, and the elliptic sensitivity u = dT*/dlambda."""
+    """One forcing of a monotonicity sweep as its CSV row: the trace of Gamma,
+    the least entry of dGamma/dlambda, and which hypotheses fail (`note`)."""
 
     lam: float
     applicable: bool
     note: str = ""
     trace: float | None = None
-    gamma: np.ndarray | None = None
-    dgamma: np.ndarray | None = None
     min_diff_entry: float | None = None
     entrywise_positive: bool | None = None
-    sensitivity: np.ndarray | None = None
     sensitivity_positive: bool | None = None
 
 
@@ -412,19 +424,46 @@ class SweepReport:
         return "not monotone"
 
 
+def _sweep_point(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
+                 p: EbmParams, C: np.ndarray, lam: float) -> SweepPoint:
+    """One forcing of `monotonicity_sweep`, reduced to its row."""
+    try:
+        T_star = solve_equilibrium_profile(g, Q_field, lam, theta, p)
+        ops = build_operators(g, T_star, Q_field, p, C)
+        cert = certify(ops)
+        cert.require_hurwitz()
+        trace = stationary_covariance(ops).spatial_variance
+        u = profile_sensitivity(ops)
+        min_entry = float(np.min(covariance_derivative(ops, ops.d_vec * u)))
+    except UnstableK as exc:  # a hypothesis that fails, not the solver
+        return SweepPoint(lam=lam, applicable=False, note=str(exc))
+    except (EbmvarError, np.linalg.LinAlgError) as exc:
+        return SweepPoint(lam=lam, applicable=False,
+                          note=f"solver error: {exc}")
+
+    why = []
+    if not np.all((T_star.values > p.T_l) & (T_star.values < p.T_u)):
+        why.append("profile leaves the ice-sensitive band")
+    if not cert.coercivity_ok:
+        why.append("coercivity violated")
+    if not np.all(ops.C >= 0.0):
+        why.append("noise covariance has negative entries")
+    return SweepPoint(
+        lam=lam, applicable=not why, note="; ".join(why), trace=trace,
+        min_diff_entry=min_entry,
+        entrywise_positive=None if why else bool(min_entry > 0.0),
+        sensitivity_positive=bool(np.min(u) > 0.0))
+
+
 def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
                        p: EbmParams, C: np.ndarray,
                        lambda_grid) -> SweepReport:
     """Entrywise forcing-monotonicity of the stationary covariance, read off
-    its exact forcing derivative.
-
-    While no node of the equilibrium profile sits on a co-albedo kink, M and
-    D do not depend on lambda.  Differentiating the equilibrium equation
-    then gives the elliptic sensitivity u = dT*/dlambda from M u = -1, so
-    df/dlambda = D u, and dGamma/dlambda solves the stationary equation with
-    right-hand side -tau C o (f' f^T + f f'^T) (Damm 2004).  The
-    certificate, Gamma, its derivative and u = U (U^T (-1) / w) all come
-    from the one eigendecomposition M = U diag(w) U^T of the symmetric drift.
+    its exact forcing derivative `covariance_derivative(ops, D u)`, u the
+    elliptic sensitivity (`profile_sensitivity`).  The certificate, Gamma, u
+    and dGamma/dlambda all come from the one eigendecomposition of the
+    symmetric drift.  A point keeps its row only (`SweepPoint`), so the
+    sweep's memory does not grow with its points.
 
     A grid point is applicable only when the equilibrium profile lies
     strictly inside the ice-sensitive band at every node, the noise
@@ -433,46 +472,8 @@ def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
     at every node (`coercivity_ok`); otherwise the point is flagged and no
     verdict is asserted there.
     """
-    points = []
-    for lam in lambda_grid:
-        lam = float(lam)
-        try:
-            T_star = solve_equilibrium_profile(g, Q_field, lam, theta, p)
-            ops = build_operators(g, T_star, Q_field, p, C)
-            cert = certify(ops)
-            cert.require_hurwitz()
-            cs = stationary_covariance(ops)
-            w, U = drift_eigenvalues(ops)
-            u = U @ (-(U.T @ np.ones(g.d)) / w)
-            f_df = np.outer(ops.f_vec, ops.d_vec * u)  # f (df/dlambda)^T
-            dgamma = _solve(ops, -ops.tau * ops.C * (f_df + f_df.T))
-        except UnstableK as exc:  # a hypothesis that fails, not the solver
-            points.append(SweepPoint(lam=lam, applicable=False, note=str(exc)))
-            continue
-        except (EbmvarError, np.linalg.LinAlgError) as exc:
-            points.append(SweepPoint(lam=lam, applicable=False,
-                                     note=f"solver error: {exc}"))
-            continue
-
-        inside = np.all((T_star.values > p.T_l) & (T_star.values < p.T_u))
-        c_nonneg = np.all(ops.C >= 0.0)
-        applicable = bool(inside and cert.coercivity_ok and c_nonneg)
-        why = []
-        if not inside:
-            why.append("profile leaves the ice-sensitive band")
-        if not cert.coercivity_ok:
-            why.append("coercivity violated")
-        if not c_nonneg:
-            why.append("noise covariance has negative entries")
-        min_entry = float(np.min(dgamma))
-        points.append(SweepPoint(
-            lam=lam, applicable=applicable, note="; ".join(why),
-            trace=cs.spatial_variance, gamma=cs.gamma,
-            dgamma=dgamma, min_diff_entry=min_entry,
-            entrywise_positive=bool(min_entry > 0.0) if applicable else None,
-            sensitivity=u, sensitivity_positive=bool(np.min(u) > 0.0),
-        ))
-    return SweepReport(points=points)
+    return SweepReport([_sweep_point(g, Q_field, theta, p, C, float(lam))
+                        for lam in lambda_grid])
 
 
 @dataclass
@@ -514,12 +515,10 @@ def counterexample_trace(s, c, lam) -> CounterexampleResult:
 def counterexample_sign_change(s, c, tol=1e-8) -> float:
     """Locate the zero of the solver's exact trace derivative by bisection;
     the closed form predicts lambda = c*s.  As in the sweep, dGamma/dlambda
-    solves the stationary equation with right-hand side
-    -tau C o (f' f^T + f f'^T), here with f' = (1, 0)."""
+    is `covariance_derivative`, here with df/dlambda = (1, 0)."""
     def slope(lam):
-        ops = counterexample_operators(s, c, lam)
-        f_df = np.outer(ops.f_vec, [1.0, 0.0])  # f (df/dlambda)^T
-        return np.trace(_solve(ops, -ops.tau * ops.C * (f_df + f_df.T)))
+        return np.trace(covariance_derivative(
+            counterexample_operators(s, c, lam), [1.0, 0.0]))
 
     lo, hi = 0.0, 1.0
     if slope(lo) >= 0.0:

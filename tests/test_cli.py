@@ -419,12 +419,16 @@ class TestVarianceCurve:
     @pytest.mark.parametrize("sweep", [
         "lambda_min = 520.0\nlambda_max = 520.0\nn_points = 1\n",
         "lambda_min = 520.0\nlambda_max = 520.0\nn_points = 3\n",
-        "lambda_min = 500.0\nlambda_max = 520.0\nn_points = 1\n"],
-        ids=["one-point", "one-forcing-thrice", "one-point-of-a-range"])
+        "lambda_min = 500.0\nlambda_max = 520.0\nn_points = 1\n",
+        "lambda_min = 520.0\nlambda_max = 520.00000000000011\nn_points = 5\n"],
+        ids=["one-point", "one-forcing-thrice", "one-point-of-a-range",
+             "two-forcings-each-repeated"])
     def test_fewer_than_two_forcings_are_refused(self, tmp_path, capsys,
                                                  sweep):
         """The verdict reads consecutive differences: one forcing has none,
-        and would read "strictly increasing" from the empty difference."""
+        and would read "strictly increasing" from the empty difference; a
+        forcing repeated (520 and 520 + 1 ulp, five points) gives a zero
+        difference, which would read "not monotone" on a rising var_inf."""
         err = self._refused(tmp_path, capsys,
                             _model_section() + "[sweep]\n" + sweep,
                             "variance-curve")

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -478,10 +479,19 @@ def _profile_fd_sensitivity(g, Q_field, bd, lam):
     return (hi.values - lo.values) / (2.0 * h)
 
 
-def _gamma_at(g, Q_field, bd, noise, lam):
+def _ops_at(g, Q_field, bd, noise, lam):
+    """The operators of a sweep point, rebuilt at its forcing."""
     prof = sm.solve_equilibrium_profile(g, Q_field, lam, bd, DEFAULT)
-    ops = sm.build_operators(g, prof, Q_field, DEFAULT, noise)
-    return ce.stationary_covariance(ops).gamma
+    return sm.build_operators(g, prof, Q_field, DEFAULT, noise)
+
+
+def _gamma_at(g, Q_field, bd, noise, lam):
+    return ce.stationary_covariance(_ops_at(g, Q_field, bd, noise, lam)).gamma
+
+
+def _dgamma(ops):
+    """dGamma/dlambda as the sweep forms it: df/dlambda = D u."""
+    return ce.covariance_derivative(ops, ops.d_vec * ce.profile_sensitivity(ops))
 
 
 class TestMonotonicitySweep:
@@ -493,23 +503,28 @@ class TestMonotonicitySweep:
         for p in rep.points:
             assert p.applicable
             assert p.min_diff_entry > 0.0
-            assert p.min_diff_entry == np.min(p.dgamma)
+            ops = _ops_at(g, Q_field, bd, noise, p.lam)
+            u = ce.profile_sensitivity(ops)
+            assert p.min_diff_entry == np.min(
+                ce.covariance_derivative(ops, ops.d_vec * u))
             assert p.sensitivity_positive
             fd_u = _profile_fd_sensitivity(g, Q_field, bd, p.lam)
-            assert np.max(np.abs(p.sensitivity - fd_u) / np.abs(p.sensitivity)) <= 1e-4
+            assert np.max(np.abs(u - fd_u) / np.abs(u)) <= 1e-4
 
     @pytest.mark.parametrize("nx", [5, 9], ids=["d16", "d64"])
     def test_exact_derivative_matches_central_differences(self, nx):
         """dGamma/dlambda against central differences of the stationary
         solve at lambda +- 1e-4 lambda, on the unit square."""
-        g, bd, Q_field, lam0, noise, _ = _default_setup(nx=nx, ny=nx)
+        g, bd, Q_field, lam0, noise, ops = _default_setup(nx=nx, ny=nx)
         p = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, [lam0]).points[0]
         assert p.applicable
+        dgamma = _dgamma(ops)
+        assert p.min_diff_entry == np.min(dgamma)
         h = 1e-4 * lam0
         fd = (_gamma_at(g, Q_field, bd, noise, lam0 + h)
               - _gamma_at(g, Q_field, bd, noise, lam0 - h)) / (2.0 * h)
-        scale = np.max(np.abs(p.dgamma))
-        assert np.max(np.abs(p.dgamma - fd)) <= 1e-8 * scale
+        scale = np.max(np.abs(dgamma))
+        assert np.max(np.abs(dgamma - fd)) <= 1e-8 * scale
 
     def test_exact_derivative_matches_kronecker_oracle(self):
         """At d = 16: dGamma/dlambda = -K^-1 vec(tau C o (f' f^T + f f'^T)),
@@ -523,7 +538,9 @@ class TestMonotonicitySweep:
         K = ce.assemble_vectorised(ops).K
         ref = spla.splu((-K).tocsc()).solve(rhs.flatten(order="F"))
         ref = ref.reshape((g.d, g.d), order="F")
-        assert np.max(np.abs(p.dgamma - ref)) <= 1e-12 * np.max(np.abs(ref))
+        dgamma = _dgamma(ops)
+        assert p.min_diff_entry == np.min(dgamma)
+        assert np.max(np.abs(dgamma - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_one_newton_solve_and_one_eigh_per_point(self, monkeypatch):
         """The certificate's Hurwitz gate, Gamma, its derivative and the
@@ -557,6 +574,22 @@ class TestMonotonicitySweep:
         rep = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lams)
         assert rep.verdict == "entrywise positive"
         assert counts == {"newton": 3, "assemble": 0, "abscissa": 3, "eigh": 3}
+
+    def test_memory_is_flat_in_the_point_count(self):
+        """A point keeps its row only, so at d = 100 the tracemalloc peak of
+        a 5-point sweep is within one d x d array of a 1-point sweep's."""
+        g, bd, Q_field, lam0, noise, _ = _default_setup(nx=11, ny=11, length=8.0)
+        peaks = {}
+        for n in (1, 5):
+            lams = np.linspace(lam0 - 4.0, lam0 + 4.0, n)
+            tracemalloc.start()
+            try:
+                rep = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lams)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.verdict == "entrywise positive"
+        assert abs(peaks[5] - peaks[1]) <= g.d * g.d * 8, peaks
 
     def test_warm_plateau_flagged_flat(self):
         g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4, theta=305.0)
@@ -593,6 +626,10 @@ class TestCounterexample:
             lam = rng.uniform(0.0, 3.0)
             res = ce.counterexample_trace(s, c, lam)
             assert res.numeric_trace == pytest.approx(res.trace, abs=1e-10)
+            slope = np.trace(ce.covariance_derivative(
+                ce.counterexample_operators(s, c, lam), [1.0, 0.0]))
+            assert slope == pytest.approx(res.d_trace_d_lambda, rel=1e-10,
+                                          abs=1e-10)
 
     def test_reference_point(self):
         res = ce.counterexample_trace(0.5, 0.8, 0.2)
