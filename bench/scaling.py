@@ -10,6 +10,8 @@ equilibrium (inside the ice band), at d = 16, 64, 225, 400, 900 and 1600,
 it measures these layers:
 
 - `newton`: `solve_equilibrium_profile`, the equilibrium profile;
+- `operators`: `build_noise_covariance` and `build_operators` on a profile
+  solved beforehand, that is C and the drift M;
 - `certify`: `certify`, with the eigendecomposition of M it needs;
 - `stationary`: `stationary_covariance`, that is Gamma, with the
   eigendecomposition of M;
@@ -32,8 +34,9 @@ Each run of the other layers is a fresh interpreter with this checkout's
 (`time.perf_counter`), and reports its own peak RSS (`VmHWM` of
 /proc/self/status, which unlike `ru_maxrss` does not inherit the launching
 process's high-water mark) and a `value` to compare between trees: the sum
-of the profile, K's spectral abscissa, the trace of Gamma, the sha256 of
-gamma_stationary.txt (for `write` and `command`), or nothing for `import`;
+of the profile, the sha256 of M's bytes then C's (for `operators`), K's
+spectral abscissa, the trace of Gamma, the sha256 of gamma_stationary.txt
+(for `write` and `command`), or nothing for `import`;
 `values_agree` says, per layer and d, whether every run of every tree gave
 the same value.  A `command` run also records its CPU time, and its peak
 RSS is the child's `ru_maxrss` from `os.wait4`.  With `--before`, every
@@ -63,11 +66,11 @@ from mc_stream import machine
 ROOT = Path(__file__).resolve().parent.parent
 
 SIDES = {16: 5, 64: 9, 225: 16, 400: 21, 900: 31, 1600: 41}  # d: Nx = Ny
-LAYERS = ("newton", "certify", "stationary", "sweep-point", "write", "import",
-          "command")
+LAYERS = ("newton", "operators", "certify", "stationary", "sweep-point",
+          "write", "import", "command")
 
 CHILD = r"""
-import json, sys, time
+import hashlib, json, sys, time
 
 layer, n, theta = sys.argv[1], int(sys.argv[2]), 280.0
 if layer == "import":
@@ -78,11 +81,11 @@ elif layer == "write":
     import argparse, tempfile, types
     from pathlib import Path
     import numpy as np
-    from ebmvar import cli, covariance_engine as ce, model_core as mc
+    from ebmvar import cli, model_core as mc
 
     gamma = np.load(sys.argv[3])
-    state = ce.CovarianceState(gamma=gamma, is_psd=True,
-                               spatial_variance=float(np.trace(gamma)))
+    state = types.SimpleNamespace(gamma=gamma, is_psd=True,
+                                  spatial_variance=float(np.trace(gamma)))
     cert = types.SimpleNamespace(to_dict=dict, require_hurwitz=lambda: None)
     cli.model_params = lambda cfg: mc.default_params()
     cli._operators = lambda cfg, p: types.SimpleNamespace(d=len(gamma))
@@ -103,26 +106,34 @@ else:
     bd = sm.BoundaryTrace.constant(theta)
     Q_field = sm.SpatialField.constant(g, p.Q)
     lam = p.r0 + p.r1 * theta - p.Q * mc.co_albedo(theta, p)
-    noise = sm.build_noise_covariance(g, "exponential", variance=1.0,
-                                      length=0.5)
+    noise = lambda: sm.build_noise_covariance(g, "exponential", variance=1.0,
+                                              length=0.5)
     if layer == "newton":
         run = lambda: float(sm.solve_equilibrium_profile(
             g, Q_field, lam, bd, p).values.sum())
     elif layer == "sweep-point":
-        run = lambda: ce.monotonicity_sweep(g, Q_field, bd, p, noise,
+        C = noise()
+        run = lambda: ce.monotonicity_sweep(g, Q_field, bd, p, C,
                                             [lam]).points[0].trace
     else:
         prof = sm.solve_equilibrium_profile(g, Q_field, lam, bd, p)
-        ops = sm.build_operators(g, prof, Q_field, p, noise)
-        if layer == "certify":
-            run = lambda: ce.certify(ops).k_spectral_abscissa
+        if layer == "operators":
+            run = lambda: sm.build_operators(g, prof, Q_field, p, noise())
         else:
-            run = lambda: ce.stationary_covariance(ops).spatial_variance
+            ops = sm.build_operators(g, prof, Q_field, p, noise())
+            if layer == "certify":
+                run = lambda: ce.certify(ops).k_spectral_abscissa
+            else:
+                run = lambda: ce.stationary_covariance(ops).spatial_variance
     start = time.perf_counter()
 value = run()
 wall = time.perf_counter() - start
-if layer == "write":
-    import hashlib, shutil
+if layer == "operators":  # hashed in place, after the clock stops
+    h = hashlib.sha256(value.M)
+    h.update(value.C)
+    value = h.hexdigest()
+elif layer == "write":
+    import shutil
     h = hashlib.sha256()
     with open(out / "gamma_stationary.txt", "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):

@@ -158,6 +158,8 @@ def boundary_config(cfg: ExperimentConfig) -> BoundaryTrace:
 def noise_covariance(cfg: ExperimentConfig, grid: Grid2D) -> np.ndarray:
     s = cfg.section("noise")
     try:
+        if s["kernel"] == "identity" and "length" in s:
+            raise ValueError("the identity kernel reads no length")
         return build_noise_covariance(grid, kernel=s["kernel"],
                                       variance=s.get("variance", 1.0),
                                       length=s.get("length"))

@@ -12,6 +12,7 @@ of scipy.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,17 +53,18 @@ class CovarianceState:
 
     gamma: np.ndarray
     spatial_variance: float
-    is_psd: bool
 
     @classmethod
     def from_gamma(cls, gamma) -> "CovarianceState":
         gamma = np.asarray(gamma, dtype=float)
-        sym = 0.5 * (gamma + gamma.T)
-        w = np.linalg.eigvalsh(sym)  # ascending
+        return cls(gamma=gamma, spatial_variance=float(np.trace(gamma)))
+
+    @cached_property
+    def is_psd(self) -> bool:  # a d x d eigvalsh, run when first read
+        w = np.linalg.eigvalsh(0.5 * (self.gamma + self.gamma.T))  # ascending
         # The spectral norm of a symmetric matrix is its largest |eigenvalue|.
         scale = float(max(abs(w[0]), abs(w[-1]))) or 1.0
-        return cls(gamma=gamma, spatial_variance=float(np.trace(gamma)),
-                   is_psd=float(w[0]) >= -1e-8 * scale)
+        return float(w[0]) >= -1e-8 * scale
 
 
 def _gain(ops: SpatialOperators) -> np.ndarray:

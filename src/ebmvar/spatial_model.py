@@ -1,6 +1,6 @@
 """Two-dimensional spatial anomaly model.
 
-Rectangular interior grid, five-point Laplacian in Kronecker-sum form,
+Rectangular interior grid, five-point Laplacian applied by its stencil,
 deterministic equilibrium profile under Dirichlet data (damped semismooth
 Newton over the piecewise-affine balance residual), sampled linearisation
 coefficients, discrete noise covariance, and the semi-discrete anomaly SDE
@@ -107,21 +107,6 @@ class SpatialField:
         return cls(grid=grid, values=np.full(grid.d, float(value)))
 
 
-def assemble_laplacian(g: Grid2D) -> np.ndarray:
-    """Five-point Laplacian with homogeneous Dirichlet encoded by omission,
-    as a dense d x d array (the Kronecker sum)
-
-    A = (1/hx^2)(I_{Ny-1} x Ax) + (1/hy^2)(Ay x I_{Nx-1}),
-    with Ax, Ay = tridiag(1, -2, 1).
-    """
-    def tridiag(n):
-        return (np.diag(np.ones(n - 1), -1) - 2.0 * np.eye(n)
-                + np.diag(np.ones(n - 1), 1))
-
-    return (np.kron(np.eye(g.Ny - 1), tridiag(g.Nx - 1)) / g.hx**2
-            + np.kron(tridiag(g.Ny - 1), np.eye(g.Nx - 1)) / g.hy**2)
-
-
 def dirichlet_load(g: Grid2D, theta: BoundaryTrace) -> np.ndarray:
     """Boundary contributions folded into a constant vector.
 
@@ -136,10 +121,10 @@ def dirichlet_load(g: Grid2D, theta: BoundaryTrace) -> np.ndarray:
 
 
 class _FivePointLaplacian:
-    """A_delta of `assemble_laplacian`, its diagonal `centre` when given
-    (one entry a node, as diag(M) of the drift M = A_delta - diag(b)),
-    applied by the five-point stencil and never assembled: O(d) a product,
-    O(Ny Nx^3) a shifted solve; abs() gives the operator of |entries|."""
+    """The five-point Laplacian A_delta (Dirichlet data encoded by omission),
+    its diagonal `centre` when given (one entry a node, as diag(M) of the
+    drift M = A_delta - diag(b)): O(d) a product by the stencil, O(Ny Nx^3)
+    a shifted solve, `dense` its d x d array; abs() that of |entries|."""
 
     def __init__(self, g: Grid2D, centre=None):
         self.g = g
@@ -166,6 +151,18 @@ class _FivePointLaplacian:
         out[..., :-1, :] += ys[..., 1:, :]
         return out.reshape(T.shape)
 
+    def dense(self) -> np.ndarray:
+        """The d x d array: the centre on the diagonal, 1/hx^2 at offsets
+        +-1 but across the end of a row of nodes, 1/hy^2 at +-(Nx-1)."""
+        d, nx = self.g.d, self.g.Nx - 1
+        A = np.diag(self.centre)
+        x_link = np.full(d - 1, self.ax)
+        x_link[nx - 1::nx] = 0.0  # ax * a mask would cast: 0.2 MB RSS
+        for k, band in ((1, x_link), (nx, self.ay)):  # y after x: nx may be 1
+            i = np.arange(d - k)
+            A[i, i + k] = A[i + k, i] = band
+        return A
+
     def solve_shifted(self, shift, rhs):
         """x with (A + diag(shift)) x = rhs, A this operator.
 
@@ -174,9 +171,9 @@ class _FivePointLaplacian:
         solves it row by row.  Without pivoting this is stable when
         -(A + diag(shift)) is positive definite, as for A = A_delta wherever
         shift <= 0; a Cholesky factorisation of every negated pivot block
-        checks it.  Otherwise the matrix, of A's products with the unit
-        vectors, is solved densely, with partial pivoting, raising
-        np.linalg.LinAlgError if it is singular."""
+        checks it.  Otherwise the matrix, filled by `dense`, is solved
+        densely, with partial pivoting, raising np.linalg.LinAlgError if it
+        is singular."""
         nx, ny = self.g.Nx - 1, self.g.Ny - 1
         couple = self.ax * (np.eye(nx, k=-1) + np.eye(nx, k=1))
         diag = (self.centre + shift).reshape(ny, nx)
@@ -193,7 +190,8 @@ class _FivePointLaplacian:
                     S = couple + np.diag(diag[k + 1]) - self.ay * gains[k]
                     y = r[k + 1] - self.ay * parts[k]
         except np.linalg.LinAlgError:
-            return np.linalg.solve(self @ np.eye(nx * ny) + np.diag(shift), rhs)
+            shifted = _FivePointLaplacian(self.g, self.centre + shift)
+            return np.linalg.solve(shifted.dense(), rhs)
         x = [parts[-1]]
         for k in range(ny - 2, -1, -1):
             x.append(parts[k] - gains[k] @ x[-1])
@@ -202,7 +200,7 @@ class _FivePointLaplacian:
 
 def equilibrium_residual(T, A, g_bc, Q_vals, lam, p: EbmParams):
     """A_delta T + g_bc + Q.beta(T) + lambda - r0 - r1 T, evaluated nodewise;
-    A is `assemble_laplacian`'s array or any operator with the same `@`."""
+    A is a `_FivePointLaplacian`, or its `dense` array."""
     return A @ T + g_bc + Q_vals * co_albedo(T, p) + lam - p.r0 - p.r1 * T
 
 
@@ -282,11 +280,8 @@ def sample_coefficients(T_star: SpatialField, Q_field: SpatialField,
 
 def build_noise_covariance(g: Grid2D, kernel="identity", variance=1.0,
                            length=None) -> np.ndarray:
-    """Discrete noise covariance C on the interior nodes.
-
-    kernel "identity": C = v*I.  kernel "exponential": C_ij =
-    v*exp(-|z_i - z_j|/l).
-    """
+    """Discrete noise covariance C on the interior nodes: C = v*I for the
+    "identity" kernel, C_ij = v*exp(-|z_i - z_j|/l) for "exponential"."""
     if not (variance > 0.0 and math.isfinite(variance)):
         raise ValueError(f"variance must be positive and finite, got {variance!r}")
     if kernel == "identity":
@@ -296,9 +291,10 @@ def build_noise_covariance(g: Grid2D, kernel="identity", variance=1.0,
     if length is None or not (length > 0.0 and math.isfinite(length)):
         raise ValueError("exponential kernel needs a positive finite length, "
                          f"got {length!r}")
-    z = g.interior_coords()
-    dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
-    return variance * np.exp(-dist / length)
+    x, y = g.interior_coords().T
+    dist = np.subtract.outer(x, x) ** 2
+    dist += np.subtract.outer(y, y) ** 2
+    return variance * np.exp(-np.sqrt(dist, out=dist) / length)
 
 
 def cholesky_with_jitter(C, jitter) -> np.ndarray:
@@ -326,7 +322,7 @@ class SpatialOperators:
     M: np.ndarray
     C: np.ndarray
     tau: float
-    grid: Grid2D | None = None  # whose five-point stencil M is, if any
+    stencil: _FivePointLaplacian | None = None  # M as a grid's stencil, if any
 
     @property
     def d(self) -> int:
@@ -343,13 +339,12 @@ class SpatialOperators:
 
 def build_operators(g: Grid2D, T_star: SpatialField, Q_field: SpatialField,
                     p: EbmParams, C: np.ndarray) -> SpatialOperators:
-    A = assemble_laplacian(g)
     bvec, dvec, fvec = sample_coefficients(T_star, Q_field, p)
     if np.any((fvec <= 0.0) | (fvec >= 1.0)):
         raise ValueError("sampled co-albedo must lie in (0, 1)")
-    M = A - np.diag(bvec)
-    return SpatialOperators(b_vec=bvec, d_vec=dvec, f_vec=fvec, M=M, C=C,
-                            tau=p.tau, grid=g)
+    drift = _FivePointLaplacian(g, _FivePointLaplacian(g).centre - bvec)
+    return SpatialOperators(b_vec=bvec, d_vec=dvec, f_vec=fvec,
+                            M=drift.dense(), C=C, tau=p.tau, stencil=drift)
 
 
 def operators_from_arrays(M, d_vec, f_vec, C, tau) -> SpatialOperators:
@@ -382,13 +377,13 @@ _NODES_PER_DIAGONAL = 48
 def _row_products(ops: SpatialOperators):
     """y -> the rows M y of each row y: y @ M by BLAS (M is symmetric),
     unless M is a grid's, with fewer than d / _NODES_PER_DIAGONAL nonzero
-    diagonals (five, three on a one-wide grid).  Then the five-point stencil
-    sums each row's nonzeros in column order, O(d) a row, for any batch."""
-    g = ops.grid
+    diagonals (five, three on a one-wide grid).  Then M's own stencil sums
+    each row's nonzeros in column order, O(d) a row, for any batch."""
+    g = getattr(ops.stencil, "g", None)
     if (g is None or _NODES_PER_DIAGONAL * (1 + 2 * (g.Nx > 2) + 2 * (g.Ny > 2))
             >= ops.d):
         return lambda y: y @ ops.M  # y M = M y, row-wise
-    return _FivePointLaplacian(g, np.diag(ops.M).copy()).__matmul__
+    return ops.stencil.__matmul__
 
 
 def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,

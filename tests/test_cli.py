@@ -149,6 +149,19 @@ class TestExitCodes:
                    "spatial-stationary"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("length", ["0.5", "-3.0"])
+    def test_identity_kernel_refuses_a_length(self, tmp_path, capsys, length):
+        """The identity kernel reads no length: one, valid or not, is a
+        config error before anything runs."""
+        cfg = _write_cfg(tmp_path, _model_section() + _spatial_sections()
+                         + f"length = {length}\n")  # appended to [noise]
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out),
+                     "spatial-stationary"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: noise: the identity kernel reads no length\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,key,value,command", [
         ("sim", "dt", "nan", ["simulate", "--which", "reduced"]),
         ("sim", "dt", "inf", ["simulate", "--which", "anomaly-0d"]),
@@ -1250,6 +1263,35 @@ class TestOneFactorisation:
                                     getattr(node.func, "id", None),
                                     getattr(node.func, "attr", None))]
         assert callers == [("spatial_model", "simulate_anomaly_field")]
+
+
+class TestPsdEigensolve:
+    """`is_psd` costs a d x d eigvalsh of Gamma, run when it is first read:
+    spatial-stationary's summary reads it, a sweep point never does."""
+
+    @pytest.fixture
+    def eigensolves(self, monkeypatch):
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            sizes.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return sizes
+
+    _run = TestOneFactorisation._run  # on the same d = 9 config
+
+    def test_spatial_stationary(self, tmp_path, eigensolves):
+        self._run(tmp_path, "", "spatial-stationary")
+        assert eigensolves.count(9) == 1
+
+    def test_monotonicity(self, tmp_path, eigensolves):
+        lam0 = _constant_profile_lam(280.0)
+        self._run(tmp_path, f"[sweep]\nlambda_min = {lam0 - 2.0:.17g}\n"
+                            f"lambda_max = {lam0 + 2.0:.17g}\nn_points = 3\n",
+                  "monotonicity")
+        assert eigensolves.count(9) == 0
 
 
 # Runs `import ebmvar.cli`, records the scipy modules then loaded, runs each

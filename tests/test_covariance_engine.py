@@ -20,6 +20,7 @@ from ebmvar.errors import (
     SolveFailed,
     UnstableK,
 )
+from test_spatial_model import _laplacian_by_stencil
 
 DEFAULT = mc.default_params()
 
@@ -531,7 +532,7 @@ class TestMonotonicitySweep:
         with f' = D u and u from the explicit Jacobian of the profile."""
         g, bd, Q_field, lam0, noise, ops = _default_setup(nx=5, ny=5)
         p = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, [lam0]).points[0]
-        J = sm.assemble_laplacian(g) - np.diag(DEFAULT.r1 - Q_field.values * DEFAULT.slope)
+        J = _laplacian_by_stencil(g) - np.diag(DEFAULT.r1 - Q_field.values * DEFAULT.slope)
         u = np.linalg.solve(J, -np.ones(g.d))
         f_df = np.outer(ops.f_vec, ops.d_vec * u)
         rhs = ops.tau * ops.C * (f_df + f_df.T)

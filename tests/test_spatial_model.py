@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,12 +71,12 @@ class TestLaplacian:
     @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (5, 6)])
     def test_matches_stencil_oracle(self, shape):
         g = sm.Grid2D(Lx=1.3, Ly=0.7, Nx=shape[0], Ny=shape[1])
-        A = sm.assemble_laplacian(g)
+        A = sm._FivePointLaplacian(g).dense()
         np.testing.assert_allclose(A, _laplacian_by_stencil(g), atol=1e-12)
 
     def test_symmetric_negative_definite(self):
         g = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=5, Ny=4)
-        A = sm.assemble_laplacian(g)
+        A = _laplacian_by_stencil(g)
         np.testing.assert_allclose(A, A.T, atol=0.0)
         assert np.max(np.linalg.eigvalsh(A)) < 0.0
 
@@ -82,7 +84,7 @@ class TestLaplacian:
         """A constant lifted field is harmonic: A T + g_bc = 0."""
         g = sm.Grid2D(Lx=1.0, Ly=2.0, Nx=6, Ny=5)
         theta = sm.BoundaryTrace.constant(7.5)
-        A = sm.assemble_laplacian(g)
+        A = _laplacian_by_stencil(g)
         g_bc = sm.dirichlet_load(g, theta)
         T = np.full(g.d, 7.5)
         np.testing.assert_allclose(A @ T + g_bc, 0.0, atol=1e-12)
@@ -104,7 +106,7 @@ class TestLaplacian:
                 g_bc[m] += x**2 / g.hy**2
             if j == g.Ny - 1:
                 g_bc[m] += (x**2 + g.Ly**2) / g.hy**2
-        A = sm.assemble_laplacian(g)
+        A = _laplacian_by_stencil(g)
         np.testing.assert_allclose(A @ u + g_bc, 4.0, rtol=1e-12)
 
 
@@ -112,7 +114,7 @@ GRID_SHAPES = [(2, 2), (2, 6), (6, 2), (5, 6), (9, 9)]  # (Nx, Ny)
 
 
 class TestFivePointLaplacian:
-    """The equilibrium solve's stencil operator against the assembled A."""
+    """The equilibrium solve's stencil operator against the oracle's A."""
 
     @pytest.mark.parametrize("shape", GRID_SHAPES)
     def test_products_are_the_sparse_products(self, shape):
@@ -120,7 +122,7 @@ class TestFivePointLaplacian:
         bit: each node sums its terms in its row's column order."""
         import scipy.sparse as sp
         g = sm.Grid2D(Lx=1.3, Ly=0.7, Nx=shape[0], Ny=shape[1])
-        A = sp.csr_matrix(sm.assemble_laplacian(g))
+        A = sp.csr_matrix(_laplacian_by_stencil(g))
         L = sm._FivePointLaplacian(g)
         T = 100.0 * np.random.default_rng(3).standard_normal(g.d)
         np.testing.assert_array_equal(L @ T, A @ T)
@@ -135,7 +137,7 @@ class TestFivePointLaplacian:
         import scipy.sparse as sp
         g = sm.Grid2D(Lx=1.3, Ly=0.7, Nx=shape[0], Ny=shape[1])
         rng = np.random.default_rng(9)
-        M = sm.assemble_laplacian(g) - np.diag(rng.uniform(0.5, 2.0, g.d))
+        M = _laplacian_by_stencil(g) - np.diag(rng.uniform(0.5, 2.0, g.d))
         L = sm._FivePointLaplacian(g, np.diag(M))
         Y = 100.0 * rng.standard_normal((3, g.d))
         np.testing.assert_array_equal(L @ Y, (sp.csr_matrix(M) @ Y.T).T)
@@ -155,8 +157,12 @@ class TestFivePointLaplacian:
         rng = np.random.default_rng(4)
         shift = -rng.uniform(0.0, 3.0, g.d)
         rhs = rng.standard_normal(g.d)
-        expected = np.linalg.solve(sm.assemble_laplacian(g) + np.diag(shift), rhs)
-        monkeypatch.setattr(sm, "assemble_laplacian", None)
+        expected = np.linalg.solve(_laplacian_by_stencil(g) + np.diag(shift), rhs)
+
+        def dense(self):
+            raise AssertionError("the block solve assembled the matrix")
+
+        monkeypatch.setattr(sm._FivePointLaplacian, "dense", dense)
         got = sm._FivePointLaplacian(g).solve_shifted(shift, rhs)
         np.testing.assert_allclose(got, expected, rtol=1e-12,
                                    atol=1e-13 * np.max(np.abs(expected)))
@@ -166,7 +172,7 @@ class TestFivePointLaplacian:
         """A shift that makes -(A + diag(shift)) indefinite is solved densely,
         with partial pivoting."""
         g = sm.Grid2D(Lx=1.3, Ly=0.7, Nx=shape[0], Ny=shape[1])
-        A = sm.assemble_laplacian(g)
+        A = _laplacian_by_stencil(g)
         rng = np.random.default_rng(5)
         shift = -rng.uniform(0.0, 3.0, g.d)
         shift[g.d // 2] = 2.0 * np.max(np.abs(A))
@@ -192,7 +198,7 @@ class TestEquilibriumProfile:
         Q_field = sm.SpatialField(g, DEFAULT.Q * (1.0 + 0.1 * coords[:, 0]))
         lam = _constant_profile_lam(281.0, DEFAULT)
         prof = sm.solve_equilibrium_profile(g, Q_field, lam, theta, DEFAULT)
-        A = sm.assemble_laplacian(g)
+        A = _laplacian_by_stencil(g)
         g_bc = sm.dirichlet_load(g, theta)
         res = sm.equilibrium_residual(prof.values, A, g_bc, Q_field.values,
                                       lam, DEFAULT)
@@ -296,9 +302,52 @@ def _default_operators(nx=4, ny=4, theta=280.0):
 class TestOperators:
     def test_drift_structure(self):
         ops = _default_operators()
-        A = sm.assemble_laplacian(sm.Grid2D(Lx=1.0, Ly=1.0, Nx=4, Ny=4))
+        A = _laplacian_by_stencil(sm.Grid2D(Lx=1.0, Ly=1.0, Nx=4, Ny=4))
         M = ops.M
         np.testing.assert_allclose(M, A - np.diag(ops.b_vec), atol=1e-14)
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES + [(31, 31)])
+    def test_drift_and_dense_fallback_are_the_oracle_bit_for_bit(
+            self, monkeypatch, shape):
+        """M, filled from its stencil's five diagonals, and the matrix of a
+        shifted solve's dense fallback are the entrywise oracle's bytes."""
+        g = sm.Grid2D(Lx=1.3, Ly=0.7, Nx=shape[0], Ny=shape[1])
+        rng = np.random.default_rng(12)
+        ops = sm.build_operators(
+            g, sm.SpatialField(g, rng.uniform(250.0, 300.0, g.d)),
+            sm.SpatialField.constant(g, DEFAULT.Q), DEFAULT, np.eye(g.d))
+        A = _laplacian_by_stencil(g)
+        assert ops.M.tobytes() == (A - np.diag(ops.b_vec)).tobytes()
+        assert ops.stencil.centre.tobytes() == np.diag(ops.M).tobytes()
+
+        solved, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solved.append(a) or solve(a, b))
+        shift = -rng.uniform(0.0, 3.0, g.d)
+        shift[g.d // 2] = 2.0 * np.max(np.abs(A))
+        rhs = rng.standard_normal(g.d)
+        for L, oracle in ((sm._FivePointLaplacian(g), A), (ops.stencil, ops.M)):
+            solved.clear()
+            L.solve_shifted(shift, rhs)
+            assert solved[-1].tobytes() == (oracle + np.diag(shift)).tobytes()
+
+    def test_assembly_peaks_in_d_by_d_arrays(self):
+        """At d = 225 the operators peak at one d x d array, M itself, and
+        the exponential kernel's C at three, C included."""
+        g = sm.Grid2D(Lx=8.0, Ly=8.0, Nx=16, Ny=16)
+        T, Q = (sm.SpatialField.constant(g, v) for v in (280.0, DEFAULT.Q))
+        C = np.eye(g.d)
+        peaks = []
+        for build in (lambda: sm.build_operators(g, T, Q, DEFAULT, C),
+                      lambda: sm.build_noise_covariance(g, "exponential",
+                                                        length=0.5)):
+            tracemalloc.start()
+            try:
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1] / C.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.1 and peaks[1] <= 3.1, peaks
 
     def test_hurwitz(self):
         ops = _default_operators()
@@ -393,14 +442,14 @@ class TestAnomalySimulation:
         np.testing.assert_array_equal(product(Y), expected)
         bare = sm.operators_from_arrays(ops.M, ops.d_vec, ops.f_vec, ops.C,
                                         ops.tau)
-        assert bare.grid is None
+        assert bare.stencil is None
         np.testing.assert_array_equal(sm._row_products(bare)(Y), Y @ ops.M)
 
     def test_stencil_field_is_the_dense_row_sums_field(self, monkeypatch):
         """A d = 256 field run, on the stencil, repeats bit for bit the run
         whose drift products are the dense row sums."""
         ops = _default_operators(17, 17)
-        assert ops.grid is not None and ops.d == 256
+        assert ops.stencil is not None and ops.d == 256
         cfg = se.SimConfig(dt=1e-4, n_steps=6, n_paths=3, seed=4)
         y0 = np.random.default_rng(8).standard_normal(ops.d)
         got = sm.simulate_anomaly_field(ops, cfg, y0=y0).values
