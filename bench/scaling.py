@@ -38,8 +38,9 @@ of the profile, the sha256 of M's bytes then C's (for `operators`), K's
 spectral abscissa, the trace of Gamma, the sha256 of gamma_stationary.txt
 (for `write` and `command`), or nothing for `import`;
 `values_agree` says, per layer and d, whether every run of every tree gave
-the same value.  A `command` run also records its CPU time, and its peak
-RSS is the child's `ru_maxrss` from `os.wait4`.  With `--before`, every
+the same value; it is null when some tree finished no run there, so that
+no comparison was made.  A `command` run also records its CPU time, and
+its peak RSS is the child's `ru_maxrss` from `os.wait4`.  With `--before`, every
 run is repeated on another package tree, such as the parent commit's
 `src/` unpacked by `git archive`, alternating which tree goes first.  A
 run that takes longer than `--cap` seconds in all is killed; it, the rest
@@ -205,6 +206,14 @@ def run_one(src: Path, layer: str, d: int, cap: float,
     return json.loads(proc.stdout)
 
 
+def values_agree(runs: dict) -> bool | None:
+    """Whether every run of every tree in `runs`, {tree: [run, ...]}, gave
+    the same value; None unless every tree finished a run."""
+    if not all(runs.values()):
+        return None
+    return len({r["value"] for rs in runs.values() for r in rs}) == 1
+
+
 def layer_input(layer: str, d: int, src: Path, tmp: Path) -> Path | None:
     """What a run of `layer` at d reads: Gamma computed by `src` for
     `write`, the config file for `command`, or nothing."""
@@ -263,8 +272,7 @@ def main(argv=None) -> int:
                             "runs": rs}
                      for name, rs in runs.items() if rs}
             result["layers"][layer][f"d{d}"] = entry
-            result["values_agree"][layer][f"d{d}"] = len(
-                {r["value"] for rs in runs.values() for r in rs}) <= 1
+            result["values_agree"][layer][f"d{d}"] = values_agree(runs)
             print(layer, d, {name: e["median"] for name, e in entry.items()},
                   flush=True)
     shutil.rmtree(tmp)

@@ -126,20 +126,20 @@ def _pwrite(fd, data, offset):
 
 
 @contextmanager
-def _field_dump(outdir: Path, sim, d, stride=1):
-    """A sink for `simulate_anomaly_field`'s run of `sim`, keeping every
-    `stride`-th state, that writes the run as it goes, with the kept times
-    and the traces it fills: the mean square field at each time.
+def _field_dump(outdir: Path, sim, d):
+    """A sink for `simulate_anomaly_field`'s run of `sim` that writes every
+    state as the run goes, with the times and the traces it fills: the mean
+    square field at each time.
 
     anomaly_field.bin is made on entry, once the disk has room for its
     values, with its header and times.  The sink writes each path's run of
-    kept states at its place in the dump's path-major layout, so the file
+    states at its place in the dump's path-major layout, so the file
     is the bundle's `to_binary()`, and adds their squared norms into the
     traces path after path, the order of numpy's axis-0 sum, so the traces
     are (values**2).sum(2).mean(0) bit for bit.  An OSError is a
     ConfigError (`_writing`), and a run that fails removes the file."""
     path = outdir / "anomaly_field.bin"
-    n_paths, n_times = sim.n_paths, -(-sim.n_steps // stride) + 1
+    n_paths, n_times = sim.n_paths, sim.n_steps + 1
     need = 8 * n_paths * n_times * d
     with _writing(path):
         outdir.mkdir(parents=True, exist_ok=True)
@@ -153,7 +153,7 @@ def _field_dump(outdir: Path, sim, d, stride=1):
                 f"at {outdir}")
     head = sde.binary_header(n_paths, n_times, d, sim.seed)
     body = len(head) + 8 * n_times  # where path 0's states begin
-    times, traces = sde.kept_times(sim, stride), np.empty(n_times)
+    times, traces = sde.kept_times(sim), np.empty(n_times)
     with _writing(path):
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
 

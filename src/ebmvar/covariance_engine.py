@@ -179,9 +179,9 @@ def _lobpcg_top(K, shift, X, tol):
 
 def k_spectral_abscissa(ops: SpatialOperators) -> tuple[float, str]:
     """Max real part of K's spectrum, with the route used: "iterative"
-    (LOBPCG on the d x d operator), or "dense" for d = 1, where K is its own
-    eigenvalue.  M must be symmetric, so K is self-adjoint and its abscissa
-    is its largest eigenvalue.
+    (LOBPCG on the d x d operator), also for d = 1, where the first
+    residual is zero.  M must be symmetric, so K is self-adjoint and its
+    abscissa is its largest eigenvalue.
 
     The eigensolve runs in M's eigen-coordinates Y = U^T X U, where
     L_M(X) = M X + X M^T is multiplication by w_i + w_j and K is
@@ -198,8 +198,6 @@ def k_spectral_abscissa(ops: SpatialOperators) -> tuple[float, str]:
     identical digits.  The residual tolerance is 1e-10 |K|, with the bound
     |K| <= max|w_i + w_j| + g."""
     d = ops.d
-    if d == 1:
-        return float(_apply(ops, np.ones((1, 1)))[0, 0]), "dense"
     w, U = drift_eigenvalues(ops)
     gain = _gain(ops)
     denom = w[:, None] + w[None, :]

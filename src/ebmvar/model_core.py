@@ -229,14 +229,13 @@ class CurvePoint:
     var_inf: float
 
 
-def variance_curve(p: EbmParams, lambda_grid, reference=None) -> list[CurvePoint]:
+def variance_curve(p: EbmParams, lambda_grid) -> list[CurvePoint]:
     """Equilibrium and stationary variance along a forcing grid.
 
-    Root selection tracks the previous grid point's root (continuation);
-    the starting reference may be supplied by the caller.
+    Root selection tracks the previous grid point's root (continuation),
+    from the coldest stable admissible root at the first.
     """
-    points = []
-    ref = reference
+    points, ref = [], None
     for lam in lambda_grid:
         report = equilibrium_roots(p, lam=lam)
         root = select_root(report, reference=ref)

@@ -231,18 +231,16 @@ class _BlockDraw:
         return self.out
 
 
-def kept_times(cfg: SimConfig, stride=1):
-    """The times of the states `_run_paths` keeps: every `stride`-th step's
-    and the last."""
-    return cfg.dt * np.append(np.arange(0, cfg.n_steps, stride), cfg.n_steps)
+def kept_times(cfg: SimConfig):
+    """The times of the states `_run_paths` keeps: every step's."""
+    return cfg.dt * np.arange(cfg.n_steps + 1)
 
 
-def _run_paths(cfg: SimConfig, x0, step, shape=(), stride=1,
-               sink=None) -> PathBundle | None:
+def _run_paths(cfg: SimConfig, x0, step, shape=(), sink=None) -> PathBundle | None:
     """`cfg.n_paths` paths from the state `x0`, run as one batch through
     `cfg.n_steps` calls of `step(state, xi)`, where `xi`, shape (n_paths,) +
     `shape`, holds each path's next standard normals from its own stream;
-    every `stride`-th state and the last are kept.
+    every state is kept.
 
     Steps are drawn in blocks, into two buffers in turn.  A helper thread
     starts drawing the next block while this thread steps the current one;
@@ -250,20 +248,20 @@ def _run_paths(cfg: SimConfig, x0, step, shape=(), stride=1,
     (`_BlockDraw`) and waits for it.  Each stream is drawn by one thread at
     a time, in block order, and no draw outlives the call.
 
-    The kept states go to `sink(first, states)` as they are made: the
-    initial state, then each block's, shape (n_paths, m) + x0.shape, where
-    `first` is the index of states[:, 0] among the kept states.  `states`
-    is a buffer reused for the next block, passed while the helper draws
-    it.  With no sink, the states are kept in an array, allocated first,
-    and returned as a PathBundle.  An allocation that fails, of that array
-    or of the kernel's own buffers, is a ConfigError, raised before any
-    generator is built."""
+    The states go to `sink(first, states)` as they are made: the initial
+    state, then each block's, shape (n_paths, m) + x0.shape, where `first`
+    is the step of states[:, 0].  `states` is a buffer reused for the next
+    block, passed while the helper draws it; a caller that wants fewer
+    states passes a sink that drops the rest.  With no sink, the states are
+    kept in an array, allocated first, and returned as a PathBundle.  An
+    allocation that fails, of that array or of the kernel's own buffers, is
+    a ConfigError, raised before any generator is built."""
     seed, n_paths, n_steps = cfg.seed, cfg.n_paths, cfg.n_steps
     x0 = np.asarray(x0, dtype=float)
     width = math.prod(shape)
     values = None
     if sink is None:
-        dims = (n_paths, -(-n_steps // stride) + 1) + x0.shape
+        dims = (n_paths, n_steps + 1) + x0.shape
         with _allocating(n_paths, f"{dims[1]} kept steps of d = {x0.size} values",
                          math.prod(dims)):
             values = np.empty(dims)
@@ -272,13 +270,11 @@ def _run_paths(cfg: SimConfig, x0, step, shape=(), stride=1,
             values[:, first:first + states.shape[1]] = states
 
     block = min(n_steps, max(1, _DRAW_NORMALS // 2 // (n_paths * width)))
-    # A block's kept states: its multiples of stride, and the last step.
-    rows = min(block, (block - 1) // stride + 2)
     with _allocating(n_paths, f"d = {x0.size} values in {block}-step blocks",
-                     n_paths * ((1 + rows) * x0.size + 2 * block * width)):
+                     n_paths * ((1 + block) * x0.size + 2 * block * width)):
         state = np.broadcast_to(x0, (n_paths,) + x0.shape).copy()
         bufs = [np.empty((n_paths, block, width)) for _ in range(2)]
-        kept = np.empty((n_paths, rows) + x0.shape)
+        kept = np.empty((n_paths, block) + x0.shape)
     streams = [path_generator(seed, k) for k in range(n_paths)]
 
     def draw(start):  # starts drawing the block from step `start`
@@ -287,26 +283,20 @@ def _run_paths(cfg: SimConfig, x0, step, shape=(), stride=1,
     pending = draw(0)
     try:
         sink(0, state[:, None])
-        first = 1
         for start in range(0, n_steps, block):
             xi = pending.finish()
             if start + block < n_steps:
                 pending = draw(start + block)
             xi = xi.reshape((n_paths, -1) + shape)
-            m = 0
-            for j in range(xi.shape[1]):
+            steps = xi.shape[1]
+            for j in range(steps):
                 state = step(state, xi[:, j])
-                k = start + j + 1
-                if k % stride == 0 or k == n_steps:
-                    kept[:, m] = state
-                    m += 1
-            if m:
-                sink(first, kept[:, :m])
-                first += m
+                kept[:, j] = state
+            sink(start + 1, kept[:, :steps])
     finally:
         pending.helper.join()
     if values is not None:
-        return PathBundle(times=kept_times(cfg, stride), values=values, seed=seed)
+        return PathBundle(times=kept_times(cfg), values=values, seed=seed)
 
 
 @contextmanager
@@ -327,14 +317,14 @@ def _check_step(p: EbmParams, dt):
         raise StepTooLarge(f"dt*(r1 + |Q|*s) = {guard:.3g} > 1; reduce dt")
 
 
-def _ou_step(tau, Q, dt, noise_scale):
+def _ou_step(tau, Q, dt):
     """The `_run_paths` step of `simulate_ou`'s exact transition over dt."""
     decay = np.exp(-dt / tau)
-    sd = noise_scale * np.sqrt(0.5 * (1.0 - np.exp(-2.0 * dt / tau)))
+    sd = np.sqrt(0.5 * (1.0 - np.exp(-2.0 * dt / tau)))
     return lambda x, xi: Q + (x - Q) * decay + sd * xi
 
 
-def simulate_ou(tau, Q, x0, cfg: SimConfig, noise_scale=1.0) -> PathBundle:
+def simulate_ou(tau, Q, x0, cfg: SimConfig) -> PathBundle:
     """Fast insolation process, distributionally exact at the grid times.
 
     One step uses the exact transition with mean-reversion rate 1/tau and
@@ -342,11 +332,10 @@ def simulate_ou(tau, Q, x0, cfg: SimConfig, noise_scale=1.0) -> PathBundle:
         X_{k+1} = Q + (X_k - Q) e^{-dt/tau} + xi_k,
         xi_k ~ N(0, (1/2)(1 - e^{-2 dt/tau})).
     """
-    return _run_paths(cfg, x0, _ou_step(tau, Q, cfg.dt, noise_scale))
+    return _run_paths(cfg, x0, _ou_step(tau, Q, cfg.dt))
 
 
-def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig,
-                       noise_scale=1.0):
+def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig):
     """Coupled fast insolation / slow temperature system.
 
     The insolation is `simulate_ou` with the model's tau and Q; the
@@ -355,7 +344,7 @@ def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig,
     state is the row (X, T).
     """
     _check_step(p, cfg.dt)
-    ou = _ou_step(p.tau, p.Q, cfg.dt, noise_scale)
+    ou = _ou_step(p.tau, p.Q, cfg.dt)
 
     def step(s, xi):
         x, T = s[:, 0], s[:, 1]
@@ -453,8 +442,7 @@ def wong_zakai_ladder(taus, t, x0, Q, n_paths, seed=0) -> list[WongZakaiResult]:
         tau=tau, t=t) for row, m, tau in zip(sq, means, taus)]
 
 
-def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig,
-                         noise_scale=1.0) -> PathBundle:
+def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig) -> PathBundle:
     """Reduced multiplicative-noise temperature SDE.
 
     dT = (Q beta(T) + lambda - r0 - r1 T [+ (tau/2) beta beta']) dt
@@ -474,17 +462,17 @@ def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig,
         drift = balance_residual(T, p)
         if corrected:
             drift = drift + 0.5 * p.tau * beta * dbeta
-        dW = noise_scale * sqrt_dt * xi
+        dW = sqrt_dt * xi
         T = T + cfg.dt * drift + sqrt_tau * beta * dW
         if milstein:
-            T = T + 0.5 * p.tau * beta * dbeta * (dW**2 - noise_scale**2 * cfg.dt)
+            T = T + 0.5 * p.tau * beta * dbeta * (dW**2 - cfg.dt)
         return T
 
     return _run_paths(cfg, T0, step)
 
 
 def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0,
-                            cfg: SimConfig, noise_scale=1.0) -> PathBundle:
+                            cfg: SimConfig) -> PathBundle:
     """Linearised anomaly SDE dY = -b Y dt + sqrt(tau)(sigma0 + sigma1 Y) dW."""
     if cfg.dt * b > 1.0:
         raise StepTooLarge(f"dt*b = {cfg.dt * b:.3g} > 1; reduce dt")
@@ -493,11 +481,11 @@ def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0,
     milstein = cfg.scheme == "milstein"
 
     def step(y, xi):
-        dW = noise_scale * sqrt_dt * xi
+        dW = sqrt_dt * xi
         sig = sigma0 + sigma1 * y
         y_new = y - cfg.dt * b * y + sqrt_tau * sig * dW
         if milstein:
-            y_new = y_new + 0.5 * tau * sigma1 * sig * (dW**2 - noise_scale**2 * cfg.dt)
+            y_new = y_new + 0.5 * tau * sigma1 * sig * (dW**2 - cfg.dt)
         return y_new
 
     return _run_paths(cfg, y0, step)

@@ -387,18 +387,17 @@ def _row_products(ops: SpatialOperators):
 
 
 def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
-                           y0=None, store_stride=1, sink=None) -> PathBundle | None:
+                           y0=None, sink=None) -> PathBundle | None:
     """Euler-Maruyama for dY = M Y dt + sqrt(tau) diag(D Y + f) L dW, where
     L is the Cholesky factor of ops.C (L L^T = C), taken once a run with
     diagonal jitter 1e-12 max(diag C) (`cholesky_with_jitter`): a C that
     it cannot factor raises NotPositiveDefinite.  The drift product M y is
     BLAS's, or past d = 240 on a grid the stencil's (`_row_products`).
 
-    `store_stride` keeps every k-th time slice (plus the final one) to bound
-    memory on long stationary runs; the dynamics always advance at cfg.dt.
-    With `sink`, the kept states go to sink(first, states) block by block,
-    as `_run_paths` describes, and none is returned: a run is then bounded
-    by what the sink does with them, not by memory.
+    Every step's state is kept.  With `sink`, the states go to
+    sink(first, states) block by block, as `_run_paths` describes, and none
+    is returned: a run is then bounded by what the sink does with them, not
+    by memory, and a sink that drops states keeps fewer.
     """
     d = ops.d
     w, _ = drift_eigenvalues(ops)
@@ -423,4 +422,4 @@ def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
         return out
 
     return _run_paths(cfg, np.zeros(d) if y0 is None else y0, step,
-                      shape=(d,), stride=store_stride, sink=sink)
+                      shape=(d,), sink=sink)

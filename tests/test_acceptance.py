@@ -182,9 +182,14 @@ def test_criterion_06_stationary_covariance_consistency(grid16_setup):
     rk4_ok = rk4_defect <= 1e-6 * scale
 
     cfg = se.SimConfig(dt=0.0025, n_steps=3200, n_paths=5000, seed=606)
-    bundle = sm.simulate_anomaly_field(ops, cfg, store_stride=40)
-    keep = bundle.times >= 4.0  # burn-in: several relaxation times
-    sq = (bundle.values[:, keep, :] ** 2).sum(axis=2)
+    blocks = []
+
+    def every_40th(first, states):  # after burn-in: several relaxation times
+        steps = np.arange(first, first + states.shape[1])
+        blocks.append(states[:, (steps % 40 == 0) & (cfg.dt * steps >= 4.0)])
+
+    sm.simulate_anomaly_field(ops, cfg, sink=every_40th)
+    sq = (np.concatenate(blocks, axis=1) ** 2).sum(axis=2)
     per_path = sq.mean(axis=1)
     est = float(per_path.mean())
     sem = float(per_path.std(ddof=1) / np.sqrt(per_path.size))
@@ -285,8 +290,12 @@ def test_criterion_10_markov_exceedance_bound(grid16_setup):
     d = ops.d
 
     cfg = se.SimConfig(dt=0.005, n_steps=1200, n_paths=2000, seed=1010)
-    bundle = sm.simulate_anomaly_field(ops, cfg, store_stride=1200)
-    final = bundle.values[:, -1, :]  # one stationary snapshot per path
+    final = np.empty((cfg.n_paths, d))  # one stationary snapshot per path
+
+    def last(first, states):
+        final[:] = states[:, -1]
+
+    sm.simulate_anomaly_field(ops, cfg, sink=last)
     ok, details = True, []
     for mult in (1.0, 2.0, 4.0):
         theta = mult * np.sqrt(var_sp / d)

@@ -675,6 +675,24 @@ class TestWzConvergence:
         assert (out / "wz_convergence_summary.json").exists()
 
 
+class TestScalingBench:
+    def test_values_agree_only_when_compared(self, monkeypatch):
+        """bench/scaling.py's values_agree is None unless every tree
+        finished a run, else whether all their values are equal."""
+        bench_dir = Path(__file__).parent.parent / "bench"
+        monkeypatch.syspath_prepend(str(bench_dir))
+        spec = importlib.util.spec_from_file_location(
+            "scaling", bench_dir / "scaling.py")
+        scaling = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(scaling)
+        runs = [{"value": 1.5}, {"value": 1.5}]
+        assert scaling.values_agree({"after": []}) is None
+        assert scaling.values_agree({"before": [], "after": runs}) is None
+        assert scaling.values_agree({"before": runs, "after": runs}) is True
+        assert scaling.values_agree(
+            {"before": runs, "after": [{"value": 2.5}]}) is False
+
+
 class TestSimulate:
     def test_reduced_outputs_and_determinism(self, tmp_path):
         text = _model_section() + (
@@ -842,28 +860,25 @@ class TestSimulate:
         assert ((out / "anomaly_field_trace.csv").read_text()
                 == "\n".join(expected) + "\n")
 
-    # (n_steps, store_stride, steps a block, paths): blocks of one step, so
-    # one kept state each; a last block of one kept state (step 22, after
-    # 21); a last block of two (steps 35 and 36); and 150 paths, which the
-    # sink squares in chunks of 64, 64 and 22.
-    @pytest.mark.parametrize("n_steps, stride, block, n_paths", [
-        (6, 1, 1, 40), (22, 7, 3, 40), (36, 7, 3, 40), (8, 1, 3, 150)],
-        ids=["6-1-1", "22-7-3", "36-7-3", "8-1-3-150-paths"])
-    def test_field_dump_is_the_bundle_at_any_stride(self, tmp_path, monkeypatch,
-                                                    n_steps, stride, block,
-                                                    n_paths):
-        """The dump sink, fed by a strided run, writes the strided bundle's
-        to_binary(), and its traces are (values**2).sum(2).mean(0) exactly."""
+    # (n_steps, steps a block, paths): blocks of one step; a last block of
+    # one step (step 22, after 21); a last block of two (steps 19 and 20);
+    # and 150 paths, which the sink squares in chunks of 64, 64 and 22.
+    @pytest.mark.parametrize("n_steps, block, n_paths", [
+        (6, 1, 40), (22, 3, 40), (20, 3, 40), (8, 3, 150)],
+        ids=["6-1", "22-3", "20-3", "8-3-150-paths"])
+    def test_field_dump_is_the_bundle_at_any_block_edge(self, tmp_path,
+                                                        monkeypatch, n_steps,
+                                                        block, n_paths):
+        """The dump sink writes the bundle's to_binary(), and its traces are
+        (values**2).sum(2).mean(0) exactly."""
         from ebmvar import sde_engine as se
 
         ops = _field_ops()
         cfg = se.SimConfig(dt=1e-3, n_steps=n_steps, n_paths=n_paths, seed=2)
         monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * block * n_paths * ops.d)
-        bundle = sm.simulate_anomaly_field(ops, cfg, store_stride=stride)
-        with cli._field_dump(tmp_path, cfg, ops.d, stride) as (sink, times,
-                                                               traces):
-            assert sm.simulate_anomaly_field(ops, cfg, store_stride=stride,
-                                             sink=sink) is None
+        bundle = sm.simulate_anomaly_field(ops, cfg)
+        with cli._field_dump(tmp_path, cfg, ops.d) as (sink, times, traces):
+            assert sm.simulate_anomaly_field(ops, cfg, sink=sink) is None
         np.testing.assert_array_equal(times, bundle.times)
         blob = (tmp_path / "anomaly_field.bin").read_bytes()
         assert blob == bundle.to_binary()
@@ -954,8 +969,8 @@ class TestSpatialStationary:
                      "spatial-stationary"]) == EXIT_OK
 
     def test_single_node(self, tmp_path, monkeypatch):
-        """d = 1 (Nx = Ny = 2): K is 1 x 1, so its abscissa is the operator
-        applied to [[1]], which equals K exactly."""
+        """d = 1 (Nx = Ny = 2): K is 1 x 1, so LOBPCG's first residual is
+        zero and its abscissa is K's one entry exactly."""
         seen = []
         original = cov.certify
 
@@ -974,7 +989,7 @@ class TestSpatialStationary:
         K = cov.assemble_vectorised(seen[0]).K.toarray()
         assert K.shape == (1, 1)
         assert cert["k_spectral_abscissa"] == K[0, 0] < 0.0
-        assert cert["eig_route"] == "dense"
+        assert cert["eig_route"] == "iterative"
         summary = json.loads((out / "spatial_stationary_summary.json").read_text())
         assert summary["d"] == 1
 

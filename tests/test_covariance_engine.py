@@ -378,7 +378,7 @@ def _certificate_oracle(ops):
         "inverse_strictly_positive": m_matrix and irreducible,
         "coercivity_ok": bool(np.all(-ops.M.diagonal() >= 0.0)),
         "k_symmetric_part_negative_definite": bool(sym_top < 0.0),
-        "eig_route": "dense" if n == 1 else "iterative",
+        "eig_route": "iterative",
         "inverse_route": "m-matrix" if m_matrix else "not-asserted",
     }
 

@@ -14,6 +14,20 @@ from ebmvar.errors import ConfigError, EmptySample, StepTooLarge
 DEFAULT = mc.default_params()
 
 
+@pytest.fixture
+def no_noise(monkeypatch):
+    """Every simulator's normals drawn as zeros: its noise off."""
+    def zeros(streams, n, columns=1, out=None):
+        out[:, :n] = 0.0
+        return out[:, :n]
+
+    monkeypatch.setattr(se, "gaussian_increments", zeros)
+
+
+def _assert_within_4_ulp(got, expected):
+    assert abs(got - expected) <= 4 * np.spacing(abs(expected))
+
+
 class TestSimConfig:
     def test_defaults(self):
         cfg = se.SimConfig(dt=0.01, n_steps=10, n_paths=2)
@@ -121,10 +135,10 @@ class TestRandomness:
 
 
 class TestSimulateOU:
-    def test_deterministic_decay(self):
+    def test_deterministic_decay(self, no_noise):
         tau, Q, x0 = 0.5, 3.0, 5.0
         cfg = se.SimConfig(dt=0.05, n_steps=40, n_paths=1)
-        b = se.simulate_ou(tau, Q, x0, cfg, noise_scale=0.0)
+        b = se.simulate_ou(tau, Q, x0, cfg)
         expected = Q + (x0 - Q) * np.exp(-b.times / tau)
         np.testing.assert_allclose(b.values[0], expected, rtol=1e-12)
 
@@ -148,13 +162,12 @@ class TestSimulateOU:
 
 
 class TestFastSlow:
-    def test_quiescent_equilibrium(self):
+    def test_quiescent_equilibrium(self, no_noise):
         """With the noise off and X started at Q, an equilibrium root is a
         fixed point of the coupled update."""
         root = mc.select_root(mc.equilibrium_roots(DEFAULT))
         cfg = se.SimConfig(dt=1e-3, n_steps=200, n_paths=1)
-        xb, tb = se.simulate_fast_slow(DEFAULT, DEFAULT.Q, root.T_star, cfg,
-                                       noise_scale=0.0)
+        xb, tb = se.simulate_fast_slow(DEFAULT, DEFAULT.Q, root.T_star, cfg)
         np.testing.assert_allclose(xb.values[0], DEFAULT.Q, rtol=1e-12)
         np.testing.assert_allclose(tb.values[0], root.T_star, rtol=1e-12)
 
@@ -165,10 +178,8 @@ class TestFastSlow:
 
     def test_fast_path_is_the_ou_path(self):
         cfg = se.SimConfig(dt=1e-3, n_steps=30, n_paths=5, seed=8)
-        xb, _ = se.simulate_fast_slow(DEFAULT, DEFAULT.Q + 0.5, 280.0, cfg,
-                                      noise_scale=2.0)
-        ou = se.simulate_ou(DEFAULT.tau, DEFAULT.Q, DEFAULT.Q + 0.5, cfg,
-                            noise_scale=2.0)
+        xb, _ = se.simulate_fast_slow(DEFAULT, DEFAULT.Q + 0.5, 280.0, cfg)
+        ou = se.simulate_ou(DEFAULT.tau, DEFAULT.Q, DEFAULT.Q + 0.5, cfg)
         np.testing.assert_array_equal(xb.values, ou.values)
 
 
@@ -338,43 +349,55 @@ def _wong_zakai_one_rung(tau, t, x0, Q, n_paths, seed):
 
 
 class TestReducedSde:
-    def test_deterministic_relaxation(self):
+    def test_deterministic_relaxation(self, no_noise):
         """Noise off, Ito drift: explicit Euler converges to the stable root."""
         root = mc.select_root(mc.equilibrium_roots(DEFAULT))
         cfg = se.SimConfig(dt=1e-3, n_steps=20000, n_paths=1)
-        b = se.simulate_reduced_sde(DEFAULT, root.T_star + 2.0, cfg,
-                                    noise_scale=0.0)
+        b = se.simulate_reduced_sde(DEFAULT, root.T_star + 2.0, cfg)
         assert b.values[0, -1] == pytest.approx(root.T_star, abs=1e-8)
 
-    def test_stratonovich_correction_shifts_drift(self):
+    def test_stratonovich_correction_shifts_drift(self, no_noise):
         cfg = se.SimConfig(dt=1e-3, n_steps=1, n_paths=1,
                            drift_form="stratonovich-corrected")
         cfg0 = se.SimConfig(dt=1e-3, n_steps=1, n_paths=1)
         T0 = 280.0
-        b1 = se.simulate_reduced_sde(DEFAULT, T0, cfg, noise_scale=0.0)
-        b0 = se.simulate_reduced_sde(DEFAULT, T0, cfg0, noise_scale=0.0)
+        b1 = se.simulate_reduced_sde(DEFAULT, T0, cfg)
+        b0 = se.simulate_reduced_sde(DEFAULT, T0, cfg0)
         beta = mc.co_albedo(T0, DEFAULT)
         expected = cfg.dt * 0.5 * DEFAULT.tau * beta * DEFAULT.slope
         assert b1.values[0, 1] - b0.values[0, 1] == pytest.approx(expected)
 
-    def test_milstein_equals_em_without_noise(self):
-        kw = dict(dt=1e-3, n_steps=50, n_paths=1)
-        em = se.simulate_reduced_sde(DEFAULT, 285.0,
-                                     se.SimConfig(**kw), noise_scale=0.0)
-        mi = se.simulate_reduced_sde(DEFAULT, 285.0,
-                                     se.SimConfig(scheme="milstein", **kw),
-                                     noise_scale=0.0)
-        np.testing.assert_allclose(mi.values, em.values, rtol=1e-14)
+    def test_milstein_step_without_noise(self, no_noise):
+        """With zero draws one Milstein step is the Euler step plus
+        -(1/2) tau beta beta' h: about 6e-9 at T0 = 280 K, so the states,
+        not their difference, are compared."""
+        T0, kw = 280.0, dict(dt=1e-3, n_steps=1, n_paths=1)
+        em = se.simulate_reduced_sde(DEFAULT, T0, se.SimConfig(**kw))
+        mi = se.simulate_reduced_sde(DEFAULT, T0,
+                                     se.SimConfig(scheme="milstein", **kw))
+        term = (-0.5 * DEFAULT.tau * mc.co_albedo(T0, DEFAULT)
+                * mc.co_albedo_slope(T0, DEFAULT) * kw["dt"])
+        _assert_within_4_ulp(mi.values[0, 1], em.values[0, 1] + term)
 
 
 class TestLinearAnomaly:
-    def test_deterministic_decay(self):
+    def test_deterministic_decay(self, no_noise):
         b_rate, y0 = 1.5, 2.0
         cfg = se.SimConfig(dt=1e-4, n_steps=10000, n_paths=1)
-        b = se.simulate_linear_anomaly(b_rate, 0.5, 0.01, 0.01, y0, cfg,
-                                       noise_scale=0.0)
+        b = se.simulate_linear_anomaly(b_rate, 0.5, 0.01, 0.01, y0, cfg)
         expected = y0 * np.exp(-b_rate * b.times[-1])
         assert b.values[0, -1] == pytest.approx(expected, rel=1e-3)
+
+    def test_milstein_step_without_noise(self, no_noise):
+        """With zero draws one Milstein step is the Euler step plus
+        -(1/2) tau sigma1 (sigma0 + sigma1 y0) h."""
+        b_rate, sigma0, sigma1, tau, y0 = 1.0, 0.5, 0.3, 0.1, 0.2
+        kw = dict(dt=1e-3, n_steps=1, n_paths=1)
+        em, mi = (se.simulate_linear_anomaly(
+            b_rate, sigma0, sigma1, tau, y0, se.SimConfig(scheme=scheme, **kw))
+            for scheme in ("euler-maruyama", "milstein"))
+        term = -0.5 * tau * sigma1 * (sigma0 + sigma1 * y0) * kw["dt"]
+        _assert_within_4_ulp(mi.values[0, 1], em.values[0, 1] + term)
 
     def test_stationary_variance(self):
         b_rate, sigma0, sigma1, tau = 1.0, 0.5, 0.0086486, 1.0 / 365.0
@@ -480,12 +503,10 @@ def _runs():
             n_paths, 2, 1),
         "field-d1": (lambda n=n_paths: sm.simulate_anomaly_field(
             ops1, paths(field_cfg, n)).values, n_paths, n_steps, 1),
-        "field-d16-stride": (lambda n=n_paths: sm.simulate_anomaly_field(
-            ops16, paths(field_cfg, n), store_stride=7).values,
-            n_paths, n_steps, 16),
-        "field-d64-stride": (lambda n=n_paths: sm.simulate_anomaly_field(
-            ops64, paths(field_cfg, n), store_stride=7).values,
-            n_paths, n_steps, 64),
+        "field-d16": (lambda n=n_paths: sm.simulate_anomaly_field(
+            ops16, paths(field_cfg, n)).values, n_paths, n_steps, 16),
+        "field-d64": (lambda n=n_paths: sm.simulate_anomaly_field(
+            ops64, paths(field_cfg, n)).values, n_paths, n_steps, 64),
     }
 
 
@@ -496,7 +517,7 @@ def _dense_field_run():
     ops = _field_operators(5, "exponential")
     cfg = se.SimConfig(dt=2e-4, n_steps=40, n_paths=7, seed=12)
     return (lambda n=7: sm.simulate_anomaly_field(
-        ops, dataclasses.replace(cfg, n_paths=n), store_stride=7).values,
+        ops, dataclasses.replace(cfg, n_paths=n)).values,
         7, 40, ops.d)
 
 
@@ -712,7 +733,7 @@ class TestPathKernel:
         assert sorted(threads) == ["helper"] * 3 + ["stepping"] * 3
 
     def test_sink_takes_each_block_while_the_next_is_drawn(self, monkeypatch):
-        """A sink gets the initial state, then each block's kept states,
+        """A sink gets the initial state, then each block's states,
         once the next block's draw has started; they are the bundle's."""
         cfg = se.SimConfig(dt=0.01, n_steps=10, n_paths=3, seed=5)
         expected = se.simulate_ou(0.05, 1.0, 2.0, cfg).values
@@ -730,7 +751,7 @@ class TestPathKernel:
             got[:, first:first + states.shape[1]] = states
 
         monkeypatch.setattr(se, "_BlockDraw", Recording)
-        assert se._run_paths(cfg, 2.0, se._ou_step(0.05, 1.0, cfg.dt, 1.0),
+        assert se._run_paths(cfg, 2.0, se._ou_step(0.05, 1.0, cfg.dt),
                              sink=sink) is None
         assert events == ["draw", "sink"] * 4 + ["sink"]
         np.testing.assert_array_equal(got, expected)

@@ -495,13 +495,6 @@ class TestAnomalySimulation:
         sem = per_path.std(ddof=1) / np.sqrt(per_path.size)
         assert abs(est - target) <= 4.0 * sem
 
-    def test_store_stride(self):
-        ops = _default_operators()
-        cfg = se.SimConfig(dt=1e-3, n_steps=10, n_paths=2)
-        b = sm.simulate_anomaly_field(ops, cfg, store_stride=4)
-        np.testing.assert_allclose(b.times, [0.0, 4e-3, 8e-3, 10e-3])
-        assert b.values.shape == (2, 4, ops.d)
-
     def test_unstable_drift_rejected(self):
         ops = sm.operators_from_arrays([[1.0]], [0.0], [0.5], [[1.0]],
                                        tau=0.01)
