@@ -18,7 +18,7 @@ import os
 import shutil
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -103,8 +103,8 @@ def _writing(path: Path):
 
 
 def _write(outdir: Path, name: str, payload) -> Path:
-    """Write text, or buffers (a list, or the blocks of `_table`) one after
-    another, never joined; an OSError is a ConfigError (`_writing`)."""
+    """Write text, or the blocks of `_table` one after another, never
+    joined; an OSError is a ConfigError (`_writing`)."""
     path = outdir / name
     with _writing(path):
         outdir.mkdir(parents=True, exist_ok=True)
@@ -126,58 +126,58 @@ def _pwrite(fd, data, offset):
 
 
 @contextmanager
-def _field_dump(outdir: Path, sim, d):
-    """A sink for `simulate_anomaly_field`'s run of `sim` that writes every
-    state as the run goes, with the times and the traces it fills: the mean
-    square field at each time.
-
-    anomaly_field.bin is made on entry, once the disk has room for its
-    values, with its header and times.  The sink writes each path's run of
-    states at its place in the dump's path-major layout, so the file
-    is the bundle's `to_binary()`, and adds their squared norms into the
-    traces path after path, the order of numpy's axis-0 sum, so the traces
-    are (values**2).sum(2).mean(0) bit for bit.  An OSError is a
-    ConfigError (`_writing`), and a run that fails removes the file."""
-    path = outdir / "anomaly_field.bin"
+def _path_dump(outdir: Path, name: str, sim, d):
+    """The one writer of a path dump: `write(first, states)` into the dump
+    `name` of `sim`'s run, of d values a state (0 for scalar states).  The
+    file is made on entry, once the disk has room for all of it, with its
+    header and times; `write` puts each path's run of states from step
+    `first` at its place in the path-major layout of `to_binary()`.  An
+    OSError is a ConfigError (`_writing`); any failure removes the file."""
+    path = outdir / name
     n_paths, n_times = sim.n_paths, sim.n_steps + 1
-    need = 8 * n_paths * n_times * d
+    body = 40 + 8 * n_times  # the header and the times: path 0 begins here
+    width = 8 * max(d, 1)  # bytes a state
+    need = body + width * n_paths * n_times
     with _writing(path):
         outdir.mkdir(parents=True, exist_ok=True)
         free = shutil.disk_usage(outdir).free
         if path.exists():  # truncated when opened
             free += path.stat().st_size
         if need > free:
-            raise ConfigError(
-                f"[sim] n_paths = {n_paths} paths of {n_times} kept steps of "
-                f"d = {d} values need {need} bytes, more than the {free} free "
-                f"at {outdir}")
-    head = sde.binary_header(n_paths, n_times, d, sim.seed)
-    body = len(head) + 8 * n_times  # where path 0's states begin
-    times, traces = sde.kept_times(sim), np.empty(n_times)
-    with _writing(path):
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            raise ConfigError(f"[sim] n_paths = {n_paths} paths of {n_times} kept "
+                              f"steps of d = {max(d, 1)} values need {need} bytes "
+                              f"in {path}, more than the {free} free")
+        dump = open(path, "wb", buffering=0)
+    fd = dump.fileno()
+
+    def write(first, states):
+        for k, run in enumerate(states.astype("<f8", copy=False)):
+            _pwrite(fd, run, body + width * (k * n_times + first))
+
+    try:
+        with _writing(path), dump:
+            _pwrite(fd, sde.binary_header(n_paths, n_times, d, sim.seed), 0)
+            _pwrite(fd, sde.kept_times(sim).astype("<f8"), 40)
+            yield write
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _tracing(write, traces):
+    """A sink of field states that writes them and adds their squared norms
+    into `traces`, the mean square field at each time, path after path:
+    numpy's axis-0 sum order, so traces is (values**2).sum(2).mean(0)."""
 
     def sink(first, states):
-        for k, run in enumerate(states.astype("<f8", copy=False)):
-            _pwrite(fd, run, body + 8 * d * (k * n_times + first))
+        write(first, states)
         # Squared 64 paths at a time: no squared copy of the whole block.
         sq = np.concatenate([(states[lo:lo + 64] ** 2).sum(axis=2)
                              for lo in range(0, len(states), 64)])
         # accumulate adds row after row whatever the shape; a one-column
         # sum would add its rows pairwise.
-        traces[first:first + sq.shape[1]] = np.add.accumulate(sq)[-1] / n_paths
-
-    try:
-        with _writing(path):
-            try:
-                _pwrite(fd, head, 0)
-                _pwrite(fd, times.astype("<f8"), len(head))
-                yield sink, times, traces
-            finally:
-                os.close(fd)
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+        traces[first:first + sq.shape[1]] = np.add.accumulate(sq)[-1] / len(sq)
+    return sink
 
 
 def _json(obj) -> str:
@@ -311,34 +311,38 @@ def _operators(cfg: ExperimentConfig, p) -> sm.SpatialOperators:
 
 def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
     """Each bundle `<name>` of the `--which` simulator as its dump
-    `<name>_paths.bin` and its moments; for the anomaly field, the path
-    dump and the trace of the mean square field, both reduced from each
-    block of states as the run makes it (`_field_dump`): no path array is
-    held, so disk, not memory, bounds the run's length."""
+    `<name>_paths.bin` (`_path_dump`) and its moments; for the anomaly field,
+    the dump and the trace of the mean square field, both written from each
+    block of states as the run makes it, so disk, not memory, bounds it."""
     p = model_params(cfg)
     s = sim_config(cfg, seed_override=args.seed)
     _refuse_unread_sim_keys(cfg, f"simulate --which {args.which}")
     if args.which == "anomaly-field":
         ops = _operators(cfg, p)
-        with _field_dump(outdir, s, ops.d) as (sink, times, traces):
-            sm.simulate_anomaly_field(ops, s, sink=sink)
+        with _path_dump(outdir, "anomaly_field.bin", s, ops.d) as write:
+            traces = np.empty(s.n_steps + 1)
+            sm.simulate_anomaly_field(ops, s, sink=_tracing(write, traces))
         _write(outdir, "anomaly_field_trace.csv", _table(
-            "time,mc_trace", (times, traces)))
+            "time,mc_trace", (sde.kept_times(s), traces)))
         return EXIT_OK
 
     root = mc.select_root(mc.equilibrium_roots(p))
-    if args.which == "fast-slow":
-        x_bundle, t_bundle = sde.simulate_fast_slow(p, x0=p.Q,
-                                                    theta0=root.T_star, cfg=s)
-        bundles = {"fast": x_bundle, "slow": t_bundle}
-    elif args.which == "reduced":
-        bundles = {"reduced": sde.simulate_reduced_sde(p, root.T_star, s)}
-    else:  # anomaly-0d
-        bundles = {"anomaly0d": sde.simulate_linear_anomaly(
-            root.b, root.sigma0, root.sigma1, p.tau, 0.0, s)}
+    names = {"fast-slow": ("fast", "slow"), "reduced": ("reduced",),
+             "anomaly-0d": ("anomaly0d",)}[args.which]
+    with ExitStack() as dumps:
+        writes = [dumps.enter_context(_path_dump(outdir, f"{n}_paths.bin", s, 0))
+                  for n in names]
+        if args.which == "fast-slow":
+            bundles = sde.simulate_fast_slow(p, x0=p.Q, theta0=root.T_star, cfg=s)
+        elif args.which == "reduced":
+            bundles = [sde.simulate_reduced_sde(p, root.T_star, s)]
+        else:  # anomaly-0d
+            bundles = [sde.simulate_linear_anomaly(
+                root.b, root.sigma0, root.sigma1, p.tau, 0.0, s)]
+        for write, bundle in zip(writes, bundles):  # fast, slow: strided
+            write(0, np.ascontiguousarray(bundle.values))
 
-    for name, bundle in bundles.items():
-        _write(outdir, f"{name}_paths.bin", bundle.binary_parts())
+    for name, bundle in zip(names, bundles):
         rep = sde.mc_moments(bundle)
         _write(outdir, f"{name}_moments.csv", _table(
             "time,mean,variance,se_mean,se_variance",

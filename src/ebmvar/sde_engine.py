@@ -85,29 +85,36 @@ class PathBundle:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
-    def binary_parts(self) -> list:
-        """The little-endian float64 dump with a shape/seed header, as its
-        three buffers in file order (header, times, values), uncopied."""
-        n_paths, n_times, *d = self.values.shape
-        return [binary_header(n_paths, n_times, d[0] if d else 0, self.seed),
-                np.ascontiguousarray(self.times, dtype="<f8"),
-                np.ascontiguousarray(self.values, dtype="<f8")]
-
     def to_binary(self) -> bytes:
-        """The dump of `binary_parts` as one bytes object."""
-        return b"".join(self.binary_parts())
+        """The little-endian float64 dump with a shape/seed header: the
+        layout of every path dump, which `cli` streams to disk itself."""
+        n_paths, n_times, *d = self.values.shape
+        return (binary_header(n_paths, n_times, d[0] if d else 0, self.seed)
+                + self.times.astype("<f8", copy=False).tobytes()
+                + self.values.astype("<f8", copy=False).tobytes())
 
     @classmethod
     def from_binary(cls, blob: bytes) -> "PathBundle":
         """The bundle of a `to_binary` dump.  Its arrays are views of `blob`,
-        not copies: read-only when `blob` is bytes."""
+        not copies: read-only when `blob` is bytes.  A blob that is not a
+        whole dump, by its header, is a ValueError."""
+        if len(blob) < 40:
+            raise ValueError(f"a binary path dump has a 40-byte header, got "
+                             f"{len(blob)} bytes")
         if blob[:8] != _MAGIC:
             raise ValueError("bad magic in binary path dump")
         n_paths, n_times, d, seed = struct.unpack("<qqqq", blob[8:40])
+        if min(n_paths, n_times, d) < 0:
+            raise ValueError(f"binary path dump of shape n_paths = {n_paths}, "
+                             f"n_times = {n_times}, d = {d}")
+        count = n_paths * n_times * max(d, 1)
+        size = 40 + 8 * (n_times + count)
+        if len(blob) != size:
+            raise ValueError(f"a binary path dump of {n_paths} x {n_times} x "
+                             f"{d} is {size} bytes, got {len(blob)}")
         times = np.frombuffer(blob, dtype="<f8", count=n_times, offset=40)
-        off = 40 + 8 * n_times
-        count = n_paths * n_times * (d if d else 1)
-        vals = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+        vals = np.frombuffer(blob, dtype="<f8", count=count,
+                             offset=40 + 8 * n_times)
         shape = (n_paths, n_times, d) if d else (n_paths, n_times)
         return cls(times=times, values=vals.reshape(shape), seed=seed)
 

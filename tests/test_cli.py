@@ -3,10 +3,12 @@ import gc
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,20 +196,20 @@ class TestExitCodes:
                    "simulate", "--which", "reduced"])
         assert rc == EXIT_CONFIG
 
-    # Path arrays, or the field's dump, beyond the 128 TiB user address space
-    # or any disk: nothing is allocated or written.
+    # Path dumps beyond any disk, whole files counted (header, times and
+    # values): nothing is allocated or written.
     @pytest.mark.parametrize("which, sim, need", [
         ("anomaly-field", "n_steps = 1600\nn_paths = 10000000000\n",
          "n_paths = 10000000000 paths of 1601 kept steps of d = 9 values "
-         "need 1152720000000000 bytes"),
+         "need 1152720000012848 bytes"),
         ("reduced", "n_steps = 1000000000000\nn_paths = 1000\n",
          "n_paths = 1000 paths of 1000000000001 kept steps of d = 1 values "
-         "need 8000000000008000 bytes"),
+         "need 8008000000008048 bytes"),
         ("anomaly-0d", "n_steps = 100000000000000000000\nn_paths = 2\n",
          "n_paths = 2 paths of 100000000000000000001 kept steps"),
         ("anomaly-field", "n_steps = 100000000000000000000\nn_paths = 2\n",
          "n_paths = 2 paths of 100000000000000000001 kept steps of d = 9 "
-         "values need 14400000000000000000144 bytes"),
+         "values need 15200000000000000000192 bytes"),
     ], ids=["field-paths", "reduced-steps", "anomaly0d-steps-overflow",
             "field-steps-overflow"])
     def test_outsized_sim_is_a_config_error(self, tmp_path, capsys, which, sim,
@@ -869,17 +871,20 @@ class TestSimulate:
     def test_field_dump_is_the_bundle_at_any_block_edge(self, tmp_path,
                                                         monkeypatch, n_steps,
                                                         block, n_paths):
-        """The dump sink writes the bundle's to_binary(), and its traces are
-        (values**2).sum(2).mean(0) exactly."""
+        """The field's sink writes the bundle's to_binary(), and its traces
+        are (values**2).sum(2).mean(0) exactly, at the times of the trace
+        table."""
         from ebmvar import sde_engine as se
 
         ops = _field_ops()
         cfg = se.SimConfig(dt=1e-3, n_steps=n_steps, n_paths=n_paths, seed=2)
         monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * block * n_paths * ops.d)
         bundle = sm.simulate_anomaly_field(ops, cfg)
-        with cli._field_dump(tmp_path, cfg, ops.d) as (sink, times, traces):
+        traces = np.empty(n_steps + 1)
+        with cli._path_dump(tmp_path, "anomaly_field.bin", cfg, ops.d) as write:
+            sink = cli._tracing(write, traces)
             assert sm.simulate_anomaly_field(ops, cfg, sink=sink) is None
-        np.testing.assert_array_equal(times, bundle.times)
+        np.testing.assert_array_equal(se.kept_times(cfg), bundle.times)
         blob = (tmp_path / "anomaly_field.bin").read_bytes()
         assert blob == bundle.to_binary()
         np.testing.assert_array_equal(se.PathBundle.from_binary(blob).values,
@@ -887,18 +892,27 @@ class TestSimulate:
         np.testing.assert_array_equal(
             traces, (bundle.values ** 2).sum(axis=2).mean(axis=0))
 
-    def test_anomaly_field_dump_failure_reaches_the_caller(self, tmp_path,
-                                                          capsys, monkeypatch):
-        """A write of anomaly_field.bin that fails mid-run, while the next
-        block is drawn, exits 2 naming the file, with no traceback, no
-        partial dump, no trace file and no thread left."""
+    # pwrite calls: a dump's header and times, then one per path; fast-slow
+    # opens fast_paths.bin and slow_paths.bin before the run, and call 25 is
+    # slow's fifth path.  Call 40 of the field is in its second block.
+    @pytest.mark.parametrize("which, name, fail_at", [
+        ("reduced", "reduced_paths.bin", 10),
+        ("anomaly-0d", "anomaly0d_paths.bin", 10),
+        ("fast-slow", "slow_paths.bin", 25),
+        ("anomaly-field", "anomaly_field.bin", 40),
+    ], ids=["reduced", "anomaly-0d", "fast-slow", "anomaly-field"])
+    def test_anomaly_field_dump_failure_reaches_the_caller(
+            self, tmp_path, capsys, monkeypatch, which, name, fail_at):
+        """A write of a path dump that fails mid-dump, for the field while
+        the next block is drawn, exits 2 naming the file, with no
+        traceback, no partial dump, no other output and no thread left."""
         from ebmvar import sde_engine as se
 
         pwrite = os.pwrite
 
         def failing(fd, data, offset):
             failing.calls += 1
-            if failing.calls == 40:  # in the second block of states
+            if failing.calls == fail_at:
                 raise OSError(28, "No space left on device")
             return pwrite(fd, data, offset)
 
@@ -911,15 +925,57 @@ class TestSimulate:
         out = tmp_path / "o"
         before = threading.enumerate()
         rc = main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
-                   "simulate", "--which", "anomaly-field"])
+                   "simulate", "--which", which])
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
-        assert err.startswith(
-            f"config error: cannot write {out / 'anomaly_field.bin'}: ")
+        assert err.startswith(f"config error: cannot write {out / name}: ")
         assert "No space left on device" in err and "Traceback" not in err
-        assert failing.calls == 40
+        assert failing.calls == fail_at
         assert list(out.iterdir()) == []
         assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("which, name, d", [
+        ("reduced", "reduced_paths.bin", 0),
+        ("anomaly-0d", "anomaly0d_paths.bin", 0),
+        ("fast-slow", "fast_paths.bin", 0),
+        ("anomaly-field", "anomaly_field.bin", 9),
+    ], ids=["reduced", "anomaly-0d", "fast-slow", "anomaly-field"])
+    def test_a_dump_the_disk_cannot_hold_is_refused(self, tmp_path, capsys,
+                                                    monkeypatch, which, name,
+                                                    d):
+        """With one byte less free than a whole dump needs (its 40-byte
+        header, its times and its values), the command exits 2 naming the
+        dump, before the simulator is called, and leaves nothing in --out;
+        with exactly as many bytes free, it runs."""
+        need = 40 + 8 * 21 + 8 * 16 * 21 * max(d, 1)  # 16 paths of 21 states
+        free = [need - 1]
+        monkeypatch.setattr(shutil, "disk_usage",
+                            lambda path: SimpleNamespace(free=free[0]))
+        calls = []
+        for module, fn in [(sde, "simulate_reduced_sde"),
+                           (sde, "simulate_linear_anomaly"),
+                           (sde, "simulate_fast_slow"),
+                           (sm, "simulate_anomaly_field")]:
+            def recording(*args, _run=getattr(module, fn), **kwargs):
+                calls.append(args)
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(module, fn, recording)
+        lam = _constant_profile_lam(280.0)
+        cfg = _write_cfg(tmp_path, _model_section(lam=lam) + _spatial_sections()
+                         + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 16\n")
+        out = tmp_path / "o"
+        argv = ["--config", cfg, "--out", str(out), "simulate", "--which", which]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: [sim] n_paths = 16 paths of 21 kept steps of d = "
+            f"{max(d, 1)} values need {need} bytes in {out / name}, more than "
+            f"the {need - 1} free\n")
+        assert calls == [] and list(out.iterdir()) == []
+
+        free[0] = need
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 1 and (out / name).stat().st_size == need
 
 
 def _field_ops():

@@ -81,6 +81,30 @@ class TestPathBundle:
         with pytest.raises(ValueError, match="magic"):
             se.PathBundle.from_binary(b"XXXXXXXX" + b"\0" * 64)
 
+    @pytest.mark.parametrize("cut, match", [
+        (slice(0, 20), "40-byte header, got 20 bytes"),
+        (slice(0, 0), "40-byte header, got 0 bytes"),
+        (slice(0, -8), "2 x 2 x 0 is 88 bytes, got 80"),
+        (slice(0, 40), "2 x 2 x 0 is 88 bytes, got 40"),
+    ], ids=["short-header", "empty", "short-values", "header-only"])
+    def test_a_cut_dump_is_refused(self, cut, match):
+        blob = se.PathBundle(times=[0.0, 1.0], values=np.ones((2, 2))).to_binary()
+        with pytest.raises(ValueError, match=match):
+            se.PathBundle.from_binary(blob[cut])
+
+    def test_trailing_bytes_are_refused(self):
+        blob = se.PathBundle(times=[0.0, 1.0], values=np.ones((2, 2))).to_binary()
+        with pytest.raises(ValueError, match="is 88 bytes, got 112"):
+            se.PathBundle.from_binary(blob + b"\0" * 24)
+
+    @pytest.mark.parametrize("shape", [(-1, 2, 0), (2, -1, 0), (2, 2, -3)],
+                             ids=["n_paths", "n_times", "d"])
+    def test_a_negative_shape_is_refused(self, shape):
+        blob = se.binary_header(*shape, 0) + b"\0" * 48
+        with pytest.raises(ValueError, match="shape n_paths = "
+                           f"{shape[0]}, n_times = {shape[1]}, d = {shape[2]}"):
+            se.PathBundle.from_binary(blob)
+
     def test_inconsistent_shapes(self):
         with pytest.raises(ValueError):
             se.PathBundle(times=[0.0, 1.0], values=np.zeros((2, 3)))
@@ -755,6 +779,15 @@ class TestPathKernel:
                              sink=sink) is None
         assert events == ["draw", "sink"] * 4 + ["sink"]
         np.testing.assert_array_equal(got, expected)
+
+    def test_outsized_path_array_is_a_config_error(self):
+        """With no sink, a path array beyond the 128 TiB user address space
+        is a ConfigError naming its size, before any generator."""
+        cfg = se.SimConfig(dt=0.001, n_steps=10**12, n_paths=1000)
+        with pytest.raises(ConfigError, match=r"^\[sim\] n_paths = 1000 paths of "
+                           r"1000000000001 kept steps of d = 1 values need "
+                           "8000000000008000 bytes, more than can be allocated"):
+            se._run_paths(cfg, 2.0, lambda state, xi: state)
 
     def test_outsized_working_buffers_are_a_config_error(self):
         """With a sink no path array is made, but a state beyond the 128 TiB
