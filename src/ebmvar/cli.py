@@ -18,7 +18,8 @@ import os
 import shutil
 import sys
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -126,57 +127,55 @@ def _pwrite(fd, data, offset):
 
 
 @contextmanager
-def _path_dump(outdir: Path, name: str, sim, d):
-    """The one writer of a path dump: `write(first, states)` into the dump
-    `name` of `sim`'s run, of d values a state (0 for scalar states).  The
-    file is made on entry, once the disk has room for all of it, with its
-    header and times; `write` puts each path's run of states from step
+def _path_dumps(outdir: Path, sim, d, names):
+    """The one writer of path dumps: `write(k, first, states)` into dump k of
+    `names` of `sim`'s run, of d values a state (0 for scalar states).  The
+    files are made on entry, once the disk has room for all, with their
+    headers and times; `write` puts each path's run of states from step
     `first` at its place in the path-major layout of `to_binary()`.  An
-    OSError is a ConfigError (`_writing`); any failure removes the file."""
-    path = outdir / name
+    OSError is a ConfigError naming its file; any failure removes them all."""
+    paths = [outdir / name for name in names]
     n_paths, n_times = sim.n_paths, sim.n_steps + 1
     body = 40 + 8 * n_times  # the header and the times: path 0 begins here
     width = 8 * max(d, 1)  # bytes a state
-    need = body + width * n_paths * n_times
-    with _writing(path):
+    need = len(paths) * (body + width * n_paths * n_times)
+    with _writing(outdir):
         outdir.mkdir(parents=True, exist_ok=True)
-        free = shutil.disk_usage(outdir).free
-        if path.exists():  # truncated when opened
-            free += path.stat().st_size
-        if need > free:
-            raise ConfigError(f"[sim] n_paths = {n_paths} paths of {n_times} kept "
-                              f"steps of d = {max(d, 1)} values need {need} bytes "
-                              f"in {path}, more than the {free} free")
-        dump = open(path, "wb", buffering=0)
-    fd = dump.fileno()
+        free = shutil.disk_usage(outdir).free + sum(  # truncated when opened
+            path.stat().st_size for path in paths if path.exists())
+    if need > free:
+        raise ConfigError(f"[sim] n_paths = {n_paths} paths of {n_times} kept steps "
+                          f"of d = {max(d, 1)} values need {need} bytes in "
+                          f"{' and '.join(map(str, paths))}, more than the {free} free")
 
-    def write(first, states):
-        for k, run in enumerate(states.astype("<f8", copy=False)):
-            _pwrite(fd, run, body + width * (k * n_times + first))
+    def write(k, first, states):
+        with _writing(paths[k]), open(paths[k], "r+b", buffering=0) as dump:
+            for i, run in enumerate(states):  # a strided run is copied
+                _pwrite(dump.fileno(), np.ascontiguousarray(run, "<f8"),
+                        body + width * (i * n_times + first))
 
     try:
-        with _writing(path), dump:
-            _pwrite(fd, sde.binary_header(n_paths, n_times, d, sim.seed), 0)
-            _pwrite(fd, sde.kept_times(sim).astype("<f8"), 40)
-            yield write
+        for path in paths:
+            with _writing(path):
+                path.write_bytes(sde.binary_header(n_paths, n_times, d, sim.seed)
+                                 + sde.kept_times(sim).astype("<f8").tobytes())
+        yield write
     except BaseException:
-        path.unlink(missing_ok=True)
+        for path in paths:
+            path.unlink(missing_ok=True)
         raise
 
 
-def _tracing(write, traces):
-    """A sink of field states that writes them and adds their squared norms
-    into `traces`, the mean square field at each time, path after path:
-    numpy's axis-0 sum order, so traces is (values**2).sum(2).mean(0)."""
+def _tracing(write, tables, stat):
+    """The sink of a run's blocks of states.  Bundle k's block, the states or,
+    in a run of several bundles, their column k, goes to dump k (`write`)
+    and its per-time statistics `stat(block)` into tables[k] at its steps."""
 
     def sink(first, states):
-        write(first, states)
-        # Squared 64 paths at a time: no squared copy of the whole block.
-        sq = np.concatenate([(states[lo:lo + 64] ** 2).sum(axis=2)
-                             for lo in range(0, len(states), 64)])
-        # accumulate adds row after row whatever the shape; a one-column
-        # sum would add its rows pairwise.
-        traces[first:first + sq.shape[1]] = np.add.accumulate(sq)[-1] / len(sq)
+        for k, table in enumerate(tables):
+            block = states if len(tables) == 1 else states[..., k]
+            write(k, first, block)
+            table[:, first:first + block.shape[1]] = stat(block)
     return sink
 
 
@@ -310,44 +309,36 @@ def _operators(cfg: ExperimentConfig, p) -> sm.SpatialOperators:
 
 
 def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
-    """Each bundle `<name>` of the `--which` simulator as its dump
-    `<name>_paths.bin` (`_path_dump`) and its moments; for the anomaly field,
-    the dump and the trace of the mean square field, both written from each
-    block of states as the run makes it, so disk, not memory, bounds it."""
+    """Each bundle of the `--which` run as its dump and its per-time table:
+    the field's mean square trace or a scalar bundle's moments, both written
+    from each block as the run makes it (`_tracing`), so no run is held."""
     p = model_params(cfg)
     s = sim_config(cfg, seed_override=args.seed)
     _refuse_unread_sim_keys(cfg, f"simulate --which {args.which}")
     if args.which == "anomaly-field":
         ops = _operators(cfg, p)
-        with _path_dump(outdir, "anomaly_field.bin", s, ops.d) as write:
-            traces = np.empty(s.n_steps + 1)
-            sm.simulate_anomaly_field(ops, s, sink=_tracing(write, traces))
-        _write(outdir, "anomaly_field_trace.csv", _table(
-            "time,mc_trace", (sde.kept_times(s), traces)))
-        return EXIT_OK
-
-    root = mc.select_root(mc.equilibrium_roots(p))
-    names = {"fast-slow": ("fast", "slow"), "reduced": ("reduced",),
-             "anomaly-0d": ("anomaly0d",)}[args.which]
-    with ExitStack() as dumps:
-        writes = [dumps.enter_context(_path_dump(outdir, f"{n}_paths.bin", s, 0))
-                  for n in names]
-        if args.which == "fast-slow":
-            bundles = sde.simulate_fast_slow(p, x0=p.Q, theta0=root.T_star, cfg=s)
-        elif args.which == "reduced":
-            bundles = [sde.simulate_reduced_sde(p, root.T_star, s)]
-        else:  # anomaly-0d
-            bundles = [sde.simulate_linear_anomaly(
-                root.b, root.sigma0, root.sigma1, p.tau, 0.0, s)]
-        for write, bundle in zip(writes, bundles):  # fast, slow: strided
-            write(0, np.ascontiguousarray(bundle.values))
-
-    for name, bundle in zip(names, bundles):
-        rep = sde.mc_moments(bundle)
-        _write(outdir, f"{name}_moments.csv", _table(
-            "time,mean,variance,se_mean,se_variance",
-            (bundle.times, rep.mean, rep.variance, rep.se_mean,
-             rep.se_variance)))
+        run, d = partial(sm.simulate_anomaly_field, ops), ops.d
+        dumps, tables = ["anomaly_field.bin"], ["anomaly_field_trace.csv"]
+        header, stat = "time,mc_trace", lambda states: sde.sum_paths(
+            states, lambda rows: (rows ** 2).sum(axis=2)) / len(states)
+    else:  # fast-slow's state is the row (x, T): two bundles
+        root = mc.select_root(mc.equilibrium_roots(p))
+        run, names = {
+            "fast-slow": (partial(sde.simulate_fast_slow, p, p.Q, root.T_star),
+                          ["fast", "slow"]),
+            "reduced": (partial(sde.simulate_reduced_sde, p, root.T_star), ["reduced"]),
+            "anomaly-0d": (partial(sde.simulate_linear_anomaly, root.b, root.sigma0,
+                                   root.sigma1, p.tau, 0.0), ["anomaly0d"]),
+        }[args.which]
+        d, dumps = 0, [f"{name}_paths.bin" for name in names]
+        tables = [f"{name}_moments.csv" for name in names]
+        header, stat = "time,mean,variance,se_mean,se_variance", sde.path_moments
+    with _path_dumps(outdir, s, d, dumps) as write:
+        times = sde.kept_times(s)
+        columns = [np.empty((header.count(","), times.size)) for _ in dumps]
+        run(s, sink=_tracing(write, columns, stat))
+    for name, table in zip(tables, columns):
+        _write(outdir, name, _table(header, (times, *table)))
     return EXIT_OK
 
 

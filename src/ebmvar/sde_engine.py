@@ -81,10 +81,6 @@ class PathBundle:
         if self.values.shape[1] != self.times.size:
             raise ValueError("values and times are inconsistent")
 
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
-
     def to_binary(self) -> bytes:
         """The little-endian float64 dump with a shape/seed header: the
         layout of every path dump, which `cli` streams to disk itself."""
@@ -342,13 +338,14 @@ def simulate_ou(tau, Q, x0, cfg: SimConfig) -> PathBundle:
     return _run_paths(cfg, x0, _ou_step(tau, Q, cfg.dt))
 
 
-def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig):
+def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig, sink=None):
     """Coupled fast insolation / slow temperature system.
 
     The insolation is `simulate_ou` with the model's tau and Q; the
     temperature follows it by explicit Euler of
     dT/dt = X beta(T) + lambda - (r0 + r1 T) on the same grid.  One path's
-    state is the row (X, T).
+    state is the row (X, T): with `sink`, its blocks go there (`_run_paths`);
+    without, the X and the T bundles are returned.
     """
     _check_step(p, cfg.dt)
     ou = _ou_step(p.tau, p.Q, cfg.dt)
@@ -358,10 +355,10 @@ def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig):
         drift = x * co_albedo(T, p) + p.lam - (p.r0 + p.r1 * T)
         return np.column_stack([ou(x, xi), T + cfg.dt * drift])
 
-    paths = _run_paths(cfg, [x0, theta0], step)
-    xs, ts = np.moveaxis(paths.values, 2, 0)
-    return (PathBundle(times=paths.times, values=xs, seed=cfg.seed),
-            PathBundle(times=paths.times, values=ts, seed=cfg.seed))
+    paths = _run_paths(cfg, [x0, theta0], step, sink=sink)
+    if sink is None:
+        return tuple(PathBundle(times=paths.times, values=v, seed=cfg.seed)
+                     for v in np.moveaxis(paths.values, 2, 0))
 
 
 @dataclass(frozen=True)
@@ -449,13 +446,14 @@ def wong_zakai_ladder(taus, t, x0, Q, n_paths, seed=0) -> list[WongZakaiResult]:
         tau=tau, t=t) for row, m, tau in zip(sq, means, taus)]
 
 
-def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig) -> PathBundle:
+def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig,
+                         sink=None) -> PathBundle | None:
     """Reduced multiplicative-noise temperature SDE.
 
     dT = (Q beta(T) + lambda - r0 - r1 T [+ (tau/2) beta beta']) dt
          + sqrt(tau) beta(T) dW,
-    with the optional Stratonovich-correction drift toggled by
-    cfg.drift_form and the Milstein term by cfg.scheme.
+    with the optional Stratonovich-correction drift toggled by cfg.drift_form
+    and the Milstein term by cfg.scheme; a `sink` takes the states (`_run_paths`).
     """
     _check_step(p, cfg.dt)
     sqrt_dt = np.sqrt(cfg.dt)
@@ -475,12 +473,13 @@ def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig) -> PathBundle:
             T = T + 0.5 * p.tau * beta * dbeta * (dW**2 - cfg.dt)
         return T
 
-    return _run_paths(cfg, T0, step)
+    return _run_paths(cfg, T0, step, sink=sink)
 
 
-def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0,
-                            cfg: SimConfig) -> PathBundle:
-    """Linearised anomaly SDE dY = -b Y dt + sqrt(tau)(sigma0 + sigma1 Y) dW."""
+def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0, cfg: SimConfig,
+                            sink=None) -> PathBundle | None:
+    """Linearised anomaly SDE dY = -b Y dt + sqrt(tau)(sigma0 + sigma1 Y) dW;
+    with `sink`, as `simulate_reduced_sde`."""
     if cfg.dt * b > 1.0:
         raise StepTooLarge(f"dt*b = {cfg.dt * b:.3g} > 1; reduce dt")
     sqrt_dt = np.sqrt(cfg.dt)
@@ -495,7 +494,7 @@ def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0,
             y_new = y_new + 0.5 * tau * sigma1 * sig * (dW**2 - cfg.dt)
         return y_new
 
-    return _run_paths(cfg, y0, step)
+    return _run_paths(cfg, y0, step, sink=sink)
 
 
 @dataclass(frozen=True)
@@ -507,7 +506,6 @@ class MomentReport:
     variance: np.ndarray | float
     se_mean: np.ndarray | float
     se_variance: np.ndarray | float
-    pooled: bool
 
 
 def mc_moments(bundle: PathBundle, burn_in_fraction=0.0,
@@ -532,9 +530,8 @@ def mc_moments(bundle: PathBundle, burn_in_fraction=0.0,
     retained = vals[:, start:]
     if retained.size == 0:
         raise EmptySample("burn-in removed every sample")
-    n = retained.shape[0]
-
     if pooled:
+        n = retained.shape[0]
         grand_mean = float(np.mean(retained))
         per_path_mean = retained.mean(axis=1)
         per_path_sq = ((retained - grand_mean) ** 2).mean(axis=1)
@@ -544,17 +541,29 @@ def mc_moments(bundle: PathBundle, burn_in_fraction=0.0,
             se_var = float(np.std(per_path_sq, ddof=1) / np.sqrt(n))
         else:
             se_mean = se_var = float("nan")
-        return MomentReport(mean=grand_mean, variance=variance,
-                            se_mean=se_mean, se_variance=se_var, pooled=True)
+        return MomentReport(grand_mean, variance, se_mean, se_var)
+    return MomentReport(*path_moments(retained))
 
-    mean = retained.mean(axis=0)
-    if n > 1:
-        variance = retained.var(axis=0, ddof=1)
-        se_mean = np.sqrt(variance / n)
-        se_var = variance * np.sqrt(2.0 / (n - 1))
-    else:
-        variance = np.zeros(retained.shape[1])
-        se_mean = np.full(retained.shape[1], np.nan)
-        se_var = np.full(retained.shape[1], np.nan)
-    return MomentReport(mean=mean, variance=variance,
-                        se_mean=se_mean, se_variance=se_var, pooled=False)
+
+def sum_paths(block, term):
+    """The sum over the paths of `block` of `term(rows)`, a new (k, m) array
+    of each 64 paths `rows`, added path after path: numpy's order for axis
+    0 of two or more columns (it adds one column pairwise)."""
+    for lo in range(0, len(block), 64):
+        terms = term(block[lo:lo + 64])
+        if lo:
+            terms[0] += total
+        total = terms.sum(0) if terms.shape[1] > 1 else np.add.accumulate(terms)[-1]
+    return total
+
+
+def path_moments(block):
+    """The mean, variance (ddof 1), se_mean and se_variance over the paths of
+    `block`, (n_paths, m), at each time: bit for bit numpy's mean and var
+    over axis 0 of any array of two or more times that has these columns."""
+    n, m = block.shape
+    mean = sum_paths(block, np.array) / n
+    if n == 1:
+        return mean, np.zeros(m), np.full(m, np.nan), np.full(m, np.nan)
+    variance = sum_paths(block, lambda rows: (rows - mean) ** 2) / (n - 1)
+    return mean, variance, np.sqrt(variance / n), variance * np.sqrt(2.0 / (n - 1))

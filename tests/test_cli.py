@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -749,7 +750,7 @@ class TestSimulate:
             assert bundle.times[0] == 0.0
             assert (out / f"{name}_moments.csv").exists()
 
-    @pytest.mark.parametrize("which, library", [
+    LIBRARY = [
         ("reduced", lambda p, root, s: {
             "reduced": sde.simulate_reduced_sde(p, root.T_star, s)}),
         ("anomaly-0d", lambda p, root, s: {
@@ -758,26 +759,51 @@ class TestSimulate:
         ("fast-slow", lambda p, root, s: dict(zip(
             ("fast", "slow"),
             sde.simulate_fast_slow(p, x0=p.Q, theta0=root.T_star, cfg=s)))),
-    ], ids=["reduced", "anomaly-0d", "fast-slow"])
+    ]
+
+    @pytest.mark.parametrize("which, library", LIBRARY,
+                             ids=["reduced", "anomaly-0d", "fast-slow"])
     def test_one_dump_per_bundle(self, tmp_path, which, library):
         """Each scalar bundle `<name>` is written as exactly
-        `<name>_paths.bin` and `<name>_moments.csv`, and the dump is the
-        library bundle's to_binary() on the same config, bit for bit."""
+        `<name>_paths.bin` and `<name>_moments.csv`; the dump is the library
+        bundle's to_binary() on the same config, and the table is
+        mc_moments of that bundle, bit for bit."""
+        _scalar_outputs_are_the_library(tmp_path, which, library, 30, 3)
+
+    # (n_steps, steps a block, paths): blocks of one step; a last block of
+    # one step (step 7, after 4-6); 150 paths, summed in chunks of 64, 64
+    # and 22, where a one-step block summed pairwise would differ; a single
+    # path (NaN standard errors); two paths.
+    @pytest.mark.parametrize("n_steps, block, n_paths", [
+        (5, 1, 3), (7, 3, 3), (7, 3, 150), (7, 3, 1), (8, 3, 2)],
+        ids=["5-1", "7-3", "7-3-150-paths", "7-3-1-path", "8-3-2-paths"])
+    @pytest.mark.parametrize("which", ["reduced", "anomaly-0d", "fast-slow"])
+    def test_scalar_outputs_at_any_block_edge(self, tmp_path, monkeypatch,
+                                              which, n_steps, block, n_paths):
+        """A run handed over in blocks writes the library bundle's dump and
+        its mc_moments table, bit for bit, wherever a block ends."""
+        # Scalar runs draw one normal a path a step.
+        monkeypatch.setattr(sde, "_DRAW_NORMALS", 2 * block * n_paths)
+        library = dict(self.LIBRARY)[which]
+        _scalar_outputs_are_the_library(tmp_path, which, library, n_steps,
+                                        n_paths)
+
+    def test_fast_slow_holds_no_whole_run(self, tmp_path, monkeypatch):
+        """fast-slow in 40 blocks of 50 steps: the traced peak stays below
+        one whole (n_paths, n_steps + 1, 2) float64 state array."""
+        n_paths, n_steps = 200, 2000
+        monkeypatch.setattr(sde, "_DRAW_NORMALS", 2 * 50 * n_paths)
         cfg = _write_cfg(tmp_path, _model_section() + (
-            "[sim]\ndt = 0.001\nn_steps = 30\nn_paths = 3\nseed = 5\n"))
-        out = tmp_path / "o"
-        assert main(["--config", cfg, "--out", str(out),
-                     "simulate", "--which", which]) == EXIT_OK
-        config = load_config(cfg)
-        p = model_params(config)
-        root = mc.select_root(mc.equilibrium_roots(p))
-        bundles = library(p, root, sim_config(config))
-        assert {f.name for f in out.iterdir()} == {
-            f"{name}{suffix}" for name in bundles
-            for suffix in ("_paths.bin", "_moments.csv")}
-        for name, bundle in bundles.items():
-            assert ((out / f"{name}_paths.bin").read_bytes()
-                    == bundle.to_binary())
+            f"[sim]\ndt = 0.001\nn_steps = {n_steps}\nn_paths = {n_paths}\n"))
+        tracemalloc.start()
+        try:
+            rc = main(["--config", cfg, "--out", str(tmp_path / "o"),
+                       "simulate", "--which", "fast-slow"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_OK
+        assert peak < 8 * n_paths * (n_steps + 1) * 2
 
     @pytest.mark.parametrize("which, key, value", [
         ("fast-slow", "scheme", "milstein"),
@@ -874,27 +900,37 @@ class TestSimulate:
         """The field's sink writes the bundle's to_binary(), and its traces
         are (values**2).sum(2).mean(0) exactly, at the times of the trace
         table."""
-        from ebmvar import sde_engine as se
+        calls = []
+        simulate = sm.simulate_anomaly_field
 
-        ops = _field_ops()
-        cfg = se.SimConfig(dt=1e-3, n_steps=n_steps, n_paths=n_paths, seed=2)
-        monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * block * n_paths * ops.d)
-        bundle = sm.simulate_anomaly_field(ops, cfg)
-        traces = np.empty(n_steps + 1)
-        with cli._path_dump(tmp_path, "anomaly_field.bin", cfg, ops.d) as write:
-            sink = cli._tracing(write, traces)
-            assert sm.simulate_anomaly_field(ops, cfg, sink=sink) is None
-        np.testing.assert_array_equal(se.kept_times(cfg), bundle.times)
-        blob = (tmp_path / "anomaly_field.bin").read_bytes()
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(sm, "simulate_anomaly_field", recording)
+        monkeypatch.setattr(sde, "_DRAW_NORMALS", 2 * block * n_paths * 9)  # d = 9
+        lam = _constant_profile_lam(280.0)
+        text = (_model_section(lam=lam) + _spatial_sections(kernel="exponential")
+                + f"[sim]\ndt = 0.001\nn_steps = {n_steps}\n"
+                  f"n_paths = {n_paths}\nseed = 2\n")
+        out = tmp_path / "o"
+        assert main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
+                     "simulate", "--which", "anomaly-field"]) == EXIT_OK
+        ((ops, cfg),) = calls
+        bundle = simulate(ops, cfg)
+        np.testing.assert_array_equal(sde.kept_times(cfg), bundle.times)
+        blob = (out / "anomaly_field.bin").read_bytes()
         assert blob == bundle.to_binary()
-        np.testing.assert_array_equal(se.PathBundle.from_binary(blob).values,
+        np.testing.assert_array_equal(sde.PathBundle.from_binary(blob).values,
                                       bundle.values)
-        np.testing.assert_array_equal(
-            traces, (bundle.values ** 2).sum(axis=2).mean(axis=0))
+        traces = (bundle.values ** 2).sum(axis=2).mean(axis=0)
+        assert (out / "anomaly_field_trace.csv").read_bytes() == b"".join(
+            _table("time,mc_trace", (bundle.times, traces)))
 
-    # pwrite calls: a dump's header and times, then one per path; fast-slow
-    # opens fast_paths.bin and slow_paths.bin before the run, and call 25 is
-    # slow's fifth path.  Call 40 of the field is in its second block.
+    # pwrite calls: one per path a block, the header and times being written
+    # when the dump is made; fast-slow writes a block's fast paths, then its
+    # slow paths, so call 25 is slow's ninth path of the initial state.  Call
+    # 40 of the field is in its second block.
     @pytest.mark.parametrize("which, name, fail_at", [
         ("reduced", "reduced_paths.bin", 10),
         ("anomaly-0d", "anomaly0d_paths.bin", 10),
@@ -934,21 +970,23 @@ class TestSimulate:
         assert list(out.iterdir()) == []
         assert threading.enumerate() == before
 
-    @pytest.mark.parametrize("which, name, d", [
-        ("reduced", "reduced_paths.bin", 0),
-        ("anomaly-0d", "anomaly0d_paths.bin", 0),
-        ("fast-slow", "fast_paths.bin", 0),
-        ("anomaly-field", "anomaly_field.bin", 9),
+    @pytest.mark.parametrize("which, names, d", [
+        ("reduced", ["reduced_paths.bin"], 0),
+        ("anomaly-0d", ["anomaly0d_paths.bin"], 0),
+        ("fast-slow", ["fast_paths.bin", "slow_paths.bin"], 0),
+        ("anomaly-field", ["anomaly_field.bin"], 9),
     ], ids=["reduced", "anomaly-0d", "fast-slow", "anomaly-field"])
     def test_a_dump_the_disk_cannot_hold_is_refused(self, tmp_path, capsys,
-                                                    monkeypatch, which, name,
+                                                    monkeypatch, which, names,
                                                     d):
-        """With one byte less free than a whole dump needs (its 40-byte
-        header, its times and its values), the command exits 2 naming the
-        dump, before the simulator is called, and leaves nothing in --out;
-        with exactly as many bytes free, it runs."""
-        need = 40 + 8 * 21 + 8 * 16 * 21 * max(d, 1)  # 16 paths of 21 states
-        free = [need - 1]
+        """With one byte less free than the run's dumps need together (each
+        one's 40-byte header, times and values), and for fast-slow with
+        room for one dump only, the command exits 2 naming the dumps, before
+        the simulator is called, and leaves nothing in --out; with exactly
+        as many bytes free, it runs."""
+        one = 40 + 8 * 21 + 8 * 16 * 21 * max(d, 1)  # 16 paths of 21 states
+        need = len(names) * one
+        free = [None]
         monkeypatch.setattr(shutil, "disk_usage",
                             lambda path: SimpleNamespace(free=free[0]))
         calls = []
@@ -966,30 +1004,47 @@ class TestSimulate:
                          + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 16\n")
         out = tmp_path / "o"
         argv = ["--config", cfg, "--out", str(out), "simulate", "--which", which]
-        assert main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"config error: [sim] n_paths = 16 paths of 21 kept steps of d = "
-            f"{max(d, 1)} values need {need} bytes in {out / name}, more than "
-            f"the {need - 1} free\n")
-        assert calls == [] and list(out.iterdir()) == []
+        where = " and ".join(str(out / name) for name in names)
+        for free[0] in [need - 1] + [one] * (len(names) > 1):
+            assert main(argv) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: [sim] n_paths = 16 paths of 21 kept steps of "
+                f"d = {max(d, 1)} values need {need} bytes in {where}, more "
+                f"than the {free[0]} free\n")
+            assert calls == [] and list(out.iterdir()) == []
 
         free[0] = need
         assert main(argv) == EXIT_OK
-        assert len(calls) == 1 and (out / name).stat().st_size == need
+        assert len(calls) == 1
+        assert [(out / name).stat().st_size for name in names] == [one] * len(names)
 
 
-def _field_ops():
-    """Anomaly-field operators of d = 9 with a dense (exponential) noise
-    factor, at the forcing whose equilibrium is the flat 280 K profile."""
-    p = mc.default_params()
-    grid = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=4, Ny=4)
-    Q_field = sm.SpatialField.constant(grid, p.Q)
-    lam = p.r0 + p.r1 * 280.0 - p.Q * mc.co_albedo(280.0, p)
-    profile = sm.solve_equilibrium_profile(
-        grid, Q_field, lam, sm.BoundaryTrace.constant(280.0), p)
-    noise = sm.build_noise_covariance(grid, "exponential", variance=1.0,
-                                      length=0.5)
-    return sm.build_operators(grid, profile, Q_field, p, noise)
+def _scalar_outputs_are_the_library(tmp_path, which, library, n_steps,
+                                    n_paths):
+    """Run `simulate --which` on n_paths paths of n_steps steps and check
+    that it writes exactly `<name>_paths.bin` and `<name>_moments.csv` for
+    each library bundle `<name>` of the same config: the bundle's
+    to_binary() and the `_table` of its mc_moments."""
+    cfg = _write_cfg(tmp_path, _model_section() + (
+        f"[sim]\ndt = 0.001\nn_steps = {n_steps}\nn_paths = {n_paths}\n"
+        "seed = 5\n"))
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out),
+                 "simulate", "--which", which]) == EXIT_OK
+    config = load_config(cfg)
+    p = model_params(config)
+    root = mc.select_root(mc.equilibrium_roots(p))
+    bundles = library(p, root, sim_config(config))
+    assert {f.name for f in out.iterdir()} == {
+        f"{name}{suffix}" for name in bundles
+        for suffix in ("_paths.bin", "_moments.csv")}
+    for name, bundle in bundles.items():
+        assert (out / f"{name}_paths.bin").read_bytes() == bundle.to_binary()
+        rep = sde.mc_moments(bundle)
+        assert (out / f"{name}_moments.csv").read_bytes() == b"".join(_table(
+            "time,mean,variance,se_mean,se_variance",
+            (bundle.times, rep.mean, rep.variance, rep.se_mean,
+             rep.se_variance)))
 
 
 class TestSpatialStationary:

@@ -470,6 +470,31 @@ class TestMcMoments:
         with pytest.raises(ValueError, match="burn_in_fraction"):
             se.mc_moments(b, burn_in_fraction=-0.5)
 
+    @pytest.mark.parametrize("n_paths", [1, 2, 9, 150])
+    def test_per_time_statistics_are_numpys(self, n_paths):
+        """mc_moments' per-time statistics are numpy's mean and var(ddof=1)
+        over axis 0 bit for bit, and path_moments gives the same bits on
+        any block of the columns, one column included: there numpy would
+        add pairwise.  Column 0 holds one state on every path, as the
+        initial state of a run does."""
+        values = np.random.default_rng(n_paths).standard_normal((n_paths, 7))
+        values += 280.0
+        values[:, 0] = 280.1
+        mean = values.mean(axis=0)
+        if n_paths > 1:
+            var = values.var(axis=0, ddof=1)
+            expected = (mean, var, np.sqrt(var / n_paths),
+                        var * np.sqrt(2.0 / (n_paths - 1)))
+        else:
+            expected = (mean, np.zeros(7), np.full(7, np.nan), np.full(7, np.nan))
+        rep = se.mc_moments(self._bundle(values))
+        for got, want in zip((rep.mean, rep.variance, rep.se_mean,
+                              rep.se_variance), expected):
+            np.testing.assert_array_equal(got, want)
+        for lo, hi in [(0, 1), (0, 3), (3, 6), (6, 7)]:
+            for got, want in zip(se.path_moments(values[:, lo:hi]), expected):
+                np.testing.assert_array_equal(got, want[lo:hi])
+
 
 def _field_operators(n, kernel):
     """Anomaly-field operators on an n x n grid, d = (n-1)^2."""
