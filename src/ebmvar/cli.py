@@ -132,8 +132,8 @@ def _path_dumps(outdir: Path, sim, d, names):
     `names` of `sim`'s run, of d values a state (0 for scalar states).  The
     files are made on entry, once the disk has room for all, with their
     headers and times; `write` puts each path's run of states from step
-    `first` at its place in the path-major layout of `to_binary()`.  An
-    OSError is a ConfigError naming its file; any failure removes them all."""
+    `first` at its place in the layout `sde.PathBundle.from_binary` reads.
+    An OSError is a ConfigError naming its file; any failure removes all."""
     paths = [outdir / name for name in names]
     n_paths, n_times = sim.n_paths, sim.n_steps + 1
     body = 40 + 8 * n_times  # the header and the times: path 0 begins here
@@ -337,8 +337,8 @@ def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
         times = sde.kept_times(s)
         columns = [np.empty((header.count(","), times.size)) for _ in dumps]
         run(s, sink=_tracing(write, columns, stat))
-    for name, table in zip(tables, columns):
-        _write(outdir, name, _table(header, (times, *table)))
+        for name, table in zip(tables, columns):  # a failed table drops the dumps
+            _write(outdir, name, _table(header, (times, *table)))
     return EXIT_OK
 
 

@@ -29,10 +29,6 @@ class StepTooLarge(EbmvarError):
     """Explicit time step violates the stability guard."""
 
 
-class EmptySample(EbmvarError):
-    """Moment estimation requested on an empty sample."""
-
-
 class NoConvergence(EbmvarError):
     """Newton iteration failed to reach the residual tolerance."""
 

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
 from threading import Event, Lock, Thread
 
 import numpy as np
 
-from .errors import ConfigError, EmptySample, StepTooLarge
+from .errors import ConfigError, StepTooLarge
 from .model_core import (
     EbmParams,
     balance_residual,
@@ -81,19 +80,13 @@ class PathBundle:
         if self.values.shape[1] != self.times.size:
             raise ValueError("values and times are inconsistent")
 
-    def to_binary(self) -> bytes:
-        """The little-endian float64 dump with a shape/seed header: the
-        layout of every path dump, which `cli` streams to disk itself."""
-        n_paths, n_times, *d = self.values.shape
-        return (binary_header(n_paths, n_times, d[0] if d else 0, self.seed)
-                + self.times.astype("<f8", copy=False).tobytes()
-                + self.values.astype("<f8", copy=False).tobytes())
-
     @classmethod
     def from_binary(cls, blob: bytes) -> "PathBundle":
-        """The bundle of a `to_binary` dump.  Its arrays are views of `blob`,
-        not copies: read-only when `blob` is bytes.  A blob that is not a
-        whole dump, by its header, is a ValueError."""
+        """The bundle of a path dump: the 40-byte `binary_header`, then the
+        times, then each path's states, path after path, all little-endian
+        float64.  Its arrays are views of `blob`, not copies: read-only when
+        `blob` is bytes.  A blob that is not a whole dump, by its header, is
+        a ValueError."""
         if len(blob) < 40:
             raise ValueError(f"a binary path dump has a 40-byte header, got "
                              f"{len(blob)} bytes")
@@ -116,8 +109,8 @@ class PathBundle:
 
 
 def binary_header(n_paths, n_times, d, seed) -> bytes:
-    """The 40-byte header of a path dump: magic, shape (d = 0 for scalar
-    states) and seed.  The times follow it, then each path's states."""
+    """The 40-byte header of a path dump (`PathBundle.from_binary`): magic,
+    shape (d = 0 for scalar states) and seed."""
     return _MAGIC + struct.pack("<qqqq", n_paths, n_times, d, seed)
 
 
@@ -235,15 +228,14 @@ class _BlockDraw:
 
 
 def kept_times(cfg: SimConfig):
-    """The times of the states `_run_paths` keeps: every step's."""
+    """The times of the states `_run_paths` hands its sink: every step's."""
     return cfg.dt * np.arange(cfg.n_steps + 1)
 
 
-def _run_paths(cfg: SimConfig, x0, step, shape=(), sink=None) -> PathBundle | None:
+def _run_paths(cfg: SimConfig, x0, step, shape=(), *, sink):
     """`cfg.n_paths` paths from the state `x0`, run as one batch through
     `cfg.n_steps` calls of `step(state, xi)`, where `xi`, shape (n_paths,) +
-    `shape`, holds each path's next standard normals from its own stream;
-    every state is kept.
+    `shape`, holds each path's next standard normals from its own stream.
 
     Steps are drawn in blocks, into two buffers in turn.  A helper thread
     starts drawing the next block while this thread steps the current one;
@@ -255,29 +247,22 @@ def _run_paths(cfg: SimConfig, x0, step, shape=(), sink=None) -> PathBundle | No
     state, then each block's, shape (n_paths, m) + x0.shape, where `first`
     is the step of states[:, 0].  `states` is a buffer reused for the next
     block, passed while the helper draws it; a caller that wants fewer
-    states passes a sink that drops the rest.  With no sink, the states are
-    kept in an array, allocated first, and returned as a PathBundle.  An
-    allocation that fails, of that array or of the kernel's own buffers, is
-    a ConfigError, raised before any generator is built."""
+    states passes a sink that drops the rest.  Kernel buffers that cannot
+    be allocated are a ConfigError, raised before any generator is built."""
     seed, n_paths, n_steps = cfg.seed, cfg.n_paths, cfg.n_steps
     x0 = np.asarray(x0, dtype=float)
     width = math.prod(shape)
-    values = None
-    if sink is None:
-        dims = (n_paths, n_steps + 1) + x0.shape
-        with _allocating(n_paths, f"{dims[1]} kept steps of d = {x0.size} values",
-                         math.prod(dims)):
-            values = np.empty(dims)
-
-        def sink(first, states):
-            values[:, first:first + states.shape[1]] = states
-
     block = min(n_steps, max(1, _DRAW_NORMALS // 2 // (n_paths * width)))
-    with _allocating(n_paths, f"d = {x0.size} values in {block}-step blocks",
-                     n_paths * ((1 + block) * x0.size + 2 * block * width)):
+    try:
         state = np.broadcast_to(x0, (n_paths,) + x0.shape).copy()
         bufs = [np.empty((n_paths, block, width)) for _ in range(2)]
         kept = np.empty((n_paths, block) + x0.shape)
+    except (MemoryError, ValueError, OverflowError) as exc:
+        need = 8 * n_paths * ((1 + block) * x0.size + 2 * block * width)
+        raise ConfigError(
+            f"[sim] n_paths = {n_paths} paths of d = {x0.size} values in "
+            f"{block}-step blocks need {need} bytes, more than can be "
+            "allocated") from exc
     streams = [path_generator(seed, k) for k in range(n_paths)]
 
     def draw(start):  # starts drawing the block from step `start`
@@ -298,20 +283,6 @@ def _run_paths(cfg: SimConfig, x0, step, shape=(), sink=None) -> PathBundle | No
             sink(start + 1, kept[:, :steps])
     finally:
         pending.helper.join()
-    if values is not None:
-        return PathBundle(times=kept_times(cfg), values=values, seed=seed)
-
-
-@contextmanager
-def _allocating(n_paths, what, n_values):
-    """A failed allocation inside is a ConfigError: `n_paths` paths of
-    `what` need `n_values` floats."""
-    try:
-        yield
-    except (MemoryError, ValueError, OverflowError) as exc:
-        raise ConfigError(
-            f"[sim] n_paths = {n_paths} paths of {what} need {8 * n_values} "
-            "bytes, more than can be allocated") from exc
 
 
 def _check_step(p: EbmParams, dt):
@@ -321,31 +292,23 @@ def _check_step(p: EbmParams, dt):
 
 
 def _ou_step(tau, Q, dt):
-    """The `_run_paths` step of `simulate_ou`'s exact transition over dt."""
+    """The `_run_paths` step of the fast insolation process, distributionally
+    exact at the grid times: the exact transition with mean-reversion rate
+    1/tau and stationary variance 1/2,
+        X_{k+1} = Q + (X_k - Q) e^{-dt/tau} + xi_k,
+        xi_k ~ N(0, (1/2)(1 - e^{-2 dt/tau}))."""
     decay = np.exp(-dt / tau)
     sd = np.sqrt(0.5 * (1.0 - np.exp(-2.0 * dt / tau)))
     return lambda x, xi: Q + (x - Q) * decay + sd * xi
 
 
-def simulate_ou(tau, Q, x0, cfg: SimConfig) -> PathBundle:
-    """Fast insolation process, distributionally exact at the grid times.
-
-    One step uses the exact transition with mean-reversion rate 1/tau and
-    stationary variance 1/2:
-        X_{k+1} = Q + (X_k - Q) e^{-dt/tau} + xi_k,
-        xi_k ~ N(0, (1/2)(1 - e^{-2 dt/tau})).
-    """
-    return _run_paths(cfg, x0, _ou_step(tau, Q, cfg.dt))
-
-
-def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig, sink=None):
+def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig, *, sink):
     """Coupled fast insolation / slow temperature system.
 
-    The insolation is `simulate_ou` with the model's tau and Q; the
-    temperature follows it by explicit Euler of
+    The insolation takes the exact OU step (`_ou_step`) with the model's tau
+    and Q; the temperature follows it by explicit Euler of
     dT/dt = X beta(T) + lambda - (r0 + r1 T) on the same grid.  One path's
-    state is the row (X, T): with `sink`, its blocks go there (`_run_paths`);
-    without, the X and the T bundles are returned.
+    state is the row (X, T), and its blocks go to `sink` (`_run_paths`).
     """
     _check_step(p, cfg.dt)
     ou = _ou_step(p.tau, p.Q, cfg.dt)
@@ -355,10 +318,7 @@ def simulate_fast_slow(p: EbmParams, x0, theta0, cfg: SimConfig, sink=None):
         drift = x * co_albedo(T, p) + p.lam - (p.r0 + p.r1 * T)
         return np.column_stack([ou(x, xi), T + cfg.dt * drift])
 
-    paths = _run_paths(cfg, [x0, theta0], step, sink=sink)
-    if sink is None:
-        return tuple(PathBundle(times=paths.times, values=v, seed=cfg.seed)
-                     for v in np.moveaxis(paths.values, 2, 0))
+    _run_paths(cfg, [x0, theta0], step, sink=sink)
 
 
 @dataclass(frozen=True)
@@ -446,14 +406,13 @@ def wong_zakai_ladder(taus, t, x0, Q, n_paths, seed=0) -> list[WongZakaiResult]:
         tau=tau, t=t) for row, m, tau in zip(sq, means, taus)]
 
 
-def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig,
-                         sink=None) -> PathBundle | None:
+def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig, *, sink):
     """Reduced multiplicative-noise temperature SDE.
 
     dT = (Q beta(T) + lambda - r0 - r1 T [+ (tau/2) beta beta']) dt
          + sqrt(tau) beta(T) dW,
     with the optional Stratonovich-correction drift toggled by cfg.drift_form
-    and the Milstein term by cfg.scheme; a `sink` takes the states (`_run_paths`).
+    and the Milstein term by cfg.scheme; `sink` takes the states (`_run_paths`).
     """
     _check_step(p, cfg.dt)
     sqrt_dt = np.sqrt(cfg.dt)
@@ -473,13 +432,12 @@ def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig,
             T = T + 0.5 * p.tau * beta * dbeta * (dW**2 - cfg.dt)
         return T
 
-    return _run_paths(cfg, T0, step, sink=sink)
+    _run_paths(cfg, T0, step, sink=sink)
 
 
-def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0, cfg: SimConfig,
-                            sink=None) -> PathBundle | None:
+def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0, cfg: SimConfig, *, sink):
     """Linearised anomaly SDE dY = -b Y dt + sqrt(tau)(sigma0 + sigma1 Y) dW;
-    with `sink`, as `simulate_reduced_sde`."""
+    `sink` takes the states (`_run_paths`)."""
     if cfg.dt * b > 1.0:
         raise StepTooLarge(f"dt*b = {cfg.dt * b:.3g} > 1; reduce dt")
     sqrt_dt = np.sqrt(cfg.dt)
@@ -494,55 +452,7 @@ def simulate_linear_anomaly(b, sigma0, sigma1, tau, y0, cfg: SimConfig,
             y_new = y_new + 0.5 * tau * sigma1 * sig * (dW**2 - cfg.dt)
         return y_new
 
-    return _run_paths(cfg, y0, step, sink=sink)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Sample mean and variance with their standard errors: arrays over
-    the retained times, or numbers when `pooled`."""
-
-    mean: np.ndarray | float
-    variance: np.ndarray | float
-    se_mean: np.ndarray | float
-    se_variance: np.ndarray | float
-
-
-def mc_moments(bundle: PathBundle, burn_in_fraction=0.0,
-               pooled=False) -> MomentReport:
-    """Unbiased sample statistics with standard errors.
-
-    The first `burn_in_fraction` of the time grid is discarded.
-    Per-time mode returns arrays over the retained grid.  Pooled mode
-    averages over retained times; its standard errors come from the spread
-    of per-path statistics, so temporal correlation within a path does not
-    bias them downwards.
-    """
-    vals = bundle.values
-    if vals.ndim != 2:
-        raise ValueError("mc_moments operates on scalar bundles")
-    if vals.size == 0:
-        raise EmptySample("empty bundle")
-    if not burn_in_fraction >= 0.0:
-        raise ValueError(f"burn_in_fraction must be >= 0, got {burn_in_fraction!r}")
-    n_times = vals.shape[1]
-    start = int(np.floor(burn_in_fraction * n_times))
-    retained = vals[:, start:]
-    if retained.size == 0:
-        raise EmptySample("burn-in removed every sample")
-    if pooled:
-        n = retained.shape[0]
-        grand_mean = float(np.mean(retained))
-        per_path_mean = retained.mean(axis=1)
-        per_path_sq = ((retained - grand_mean) ** 2).mean(axis=1)
-        variance = float(np.mean(per_path_sq))
-        if n > 1:
-            se_mean = float(np.std(per_path_mean, ddof=1) / np.sqrt(n))
-            se_var = float(np.std(per_path_sq, ddof=1) / np.sqrt(n))
-        else:
-            se_mean = se_var = float("nan")
-        return MomentReport(grand_mean, variance, se_mean, se_var)
-    return MomentReport(*path_moments(retained))
+    _run_paths(cfg, y0, step, sink=sink)
 
 
 def sum_paths(block, term):

@@ -24,7 +24,7 @@ from .errors import (
     UnstableDrift,
 )
 from .model_core import EbmParams, co_albedo, co_albedo_slope
-from .sde_engine import PathBundle, SimConfig, _run_paths
+from .sde_engine import SimConfig, _run_paths
 
 
 @dataclass(frozen=True)
@@ -387,17 +387,16 @@ def _row_products(ops: SpatialOperators):
 
 
 def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
-                           y0=None, sink=None) -> PathBundle | None:
+                           y0=None, *, sink):
     """Euler-Maruyama for dY = M Y dt + sqrt(tau) diag(D Y + f) L dW, where
     L is the Cholesky factor of ops.C (L L^T = C), taken once a run with
     diagonal jitter 1e-12 max(diag C) (`cholesky_with_jitter`): a C that
     it cannot factor raises NotPositiveDefinite.  The drift product M y is
     BLAS's, or past d = 240 on a grid the stencil's (`_row_products`).
 
-    Every step's state is kept.  With `sink`, the states go to
-    sink(first, states) block by block, as `_run_paths` describes, and none
-    is returned: a run is then bounded by what the sink does with them, not
-    by memory, and a sink that drops states keeps fewer.
+    Every step's state goes to sink(first, states) block by block, as
+    `_run_paths` describes: a run is bounded by what the sink does with
+    them, not by memory, and a sink that drops states keeps fewer.
     """
     d = ops.d
     w, _ = drift_eigenvalues(ops)
@@ -421,5 +420,5 @@ def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
         out += amp
         return out
 
-    return _run_paths(cfg, np.zeros(d) if y0 is None else y0, step,
-                      shape=(d,), sink=sink)
+    _run_paths(cfg, np.zeros(d) if y0 is None else y0, step, shape=(d,),
+               sink=sink)

@@ -7,6 +7,7 @@ deterministic checks use the stated absolute or relative bounds.
 
 import numpy as np
 import pytest
+from conftest import collect, pooled_moments
 
 from ebmvar import covariance_engine as ce
 from ebmvar import model_core as mc
@@ -49,18 +50,20 @@ def grid16_setup():
 
 
 def test_criterion_01_ou_stationary_variance():
-    """Pooled post-burn-in variance of the fast insolation process is 1/2."""
+    """Pooled post-burn-in variance of the fast insolation process, the
+    fast-slow system's state column 0, is 1/2."""
     tau = 0.05
     dt = tau / 10.0
     cfg = se.SimConfig(dt=dt, n_steps=int(round(20.0 / dt)), n_paths=2000,
                        seed=101)
-    bundle = se.simulate_ou(tau, 0.0, 0.0, cfg)
-    rep = se.mc_moments(bundle, burn_in_fraction=0.5, pooled=True)
-    err = abs(rep.variance - 0.5)
+    x = collect(se.simulate_fast_slow, mc.default_params(Q=0.0, tau=tau), 0.0,
+                280.0, cfg, column=0)
+    _, variance, _, se_variance = pooled_moments(x, burn_in_fraction=0.5)
+    err = abs(variance - 0.5)
     _verdict("criterion 01 (OU stationary variance = 1/2)",
-             err <= 3.0 * rep.se_variance,
-             f"variance {rep.variance:.5f}, |err| {err:.2e} "
-             f"vs 3 SE {3.0 * rep.se_variance:.2e}")
+             err <= 3.0 * se_variance,
+             f"variance {variance:.5f}, |err| {err:.2e} "
+             f"vs 3 SE {3.0 * se_variance:.2e}")
 
 
 def test_criterion_02_white_noise_replacement_ladder():
@@ -95,8 +98,7 @@ def test_criterion_03_scalar_stationary_variance():
         target = mc.stationary_variance(b, s0, s1, tau)
         dt = 0.01 / b
         cfg = se.SimConfig(dt=dt, n_steps=3000, n_paths=2000, seed=303 + k)
-        bundle = se.simulate_linear_anomaly(b, s0, s1, tau, 0.0, cfg)
-        final = bundle.values[:, -1]
+        final = collect(se.simulate_linear_anomaly, b, s0, s1, tau, 0.0, cfg)[:, -1]
         est = float(np.mean(final**2))
         sem = float(np.std(final**2, ddof=1) / np.sqrt(final.size))
         mc_ok.append(abs(est - target) <= 3.0 * sem)

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import collect, dump_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -752,22 +753,23 @@ class TestSimulate:
 
     LIBRARY = [
         ("reduced", lambda p, root, s: {
-            "reduced": sde.simulate_reduced_sde(p, root.T_star, s)}),
+            "reduced": collect(sde.simulate_reduced_sde, p, root.T_star, s)}),
         ("anomaly-0d", lambda p, root, s: {
-            "anomaly0d": sde.simulate_linear_anomaly(
-                root.b, root.sigma0, root.sigma1, p.tau, 0.0, s)}),
+            "anomaly0d": collect(sde.simulate_linear_anomaly, root.b, root.sigma0,
+                                 root.sigma1, p.tau, 0.0, s)}),
         ("fast-slow", lambda p, root, s: dict(zip(
-            ("fast", "slow"),
-            sde.simulate_fast_slow(p, x0=p.Q, theta0=root.T_star, cfg=s)))),
+            ("fast", "slow"), np.moveaxis(collect(
+                sde.simulate_fast_slow, p, x0=p.Q, theta0=root.T_star, cfg=s),
+                2, 0)))),
     ]
 
     @pytest.mark.parametrize("which, library", LIBRARY,
                              ids=["reduced", "anomaly-0d", "fast-slow"])
     def test_one_dump_per_bundle(self, tmp_path, which, library):
         """Each scalar bundle `<name>` is written as exactly
-        `<name>_paths.bin` and `<name>_moments.csv`; the dump is the library
-        bundle's to_binary() on the same config, and the table is
-        mc_moments of that bundle, bit for bit."""
+        `<name>_paths.bin` and `<name>_moments.csv`; the dump is the dump
+        reference of the library run's states on the same config, and the
+        table is their path_moments over the whole run, bit for bit."""
         _scalar_outputs_are_the_library(tmp_path, which, library, 30, 3)
 
     # (n_steps, steps a block, paths): blocks of one step; a last block of
@@ -780,8 +782,8 @@ class TestSimulate:
     @pytest.mark.parametrize("which", ["reduced", "anomaly-0d", "fast-slow"])
     def test_scalar_outputs_at_any_block_edge(self, tmp_path, monkeypatch,
                                               which, n_steps, block, n_paths):
-        """A run handed over in blocks writes the library bundle's dump and
-        its mc_moments table, bit for bit, wherever a block ends."""
+        """A run handed over in blocks writes the library run's dump and its
+        whole-run path_moments table, bit for bit, wherever a block ends."""
         # Scalar runs draw one normal a path a step.
         monkeypatch.setattr(sde, "_DRAW_NORMALS", 2 * block * n_paths)
         library = dict(self.LIBRARY)[which]
@@ -859,9 +861,10 @@ class TestSimulate:
 
     def test_anomaly_field_streams_the_joined_outputs(self, tmp_path,
                                                        monkeypatch):
-        """anomaly_field.bin is the library bundle's to_binary(), and the
-        traces are (values**2).sum(2).mean(0) bit for bit, on a run that
-        the kernel hands over in blocks of 3 steps, the last one step."""
+        """anomaly_field.bin is the dump reference of the library run's
+        states, and the traces are (values**2).sum(2).mean(0) bit for bit,
+        on a run that the kernel hands over in blocks of 3 steps, the last
+        one step."""
         from ebmvar import sde_engine as se
 
         calls = []
@@ -880,11 +883,12 @@ class TestSimulate:
         assert main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
                      "simulate", "--which", "anomaly-field"]) == EXIT_OK
         ((ops, sim),) = calls
-        bundle = simulate(ops, sim)
-        assert (out / "anomaly_field.bin").read_bytes() == bundle.to_binary()
-        traces = (bundle.values ** 2).sum(axis=2).mean(axis=0)
+        values, times = collect(simulate, ops, sim), sde.kept_times(sim)
+        assert (out / "anomaly_field.bin").read_bytes() == dump_bytes(
+            times, values, sim.seed)
+        traces = (values ** 2).sum(axis=2).mean(axis=0)
         expected = ["time,mc_trace"] + [f"{t:.17g},{tr:.17g}"
-                                        for t, tr in zip(bundle.times, traces)]
+                                        for t, tr in zip(times, traces)]
         assert ((out / "anomaly_field_trace.csv").read_text()
                 == "\n".join(expected) + "\n")
 
@@ -897,8 +901,9 @@ class TestSimulate:
     def test_field_dump_is_the_bundle_at_any_block_edge(self, tmp_path,
                                                         monkeypatch, n_steps,
                                                         block, n_paths):
-        """The field's sink writes the bundle's to_binary(), and its traces
-        are (values**2).sum(2).mean(0) exactly, at the times of the trace
+        """The field's sink writes the dump reference of the library run's
+        states, which from_binary reads back, and its traces are
+        (values**2).sum(2).mean(0) exactly, at the times of the trace
         table."""
         calls = []
         simulate = sm.simulate_anomaly_field
@@ -917,15 +922,35 @@ class TestSimulate:
         assert main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
                      "simulate", "--which", "anomaly-field"]) == EXIT_OK
         ((ops, cfg),) = calls
-        bundle = simulate(ops, cfg)
-        np.testing.assert_array_equal(sde.kept_times(cfg), bundle.times)
+        values, times = collect(simulate, ops, cfg), sde.kept_times(cfg)
         blob = (out / "anomaly_field.bin").read_bytes()
-        assert blob == bundle.to_binary()
+        assert blob == dump_bytes(times, values, cfg.seed)
         np.testing.assert_array_equal(sde.PathBundle.from_binary(blob).values,
-                                      bundle.values)
-        traces = (bundle.values ** 2).sum(axis=2).mean(axis=0)
+                                      values)
+        traces = (values ** 2).sum(axis=2).mean(axis=0)
         assert (out / "anomaly_field_trace.csv").read_bytes() == b"".join(
-            _table("time,mc_trace", (bundle.times, traces)))
+            _table("time,mc_trace", (times, traces)))
+
+    @pytest.mark.parametrize("which, table, dumps", [
+        ("reduced", "reduced_moments.csv", ["reduced_paths.bin"]),
+        ("fast-slow", "slow_moments.csv", ["fast_paths.bin", "slow_paths.bin"]),
+        ("anomaly-field", "anomaly_field_trace.csv", ["anomaly_field.bin"]),
+    ], ids=["reduced", "fast-slow", "anomaly-field"])
+    def test_a_failed_table_write_removes_the_dumps(self, tmp_path, capsys,
+                                                    which, table, dumps):
+        """A per-time table that cannot be written, here because a directory
+        holds its name (for fast-slow the second table), exits 2 naming it,
+        and no dump of the run is left."""
+        lam = _constant_profile_lam(280.0)
+        cfg = _write_cfg(tmp_path, _model_section(lam=lam) + _spatial_sections()
+                         + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 4\n")
+        out = tmp_path / "o"
+        (out / table).mkdir(parents=True)
+        assert main(["--config", cfg, "--out", str(out),
+                     "simulate", "--which", which]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / table}: ")
+        assert [name for name in dumps if (out / name).exists()] == []
 
     # pwrite calls: one per path a block, the header and times being written
     # when the dump is made; fast-slow writes a block's fast paths, then its
@@ -1023,8 +1048,8 @@ def _scalar_outputs_are_the_library(tmp_path, which, library, n_steps,
                                     n_paths):
     """Run `simulate --which` on n_paths paths of n_steps steps and check
     that it writes exactly `<name>_paths.bin` and `<name>_moments.csv` for
-    each library bundle `<name>` of the same config: the bundle's
-    to_binary() and the `_table` of its mc_moments."""
+    each library run `<name>` of the same config: the dump reference of its
+    states and the `_table` of their path_moments over the whole run."""
     cfg = _write_cfg(tmp_path, _model_section() + (
         f"[sim]\ndt = 0.001\nn_steps = {n_steps}\nn_paths = {n_paths}\n"
         "seed = 5\n"))
@@ -1034,17 +1059,18 @@ def _scalar_outputs_are_the_library(tmp_path, which, library, n_steps,
     config = load_config(cfg)
     p = model_params(config)
     root = mc.select_root(mc.equilibrium_roots(p))
-    bundles = library(p, root, sim_config(config))
+    sim = sim_config(config)
+    runs = library(p, root, sim)
+    times = sde.kept_times(sim)
     assert {f.name for f in out.iterdir()} == {
-        f"{name}{suffix}" for name in bundles
+        f"{name}{suffix}" for name in runs
         for suffix in ("_paths.bin", "_moments.csv")}
-    for name, bundle in bundles.items():
-        assert (out / f"{name}_paths.bin").read_bytes() == bundle.to_binary()
-        rep = sde.mc_moments(bundle)
+    for name, values in runs.items():
+        assert (out / f"{name}_paths.bin").read_bytes() == dump_bytes(
+            times, values, sim.seed)
         assert (out / f"{name}_moments.csv").read_bytes() == b"".join(_table(
             "time,mean,variance,se_mean,se_variance",
-            (bundle.times, rep.mean, rep.variance, rep.se_mean,
-             rep.se_variance)))
+            (times, *sde.path_moments(values))))
 
 
 class TestSpatialStationary:

@@ -5,11 +5,12 @@ import time
 
 import numpy as np
 import pytest
+from conftest import collect, dump_bytes, pooled_moments
 
 from ebmvar import model_core as mc
 from ebmvar import sde_engine as se
 from ebmvar import spatial_model as sm
-from ebmvar.errors import ConfigError, EmptySample, StepTooLarge
+from ebmvar.errors import ConfigError, StepTooLarge
 
 DEFAULT = mc.default_params()
 
@@ -58,21 +59,18 @@ class TestPathBundle:
         assert b.times[0] == 0.0
 
     def test_binary_round_trip_scalar(self):
-        rng = np.random.default_rng(1)
-        b = se.PathBundle(times=np.linspace(0, 1, 5),
-                          values=rng.standard_normal((3, 5)), seed=7)
-        r = se.PathBundle.from_binary(b.to_binary())
-        np.testing.assert_array_equal(r.times, b.times)
-        np.testing.assert_array_equal(r.values, b.values)
+        times = np.linspace(0, 1, 5)
+        values = np.random.default_rng(1).standard_normal((3, 5))
+        r = se.PathBundle.from_binary(dump_bytes(times, values, seed=7))
+        np.testing.assert_array_equal(r.times, times)
+        np.testing.assert_array_equal(r.values, values)
         assert r.seed == 7
 
     def test_binary_round_trip_vector(self):
-        rng = np.random.default_rng(2)
-        b = se.PathBundle(times=np.linspace(0, 1, 4),
-                          values=rng.standard_normal((2, 4, 3)))
-        blob = b.to_binary()
+        values = np.random.default_rng(2).standard_normal((2, 4, 3))
+        blob = dump_bytes(np.linspace(0, 1, 4), values)
         r = se.PathBundle.from_binary(blob)
-        np.testing.assert_array_equal(r.values, b.values)
+        np.testing.assert_array_equal(r.values, values)
         # Read back without a copy: the arrays are views of the dump.
         raw = np.frombuffer(blob, dtype=np.uint8)
         assert np.shares_memory(r.values, raw) and np.shares_memory(r.times, raw)
@@ -88,12 +86,12 @@ class TestPathBundle:
         (slice(0, 40), "2 x 2 x 0 is 88 bytes, got 40"),
     ], ids=["short-header", "empty", "short-values", "header-only"])
     def test_a_cut_dump_is_refused(self, cut, match):
-        blob = se.PathBundle(times=[0.0, 1.0], values=np.ones((2, 2))).to_binary()
+        blob = dump_bytes([0.0, 1.0], np.ones((2, 2)))
         with pytest.raises(ValueError, match=match):
             se.PathBundle.from_binary(blob[cut])
 
     def test_trailing_bytes_are_refused(self):
-        blob = se.PathBundle(times=[0.0, 1.0], values=np.ones((2, 2))).to_binary()
+        blob = dump_bytes([0.0, 1.0], np.ones((2, 2)))
         with pytest.raises(ValueError, match="is 88 bytes, got 112"):
             se.PathBundle.from_binary(blob + b"\0" * 24)
 
@@ -158,27 +156,33 @@ class TestRandomness:
             np.testing.assert_array_equal(np.concatenate(pieces, axis=1), full)
 
 
+def insolation(tau, Q, x0, cfg):
+    """The fast insolation paths of the fast-slow system with the model's
+    tau and Q set: its state's column 0, which the temperature never feeds."""
+    p = mc.default_params(Q=Q, tau=tau)
+    return collect(se.simulate_fast_slow, p, x0, 280.0, cfg, column=0)
+
+
 class TestSimulateOU:
     def test_deterministic_decay(self, no_noise):
         tau, Q, x0 = 0.5, 3.0, 5.0
         cfg = se.SimConfig(dt=0.05, n_steps=40, n_paths=1)
-        b = se.simulate_ou(tau, Q, x0, cfg)
-        expected = Q + (x0 - Q) * np.exp(-b.times / tau)
-        np.testing.assert_allclose(b.values[0], expected, rtol=1e-12)
+        expected = Q + (x0 - Q) * np.exp(-se.kept_times(cfg) / tau)
+        np.testing.assert_allclose(insolation(tau, Q, x0, cfg)[0], expected,
+                                   rtol=1e-12)
 
     def test_stationary_variance_half(self):
         tau = 0.05
         cfg = se.SimConfig(dt=tau / 10.0, n_steps=2000, n_paths=400, seed=3)
-        b = se.simulate_ou(tau, 0.0, 0.0, cfg)
-        rep = se.mc_moments(b, burn_in_fraction=0.5, pooled=True)
-        assert abs(rep.variance - 0.5) <= 4.0 * rep.se_variance
+        _, variance, _, se_variance = pooled_moments(
+            insolation(tau, 0.0, 0.0, cfg), burn_in_fraction=0.5)
+        assert abs(variance - 0.5) <= 4.0 * se_variance
 
     def test_exact_one_step_distribution(self):
         """One exact transition step reproduces the conditional law."""
         tau, Q, x0 = 0.1, 2.0, 5.0
         cfg = se.SimConfig(dt=0.03, n_steps=1, n_paths=20000, seed=11)
-        b = se.simulate_ou(tau, Q, x0, cfg)
-        x1 = b.values[:, 1]
+        x1 = insolation(tau, Q, x0, cfg)[:, 1]
         mean = Q + (x0 - Q) * np.exp(-cfg.dt / tau)
         var = 0.5 * (1.0 - np.exp(-2.0 * cfg.dt / tau))
         assert np.mean(x1) == pytest.approx(mean, abs=4.0 * np.sqrt(var / cfg.n_paths))
@@ -191,20 +195,23 @@ class TestFastSlow:
         fixed point of the coupled update."""
         root = mc.select_root(mc.equilibrium_roots(DEFAULT))
         cfg = se.SimConfig(dt=1e-3, n_steps=200, n_paths=1)
-        xb, tb = se.simulate_fast_slow(DEFAULT, DEFAULT.Q, root.T_star, cfg)
-        np.testing.assert_allclose(xb.values[0], DEFAULT.Q, rtol=1e-12)
-        np.testing.assert_allclose(tb.values[0], root.T_star, rtol=1e-12)
+        paths = collect(se.simulate_fast_slow, DEFAULT, DEFAULT.Q, root.T_star, cfg)
+        np.testing.assert_allclose(paths[0, :, 0], DEFAULT.Q, rtol=1e-12)
+        np.testing.assert_allclose(paths[0, :, 1], root.T_star, rtol=1e-12)
 
     def test_step_guard(self):
         cfg = se.SimConfig(dt=1.0, n_steps=1, n_paths=1)
         with pytest.raises(StepTooLarge):
-            se.simulate_fast_slow(DEFAULT, DEFAULT.Q, 280.0, cfg)
+            collect(se.simulate_fast_slow, DEFAULT, DEFAULT.Q, 280.0, cfg)
 
     def test_fast_path_is_the_ou_path(self):
+        """The insolation column is the OU step's run alone, bit for bit."""
         cfg = se.SimConfig(dt=1e-3, n_steps=30, n_paths=5, seed=8)
-        xb, _ = se.simulate_fast_slow(DEFAULT, DEFAULT.Q + 0.5, 280.0, cfg)
-        ou = se.simulate_ou(DEFAULT.tau, DEFAULT.Q, DEFAULT.Q + 0.5, cfg)
-        np.testing.assert_array_equal(xb.values, ou.values)
+        fast = collect(se.simulate_fast_slow, DEFAULT, DEFAULT.Q + 0.5, 280.0, cfg,
+                       column=0)
+        ou = collect(se._run_paths, cfg, DEFAULT.Q + 0.5,
+                     se._ou_step(DEFAULT.tau, DEFAULT.Q, cfg.dt))
+        np.testing.assert_array_equal(fast, ou)
 
 
 class TestWongZakai:
@@ -377,106 +384,80 @@ class TestReducedSde:
         """Noise off, Ito drift: explicit Euler converges to the stable root."""
         root = mc.select_root(mc.equilibrium_roots(DEFAULT))
         cfg = se.SimConfig(dt=1e-3, n_steps=20000, n_paths=1)
-        b = se.simulate_reduced_sde(DEFAULT, root.T_star + 2.0, cfg)
-        assert b.values[0, -1] == pytest.approx(root.T_star, abs=1e-8)
+        b = collect(se.simulate_reduced_sde, DEFAULT, root.T_star + 2.0, cfg)
+        assert b[0, -1] == pytest.approx(root.T_star, abs=1e-8)
 
     def test_stratonovich_correction_shifts_drift(self, no_noise):
         cfg = se.SimConfig(dt=1e-3, n_steps=1, n_paths=1,
                            drift_form="stratonovich-corrected")
         cfg0 = se.SimConfig(dt=1e-3, n_steps=1, n_paths=1)
         T0 = 280.0
-        b1 = se.simulate_reduced_sde(DEFAULT, T0, cfg)
-        b0 = se.simulate_reduced_sde(DEFAULT, T0, cfg0)
+        b1 = collect(se.simulate_reduced_sde, DEFAULT, T0, cfg)
+        b0 = collect(se.simulate_reduced_sde, DEFAULT, T0, cfg0)
         beta = mc.co_albedo(T0, DEFAULT)
         expected = cfg.dt * 0.5 * DEFAULT.tau * beta * DEFAULT.slope
-        assert b1.values[0, 1] - b0.values[0, 1] == pytest.approx(expected)
+        assert b1[0, 1] - b0[0, 1] == pytest.approx(expected)
 
     def test_milstein_step_without_noise(self, no_noise):
         """With zero draws one Milstein step is the Euler step plus
         -(1/2) tau beta beta' h: about 6e-9 at T0 = 280 K, so the states,
         not their difference, are compared."""
         T0, kw = 280.0, dict(dt=1e-3, n_steps=1, n_paths=1)
-        em = se.simulate_reduced_sde(DEFAULT, T0, se.SimConfig(**kw))
-        mi = se.simulate_reduced_sde(DEFAULT, T0,
-                                     se.SimConfig(scheme="milstein", **kw))
+        em = collect(se.simulate_reduced_sde, DEFAULT, T0, se.SimConfig(**kw))
+        mi = collect(se.simulate_reduced_sde, DEFAULT, T0,
+                     se.SimConfig(scheme="milstein", **kw))
         term = (-0.5 * DEFAULT.tau * mc.co_albedo(T0, DEFAULT)
                 * mc.co_albedo_slope(T0, DEFAULT) * kw["dt"])
-        _assert_within_4_ulp(mi.values[0, 1], em.values[0, 1] + term)
+        _assert_within_4_ulp(mi[0, 1], em[0, 1] + term)
 
 
 class TestLinearAnomaly:
     def test_deterministic_decay(self, no_noise):
         b_rate, y0 = 1.5, 2.0
         cfg = se.SimConfig(dt=1e-4, n_steps=10000, n_paths=1)
-        b = se.simulate_linear_anomaly(b_rate, 0.5, 0.01, 0.01, y0, cfg)
-        expected = y0 * np.exp(-b_rate * b.times[-1])
-        assert b.values[0, -1] == pytest.approx(expected, rel=1e-3)
+        b = collect(se.simulate_linear_anomaly, b_rate, 0.5, 0.01, 0.01, y0, cfg)
+        expected = y0 * np.exp(-b_rate * se.kept_times(cfg)[-1])
+        assert b[0, -1] == pytest.approx(expected, rel=1e-3)
 
     def test_milstein_step_without_noise(self, no_noise):
         """With zero draws one Milstein step is the Euler step plus
         -(1/2) tau sigma1 (sigma0 + sigma1 y0) h."""
         b_rate, sigma0, sigma1, tau, y0 = 1.0, 0.5, 0.3, 0.1, 0.2
         kw = dict(dt=1e-3, n_steps=1, n_paths=1)
-        em, mi = (se.simulate_linear_anomaly(
-            b_rate, sigma0, sigma1, tau, y0, se.SimConfig(scheme=scheme, **kw))
-            for scheme in ("euler-maruyama", "milstein"))
+        em, mi = (collect(se.simulate_linear_anomaly, b_rate, sigma0, sigma1, tau,
+                          y0, se.SimConfig(scheme=scheme, **kw))
+                  for scheme in ("euler-maruyama", "milstein"))
         term = -0.5 * tau * sigma1 * (sigma0 + sigma1 * y0) * kw["dt"]
-        _assert_within_4_ulp(mi.values[0, 1], em.values[0, 1] + term)
+        _assert_within_4_ulp(mi[0, 1], em[0, 1] + term)
 
     def test_stationary_variance(self):
         b_rate, sigma0, sigma1, tau = 1.0, 0.5, 0.0086486, 1.0 / 365.0
         target = mc.stationary_variance(b_rate, sigma0, sigma1, tau)
         cfg = se.SimConfig(dt=0.01, n_steps=3000, n_paths=500, seed=9)
-        bundle = se.simulate_linear_anomaly(b_rate, sigma0, sigma1, tau, 0.0, cfg)
-        rep = se.mc_moments(bundle, burn_in_fraction=0.5, pooled=True)
-        assert abs(rep.variance - target) <= 4.0 * rep.se_variance
+        _, variance, _, se_variance = pooled_moments(collect(
+            se.simulate_linear_anomaly, b_rate, sigma0, sigma1, tau, 0.0, cfg),
+            burn_in_fraction=0.5)
+        assert abs(variance - target) <= 4.0 * se_variance
 
     def test_step_guard(self):
         cfg = se.SimConfig(dt=2.0, n_steps=1, n_paths=1)
         with pytest.raises(StepTooLarge):
-            se.simulate_linear_anomaly(1.0, 0.5, 0.0, 0.01, 0.0, cfg)
+            collect(se.simulate_linear_anomaly, 1.0, 0.5, 0.0, 0.01, 0.0, cfg)
 
 
-class TestMcMoments:
-    def _bundle(self, values):
-        values = np.asarray(values, dtype=float)
-        return se.PathBundle(times=np.arange(values.shape[1], dtype=float),
-                             values=values)
-
+class TestPathMoments:
     def test_per_time_statistics(self):
-        b = self._bundle([[0.0, 2.0], [2.0, 4.0]])
-        rep = se.mc_moments(b, burn_in_fraction=0.0)
-        np.testing.assert_allclose(rep.mean, [1.0, 3.0])
-        np.testing.assert_allclose(rep.variance, [2.0, 2.0])
-
-    def test_pooled_mean(self):
-        b = self._bundle([[1.0, 1.0], [3.0, 3.0]])
-        rep = se.mc_moments(b, burn_in_fraction=0.0, pooled=True)
-        assert rep.mean == 2.0
-        assert rep.variance == 1.0
-
-    def test_burn_in_discards_prefix(self):
-        b = self._bundle([[100.0, 1.0], [100.0, 3.0]])
-        rep = se.mc_moments(b, burn_in_fraction=0.5)
-        np.testing.assert_allclose(rep.mean, [2.0])
-
-    def test_empty_sample(self):
-        b = self._bundle([[1.0]])
-        with pytest.raises(EmptySample):
-            se.mc_moments(b, burn_in_fraction=1.0)
-
-    def test_negative_burn_in_rejected(self):
-        b = self._bundle([[100.0, 1.0], [100.0, 3.0]])
-        with pytest.raises(ValueError, match="burn_in_fraction"):
-            se.mc_moments(b, burn_in_fraction=-0.5)
+        mean, variance, _, _ = se.path_moments(np.array([[0.0, 2.0], [2.0, 4.0]]))
+        np.testing.assert_allclose(mean, [1.0, 3.0])
+        np.testing.assert_allclose(variance, [2.0, 2.0])
 
     @pytest.mark.parametrize("n_paths", [1, 2, 9, 150])
     def test_per_time_statistics_are_numpys(self, n_paths):
-        """mc_moments' per-time statistics are numpy's mean and var(ddof=1)
-        over axis 0 bit for bit, and path_moments gives the same bits on
-        any block of the columns, one column included: there numpy would
-        add pairwise.  Column 0 holds one state on every path, as the
-        initial state of a run does."""
+        """path_moments' per-time statistics are numpy's mean and var(ddof=1)
+        over axis 0 bit for bit, on the whole array and on any block of its
+        columns, one column included: there numpy would add pairwise.
+        Column 0 holds one state on every path, as the initial state of a
+        run does."""
         values = np.random.default_rng(n_paths).standard_normal((n_paths, 7))
         values += 280.0
         values[:, 0] = 280.1
@@ -487,11 +468,7 @@ class TestMcMoments:
                         var * np.sqrt(2.0 / (n_paths - 1)))
         else:
             expected = (mean, np.zeros(7), np.full(7, np.nan), np.full(7, np.nan))
-        rep = se.mc_moments(self._bundle(values))
-        for got, want in zip((rep.mean, rep.variance, rep.se_mean,
-                              rep.se_variance), expected):
-            np.testing.assert_array_equal(got, want)
-        for lo, hi in [(0, 1), (0, 3), (3, 6), (6, 7)]:
+        for lo, hi in [(0, 7), (0, 1), (0, 3), (3, 6), (6, 7)]:
             for got, want in zip(se.path_moments(values[:, lo:hi]), expected):
                 np.testing.assert_array_equal(got, want[lo:hi])
 
@@ -506,6 +483,11 @@ def _field_operators(n, kernel):
                                         sm.BoundaryTrace.constant(theta), DEFAULT)
     noise = sm.build_noise_covariance(g, kernel, variance=1.0, length=0.5)
     return sm.build_operators(g, prof, Q_field, DEFAULT, noise)
+
+
+def _ou_run(cfg):
+    """The kernel's run of the OU step alone from 2.0, tau = 0.05, Q = 1."""
+    return collect(se._run_paths, cfg, 2.0, se._ou_step(0.05, 1.0, cfg.dt))
 
 
 def _runs():
@@ -528,20 +510,18 @@ def _runs():
         return dataclasses.replace(c, n_paths=n)
 
     return {
-        "ou": (lambda n=n_paths: se.simulate_ou(
-            0.05, 1.0, 2.0, paths(cfg, n)).values, n_paths, n_steps, 1),
-        "fast-slow": (lambda n=n_paths: np.stack([
-            b.values for b in se.simulate_fast_slow(
-                DEFAULT, DEFAULT.Q, root.T_star, paths(cfg, n))]),
+        "ou": (lambda n=n_paths: _ou_run(paths(cfg, n)), n_paths, n_steps, 1),
+        "fast-slow": (lambda n=n_paths: collect(
+            se.simulate_fast_slow, DEFAULT, DEFAULT.Q, root.T_star, paths(cfg, n)),
             n_paths, n_steps, 1),
-        "reduced": (lambda n=n_paths: se.simulate_reduced_sde(
-            DEFAULT, root.T_star + 2.0, paths(cfg, n)).values,
+        "reduced": (lambda n=n_paths: collect(
+            se.simulate_reduced_sde, DEFAULT, root.T_star + 2.0, paths(cfg, n)),
             n_paths, n_steps, 1),
-        "reduced-milstein-stratonovich": (lambda n=n_paths: se.simulate_reduced_sde(
-            DEFAULT, root.T_star + 2.0, paths(strat, n)).values,
+        "reduced-milstein-stratonovich": (lambda n=n_paths: collect(
+            se.simulate_reduced_sde, DEFAULT, root.T_star + 2.0, paths(strat, n)),
             n_paths, n_steps, 1),
-        "linear-anomaly-milstein": (lambda n=n_paths: se.simulate_linear_anomaly(
-            1.0, 0.5, 0.3, 0.1, 0.2, paths(strat, n)).values,
+        "linear-anomaly-milstein": (lambda n=n_paths: collect(
+            se.simulate_linear_anomaly, 1.0, 0.5, 0.3, 0.1, 0.2, paths(strat, n)),
             n_paths, n_steps, 1),
         "wong-zakai": (lambda n=n_paths: np.array(dataclasses.astuple(
             se.wong_zakai_error(0.1, 0.5, 1.0, 0.0, n_paths=n, seed=3))),
@@ -550,12 +530,15 @@ def _runs():
             dataclasses.astuple(r) for r in se.wong_zakai_ladder(
                 (0.1, 0.025), 0.5, 1.0, 0.0, n_paths=n, seed=3)]),
             n_paths, 2, 1),
-        "field-d1": (lambda n=n_paths: sm.simulate_anomaly_field(
-            ops1, paths(field_cfg, n)).values, n_paths, n_steps, 1),
-        "field-d16": (lambda n=n_paths: sm.simulate_anomaly_field(
-            ops16, paths(field_cfg, n)).values, n_paths, n_steps, 16),
-        "field-d64": (lambda n=n_paths: sm.simulate_anomaly_field(
-            ops64, paths(field_cfg, n)).values, n_paths, n_steps, 64),
+        "field-d1": (lambda n=n_paths: collect(
+            sm.simulate_anomaly_field, ops1, paths(field_cfg, n)),
+            n_paths, n_steps, 1),
+        "field-d16": (lambda n=n_paths: collect(
+            sm.simulate_anomaly_field, ops16, paths(field_cfg, n)),
+            n_paths, n_steps, 16),
+        "field-d64": (lambda n=n_paths: collect(
+            sm.simulate_anomaly_field, ops64, paths(field_cfg, n)),
+            n_paths, n_steps, 64),
     }
 
 
@@ -565,15 +548,15 @@ RUNS = _runs()
 def _dense_field_run():
     ops = _field_operators(5, "exponential")
     cfg = se.SimConfig(dt=2e-4, n_steps=40, n_paths=7, seed=12)
-    return (lambda n=7: sm.simulate_anomaly_field(
-        ops, dataclasses.replace(cfg, n_paths=n)).values,
-        7, 40, ops.d)
+    return (lambda n=7: collect(sm.simulate_anomaly_field, ops,
+                                dataclasses.replace(cfg, n_paths=n)),
+            7, 40, ops.d)
 
 
 def _chunked_field_run():
     ops = _field_operators(5, "exponential")
     cfg = se.SimConfig(dt=2e-4, n_steps=40, n_paths=150, seed=12)
-    return (lambda: sm.simulate_anomaly_field(ops, cfg).values, 150, 40, ops.d)
+    return (lambda: collect(sm.simulate_anomaly_field, ops, cfg), 150, 40, ops.d)
 
 
 # A dense noise factor: the BLAS product dW @ L^T rounds by its row count.
@@ -587,10 +570,6 @@ DRAW_RUNS = {**RUNS, "field-d16-dense": _dense_field_run(),
 BUDGET_RUNS = {name: run for name, run in DRAW_RUNS.items()
                if not name.startswith("wong-zakai")}
 
-# The path axis of each run's result; the Wong-Zakai runs return ensemble
-# statistics, which have none.
-PATH_AXIS = {name: 1 if name == "fast-slow" else
-             None if name.startswith("wong-zakai") else 0 for name in DRAW_RUNS}
 
 
 def _recording_draws(monkeypatch):
@@ -657,10 +636,9 @@ class TestPathKernel:
         n = per_batch + 1
         got = run(n)
         np.testing.assert_array_equal(_draws_by_path(draws, outs, n), full[:n])
-        axis = PATH_AXIS[name]
-        if axis is None:
+        if name.startswith("wong-zakai"):  # ensemble statistics: no path axis
             return
-        head = np.take(expected, range(n), axis=axis)
+        head = expected[:n]
         if name.startswith("field") and name != "field-d1":
             np.testing.assert_allclose(got, head, rtol=1e-12, atol=1e-15)
         else:
@@ -760,7 +738,7 @@ class TestPathKernel:
         cfg = se.SimConfig(dt=0.01, n_steps=9, n_paths=n_paths, seed=5)
 
         def run():
-            return se.simulate_ou(0.05, 1.0, 2.0, cfg).values
+            return _ou_run(cfg)
 
         expected = run()
         monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * 3 * n_paths)  # 3 blocks
@@ -783,9 +761,10 @@ class TestPathKernel:
 
     def test_sink_takes_each_block_while_the_next_is_drawn(self, monkeypatch):
         """A sink gets the initial state, then each block's states,
-        once the next block's draw has started; they are the bundle's."""
+        once the next block's draw has started; they are the states of the
+        run in one block."""
         cfg = se.SimConfig(dt=0.01, n_steps=10, n_paths=3, seed=5)
-        expected = se.simulate_ou(0.05, 1.0, 2.0, cfg).values
+        expected = _ou_run(cfg)
         monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * 3 * 3)  # 3 steps a block
         events, got = [], np.full_like(expected, np.nan)
         block_draw = se._BlockDraw
@@ -800,29 +779,38 @@ class TestPathKernel:
             got[:, first:first + states.shape[1]] = states
 
         monkeypatch.setattr(se, "_BlockDraw", Recording)
-        assert se._run_paths(cfg, 2.0, se._ou_step(0.05, 1.0, cfg.dt),
-                             sink=sink) is None
+        se._run_paths(cfg, 2.0, se._ou_step(0.05, 1.0, cfg.dt), sink=sink)
         assert events == ["draw", "sink"] * 4 + ["sink"]
         np.testing.assert_array_equal(got, expected)
 
-    def test_outsized_path_array_is_a_config_error(self):
-        """With no sink, a path array beyond the 128 TiB user address space
-        is a ConfigError naming its size, before any generator."""
-        cfg = se.SimConfig(dt=0.001, n_steps=10**12, n_paths=1000)
-        with pytest.raises(ConfigError, match=r"^\[sim\] n_paths = 1000 paths of "
-                           r"1000000000001 kept steps of d = 1 values need "
-                           "8000000000008000 bytes, more than can be allocated"):
-            se._run_paths(cfg, 2.0, lambda state, xi: state)
-
     def test_outsized_working_buffers_are_a_config_error(self):
-        """With a sink no path array is made, but a state beyond the 128 TiB
-        user address space is still a ConfigError, before any generator."""
+        """A state beyond the 128 TiB user address space is a ConfigError
+        naming its size, before any generator."""
         cfg = se.SimConfig(dt=0.01, n_steps=4, n_paths=10**14)
         with pytest.raises(ConfigError, match=r"^\[sim\] n_paths = 10{14} "
                            r"paths of d = 9 values in 1-step blocks need \d+ "
                            "bytes, more than can be allocated"):
             se._run_paths(cfg, np.zeros(9), lambda state, xi: state,
                           shape=(9,), sink=lambda first, states: None)
+
+    @pytest.mark.parametrize("simulate, args", [
+        (se._run_paths, lambda cfg: (cfg, 2.0, se._ou_step(0.05, 1.0, cfg.dt))),
+        (se.simulate_fast_slow, lambda cfg: (DEFAULT, DEFAULT.Q, 280.0, cfg)),
+        (se.simulate_reduced_sde, lambda cfg: (DEFAULT, 280.0, cfg)),
+        (se.simulate_linear_anomaly, lambda cfg: (1.0, 0.5, 0.3, 0.1, 0.2, cfg)),
+        (sm.simulate_anomaly_field, lambda cfg: (sm.operators_from_arrays(
+            [[-2.0]], [0.3], [0.5], [[1.0]], tau=0.05), cfg)),
+    ], ids=["kernel", "fast-slow", "reduced", "linear-anomaly", "field"])
+    def test_sink_is_required(self, simulate, args):
+        """Every simulator needs a sink for its states and returns nothing:
+        there is no path array to fall back on."""
+        args = args(se.SimConfig(dt=1e-3, n_steps=3, n_paths=2, seed=4))
+        with pytest.raises(TypeError, match="sink"):
+            simulate(*args)
+        firsts = []
+        assert simulate(*args, sink=lambda first, states:
+                        firsts.append(first)) is None
+        assert firsts == [0, 1]
 
     def test_sink_failure_propagates(self, monkeypatch):
         """An exception in the sink, raised while the next block is drawn,
@@ -865,7 +853,7 @@ class TestPathKernel:
         failing.calls = 0
         monkeypatch.setattr(se, "gaussian_increments", failing)
         with pytest.raises(DrawFailed):
-            se._run_paths(cfg, 0.0, lambda state, xi: state + xi)
+            collect(se._run_paths, cfg, 0.0, lambda state, xi: state + xi)
         assert threading.enumerate() == before
 
         # A failure in the stepping thread's share of a draw.  With one
@@ -883,7 +871,7 @@ class TestPathKernel:
 
         monkeypatch.setattr(se, "gaussian_increments", shared)
         with pytest.raises(DrawFailed):
-            se._run_paths(cfg, 0.0, lambda state, xi: state + xi)
+            collect(se._run_paths, cfg, 0.0, lambda state, xi: state + xi)
         assert failed.is_set()
         assert threading.enumerate() == before
 
@@ -905,6 +893,6 @@ class TestPathKernel:
             return state + xi
 
         with pytest.raises(StepFailed):
-            se._run_paths(cfg, 0.0, step)
+            collect(se._run_paths, cfg, 0.0, step)
         assert len(steps) == 5
         assert threading.enumerate() == before

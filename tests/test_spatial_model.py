@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import collect
 
 from ebmvar import covariance_engine as ce
 from ebmvar import model_core as mc
@@ -374,8 +375,8 @@ class TestOperators:
         with pytest.raises(ParamOutOfRange, match="symmetric"):
             sm.drift_eigenvalues(ops)
         with pytest.raises(ParamOutOfRange, match="symmetric"):
-            sm.simulate_anomaly_field(ops, se.SimConfig(dt=1e-3, n_steps=1,
-                                                        n_paths=1))
+            collect(sm.simulate_anomaly_field, ops,
+                    se.SimConfig(dt=1e-3, n_steps=1, n_paths=1))
 
     def test_operators_from_arrays(self):
         M = np.array([[-2.0, 0.5], [0.5, -3.0]])
@@ -452,9 +453,9 @@ class TestAnomalySimulation:
         assert ops.stencil is not None and ops.d == 256
         cfg = se.SimConfig(dt=1e-4, n_steps=6, n_paths=3, seed=4)
         y0 = np.random.default_rng(8).standard_normal(ops.d)
-        got = sm.simulate_anomaly_field(ops, cfg, y0=y0).values
+        got = collect(sm.simulate_anomaly_field, ops, cfg, y0=y0)
         monkeypatch.setattr(sm, "_row_products", _dense_row_sums)
-        expected = sm.simulate_anomaly_field(ops, cfg, y0=y0).values
+        expected = collect(sm.simulate_anomaly_field, ops, cfg, y0=y0)
         np.testing.assert_array_equal(got, expected)
         assert np.any(got[:, -1] != got[:, 0])
 
@@ -467,9 +468,9 @@ class TestAnomalySimulation:
                                        tau=0.01)
         y0 = np.array([1.0, -0.5])
         cfg = se.SimConfig(dt=1e-4, n_steps=5000, n_paths=1)
-        b = sm.simulate_anomaly_field(ops, cfg, y0=y0)
-        expected = expm(M * b.times[-1]) @ y0
-        np.testing.assert_allclose(b.values[0, -1], expected, rtol=1e-3)
+        b = collect(sm.simulate_anomaly_field, ops, cfg, y0=y0)
+        expected = expm(M * se.kept_times(cfg)[-1]) @ y0
+        np.testing.assert_allclose(b[0, -1], expected, rtol=1e-3)
 
     def test_unfactorable_covariance_is_refused(self):
         """The field factors C itself: C = 0 has no Cholesky factor, and
@@ -477,8 +478,8 @@ class TestAnomalySimulation:
         ops = sm.operators_from_arrays([[-2.0, 0.4], [0.4, -1.5]], [0.0, 0.0],
                                        [0.5, 0.5], np.zeros((2, 2)), tau=0.01)
         with pytest.raises(NotPositiveDefinite):
-            sm.simulate_anomaly_field(ops, se.SimConfig(dt=1e-3, n_steps=1,
-                                                        n_paths=1))
+            collect(sm.simulate_anomaly_field, ops,
+                    se.SimConfig(dt=1e-3, n_steps=1, n_paths=1))
 
     def test_scalar_reduction_variance(self):
         """d = 1 with D = 0 reduces to an OU anomaly with variance
@@ -487,8 +488,8 @@ class TestAnomalySimulation:
         ops = sm.operators_from_arrays([[-b_rate]], [0.0], [f], [[1.0]],
                                        tau=tau)
         cfg = se.SimConfig(dt=0.005, n_steps=4000, n_paths=300, seed=17)
-        bundle = sm.simulate_anomaly_field(ops, cfg)
-        vals = bundle.values[:, bundle.values.shape[1] // 2:, 0]
+        paths = collect(sm.simulate_anomaly_field, ops, cfg)
+        vals = paths[:, paths.shape[1] // 2:, 0]
         target = tau * f**2 / (2.0 * b_rate)
         per_path = (vals**2).mean(axis=1)
         est = per_path.mean()
@@ -499,22 +500,21 @@ class TestAnomalySimulation:
         ops = sm.operators_from_arrays([[1.0]], [0.0], [0.5], [[1.0]],
                                        tau=0.01)
         with pytest.raises(UnstableDrift):
-            sm.simulate_anomaly_field(ops, se.SimConfig(dt=1e-3, n_steps=1,
-                                                        n_paths=1))
+            collect(sm.simulate_anomaly_field, ops,
+                    se.SimConfig(dt=1e-3, n_steps=1, n_paths=1))
 
     def test_step_guard(self):
         ops = _default_operators()
         lam_min = sm.drift_eigenvalues(ops)[0][0]
         cfg = se.SimConfig(dt=2.0 / abs(lam_min), n_steps=1, n_paths=1)
         with pytest.raises(StepTooLarge):
-            sm.simulate_anomaly_field(ops, cfg)
+            collect(sm.simulate_anomaly_field, ops, cfg)
 
     def test_reproducible(self):
         ops = _default_operators()
         cfg = se.SimConfig(dt=1e-3, n_steps=20, n_paths=3, seed=5)
-        a = sm.simulate_anomaly_field(ops, cfg)
-        b = sm.simulate_anomaly_field(ops, cfg)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(collect(sm.simulate_anomaly_field, ops, cfg),
+                                      collect(sm.simulate_anomaly_field, ops, cfg))
 
 
 class TestCoordText:
