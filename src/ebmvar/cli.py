@@ -128,12 +128,12 @@ def _pwrite(fd, data, offset):
 
 @contextmanager
 def _path_dumps(outdir: Path, sim, d, names):
-    """The one writer of path dumps: `write(k, first, states)` into dump k of
-    `names` of `sim`'s run, of d values a state (0 for scalar states).  The
-    files are made on entry, once the disk has room for all, with their
+    """The one writer of path dumps: yields `write(k, first, states)` into
+    dump k of `names` of `sim`'s run, d values a state (0 if scalar), and the
+    list of files made, on entry once the disk has room for all, with their
     headers and times; `write` puts each path's run of states from step
     `first` at its place in the layout `sde.PathBundle.from_binary` reads.
-    An OSError is a ConfigError naming its file; any failure removes all."""
+    An OSError is a ConfigError naming its file; any failure removes all listed."""
     paths = [outdir / name for name in names]
     n_paths, n_times = sim.n_paths, sim.n_steps + 1
     body = 40 + 8 * n_times  # the header and the times: path 0 begins here
@@ -159,7 +159,7 @@ def _path_dumps(outdir: Path, sim, d, names):
             with _writing(path):
                 path.write_bytes(sde.binary_header(n_paths, n_times, d, sim.seed)
                                  + sde.kept_times(sim).astype("<f8").tobytes())
-        yield write
+        yield write, paths
     except BaseException:
         for path in paths:
             path.unlink(missing_ok=True)
@@ -333,12 +333,12 @@ def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
         d, dumps = 0, [f"{name}_paths.bin" for name in names]
         tables = [f"{name}_moments.csv" for name in names]
         header, stat = "time,mean,variance,se_mean,se_variance", sde.path_moments
-    with _path_dumps(outdir, s, d, dumps) as write:
+    with _path_dumps(outdir, s, d, dumps) as (write, made):
         times = sde.kept_times(s)
         columns = [np.empty((header.count(","), times.size)) for _ in dumps]
         run(s, sink=_tracing(write, columns, stat))
-        for name, table in zip(tables, columns):  # a failed table drops the dumps
-            _write(outdir, name, _table(header, (times, *table)))
+        for name, table in zip(tables, columns):  # a failed one drops all made
+            made.append(_write(outdir, name, _table(header, (times, *table))))
     return EXIT_OK
 
 

@@ -67,22 +67,15 @@ class CovarianceState:
         return float(w[0]) >= -1e-8 * scale
 
 
-def _gain(ops: SpatialOperators) -> np.ndarray:
-    """The operator's noise gain tau C o d d^T."""
-    return ops.tau * ops.C * np.outer(ops.d_vec, ops.d_vec)
-
-
 def _apply(ops: SpatialOperators, X) -> np.ndarray:
-    """X -> M X + X M^T + tau C o (D X D) on d x d matrices; K is its
-    column-stacked matrix."""
-    return ops.M @ X + (ops.M @ X.T).T + _gain(ops) * X
+    """X -> M X + X M^T + gain o X (`ops.gain`), whose column-stacked matrix is K."""
+    return ops.M @ X + (ops.M @ X.T).T + ops.gain * X
 
 
 def covariance_rhs(gamma, ops: SpatialOperators) -> np.ndarray:
     """M G + G M^T + tau * (C o (D G D^T + f f^T)) with o the entrywise
     product; identical to the column-factor sum since sum_k l^k (l^k)^T = C."""
-    gamma = np.asarray(gamma, dtype=float)
-    return (_apply(ops, gamma)
+    return (_apply(ops, np.asarray(gamma, dtype=float))
             + ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec))
 
 
@@ -116,7 +109,7 @@ def assemble_vectorised(ops: SpatialOperators) -> VectorisedSystem:
     d = ops.d
     M = sp.csr_matrix(ops.M)
     I = sp.identity(d, format="csr")
-    vec_c = np.asarray(ops.C, dtype=float).flatten(order="F")
+    vec_c = ops.C.flatten(order="F")
     D = sp.diags(ops.d_vec)
     K = (sp.kron(I, M) + sp.kron(M, I)
          + ops.tau * sp.diags(vec_c) @ sp.kron(D, D))
@@ -183,32 +176,26 @@ def k_spectral_abscissa(ops: SpatialOperators) -> tuple[float, str]:
     residual is zero.  M must be symmetric, so K is self-adjoint and its
     abscissa is its largest eigenvalue.
 
-    The eigensolve runs in M's eigen-coordinates Y = U^T X U, where
-    L_M(X) = M X + X M^T is multiplication by w_i + w_j and K is
-    Y -> (w_i + w_j) Y + U^T (G o (U Y U^T)) U, G = tau C o d d^T.  The
-    noise term's norm is at most g = max|G|, so sigma = 2 w_top + g bounds
-    K's spectrum from above.  The preconditioner is the inverse of
-    sigma I - L_M, plus eps times K's norm bound so that it is finite when
-    G = 0: division by sigma - (w_i + w_j) + eps |K|, positive also when M
-    or K is not Hurwitz.  The start u u^T + I/d (u M's top eigenvector,
-    that is e_top e_top^T + I/d) is positive definite, so it meets the PSD
-    eigenvector of K's rightmost eigenvalue, which exists for PSD C (Damm
-    2004, ch. 3), also when M is reducible and u lies in one of its blocks;
-    u u^T alone misses it there.  There is no random start, so reruns give
-    identical digits.  The residual tolerance is 1e-10 |K|, with the bound
-    |K| <= max|w_i + w_j| + g."""
-    d = ops.d
-    w, U = drift_eigenvalues(ops)
-    gain = _gain(ops)
-    denom = w[:, None] + w[None, :]
+    In M's basis (`drift_eigenvalues`) K is Y -> denom o Y + to(G o back(Y)),
+    G = `ops.gain`, with |K| <= max|denom| + g, g = max|G|, and sigma =
+    2 w_top + g bounds its spectrum from above.  The preconditioner divides
+    by sigma - denom + eps |K|: the inverse of sigma I - L_M, finite when
+    G = 0 and positive also when M or K is not Hurwitz.  The start
+    u u^T + I/d (u M's top eigenvector, that is e_top e_top^T + I/d) is
+    positive definite, so it meets the PSD eigenvector of K's rightmost
+    eigenvalue, which exists for PSD C (Damm 2004, ch. 3), also when M is
+    reducible and u lies in one of its blocks; u u^T alone misses it there.
+    There is no random start, so reruns give identical digits.  The
+    residual tolerance is 1e-10 |K|."""
+    basis = drift_eigenvalues(ops)
 
     def K(Y):
-        return denom * Y + U.T @ (gain * (U @ Y @ U.T)) @ U
+        return basis.denom * Y + basis._to(ops.gain * basis._back(Y))
 
-    g = np.max(np.abs(gain))
-    knorm = np.max(np.abs(denom)) + g
-    shift = 2.0 * w[-1] + g - denom + np.finfo(float).eps * knorm
-    start = np.eye(d) / d
+    g = np.max(np.abs(ops.gain))
+    knorm = np.max(np.abs(basis.denom)) + g
+    shift = 2.0 * basis.w[-1] + g - basis.denom + np.finfo(float).eps * knorm
+    start = np.eye(ops.d) / ops.d
     start[-1, -1] += 1.0
     return _lobpcg_top(K, shift, start, 1e-10 * knorm), "iterative"
 
@@ -246,34 +233,24 @@ def _gmres(op, b):
 
 
 def _solve(ops: SpatialOperators, R) -> np.ndarray:
-    """The solution X of the generalized Lyapunov equation
-    M X + X M^T + tau C o (D X D) = R for symmetric R, in the eigenbasis
-    of the symmetric drift (`drift_eigenvalues`, which refuses any other M).
-
-    With L_M(X) = M X + X M^T, restarted GMRES (`_gmres`) solves the
-    Lyapunov-preconditioned form (I + L_M^-1 tau C o (D . D)) X = L_M^-1(R)
-    on d x d matrices (Damm 2008; Benner & Breiten 2013).  L_M^-1 is a
-    solution by diagonalisation (Simoncini, SIAM Review 58, 2016, sec. 4):
-    in M's eigen-coordinates Y = U^T X U, L_M is multiplication by
-    w_i + w_j, so L_M^-1(R) = U ((U^T R U) / (w_i + w_j)) U^T.  The
-    multiplicative-noise term is a small perturbation on every grid
+    """The solution X of the generalized Lyapunov equation L_M(X) + G o X = R,
+    L_M(X) = M X + X M^T and G = `ops.gain`, for symmetric R and M
+    (`drift_eigenvalues` refuses any other M): restarted GMRES (`_gmres`) on
+    the Lyapunov-preconditioned form (I + L_M^-1(G o .)) X = L_M^-1(R), with
+    L_M^-1(Y) = back(to(Y) / denom) in M's basis (Damm 2008; Benner &
+    Breiten 2013).  The noise term is a small perturbation on every grid
     operator, so this converges in one or two iterations; D = 0 makes it a
-    plain Lyapunov solve.  The answer stands only if it passes the symmetry
-    and residual checks below, which also refuse a non-finite one.
-    """
-    w, U = drift_eigenvalues(ops)
-    denom = w[:, None] + w[None, :]
-    if np.any(denom == 0.0):
+    plain Lyapunov solve.  GMRES may stop just short of its tolerance: the
+    answer stands only if it passes the symmetry and residual checks below,
+    which also refuse a non-finite one."""
+    basis = drift_eigenvalues(ops)
+    if np.any(basis.denom == 0.0):
         raise SolveFailed("Lyapunov operator M X + X M^T is singular")
-    gain = _gain(ops)
 
     def lyap(Y):  # L_M^-1
-        return U @ ((U.T @ Y @ U) / denom) @ U.T
+        return basis._back(basis._to(Y) / basis.denom)
 
-    # At most 10 restart cycles of 20 Lyapunov solves.  GMRES may stop just
-    # short of 1e-14 when the contraction is close to 1; the residual check
-    # below decides whether that answer stands.
-    X = _gmres(lambda X: X + lyap(gain * X), lyap(R))
+    X = _gmres(lambda X: X + lyap(ops.gain * X), lyap(R))
     defect = np.max(np.abs(X - X.T))
     xscale = np.max(np.abs(X)) or 1.0
     if not defect <= 1e-10 * xscale:
@@ -282,8 +259,7 @@ def _solve(ops: SpatialOperators, R) -> np.ndarray:
     resid = np.max(np.abs(_apply(ops, X) - R))
     scale = np.max(np.abs(R)) or 1.0
     if not resid <= 1e-9 * scale:
-        raise SolveFailed(f"generalized Lyapunov residual {resid:.3e} "
-                          "too large")
+        raise SolveFailed(f"generalized Lyapunov residual {resid:.3e} too large")
     return X
 
 
@@ -292,8 +268,7 @@ def stationary_covariance(ops: SpatialOperators) -> CovarianceState:
     equation M G + G M^T + tau C o (D G D) = -tau C o (f f^T) (`_solve`).
 
     M must be symmetric: a nonsymmetric M is refused with ParamOutOfRange.
-    Gamma exists only if K is Hurwitz, which `require_hurwitz` decides.
-    """
+    Gamma exists only if K is Hurwitz, which `require_hurwitz` decides."""
     gamma = _solve(ops, -ops.tau * ops.C * np.outer(ops.f_vec, ops.f_vec))
     return CovarianceState.from_gamma(gamma)
 
@@ -351,7 +326,7 @@ def certify(ops: SpatialOperators) -> StabilityCertificate:
     Plemmons 1994, ch. 6): -K a Z-matrix with K Hurwitz has a nonnegative
     inverse, strictly positive when -K is irreducible.
     """
-    w, _ = drift_eigenvalues(ops)
+    w = drift_eigenvalues(ops).w
     k_absc, eig_route = k_spectral_abscissa(ops)
     off_diagonal = ops.M[~np.eye(ops.d, dtype=bool)]
     minus_k_is_Z = bool(np.all(off_diagonal >= -1e-14))
@@ -380,10 +355,10 @@ def markov_bound(var_sp, threshold) -> float:
 
 def profile_sensitivity(ops: SpatialOperators) -> np.ndarray:
     """The elliptic sensitivity u = dT*/dlambda of the equilibrium profile:
-    M u = -1 while no node sits on a co-albedo kink, read in M's eigenbasis
+    M u = -1 while no node sits on a co-albedo kink, read in M's basis
     (`drift_eigenvalues`) as u = U ((U^T (-1)) / w)."""
-    w, U = drift_eigenvalues(ops)
-    return U @ (-(U.T @ np.ones(ops.d)) / w)
+    basis = drift_eigenvalues(ops)
+    return basis.U @ (-(basis.U.T @ np.ones(ops.d)) / basis.w)
 
 
 def covariance_derivative(ops: SpatialOperators, df) -> np.ndarray:

@@ -312,9 +312,31 @@ def cholesky_with_jitter(C, jitter) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _DriftBasis:
+    """M = U diag(w) U^T, w ascending, w and U read-only, for a symmetric M.  In
+    the coordinates `_to(X)` = U^T X U, which `_back` undoes, X -> M X + X M^T
+    multiplies by `denom` = w_i + w_j (Simoncini, SIAM Review 58, 2016, sec. 4)."""
+
+    w: np.ndarray
+    U: np.ndarray
+
+    @cached_property
+    def denom(self) -> np.ndarray:  # made when first read: the field reads w only
+        return np.add.outer(self.w, self.w)
+
+    def _to(self, X) -> np.ndarray:
+        X = self.U.T @ X  # frees a temporary argument before the 2nd product
+        return X @ self.U
+
+    def _back(self, Y) -> np.ndarray:
+        Y = self.U @ Y  # frees a temporary argument before the 2nd product
+        return Y @ self.U.T
+
+
+@dataclass(frozen=True)
 class SpatialOperators:
-    """Assembled drift and noise data of the semi-discrete anomaly SDE;
-    frozen, so that its cached `drift_eigenvalues` stay valid."""
+    """Assembled drift and noise data of the semi-discrete anomaly SDE, frozen
+    and read-only, so that its cached `gain` and `drift_eigenvalues` stay valid."""
 
     b_vec: np.ndarray
     d_vec: np.ndarray
@@ -324,17 +346,28 @@ class SpatialOperators:
     tau: float
     stencil: _FivePointLaplacian | None = None  # M as a grid's stencil, if any
 
+    def __post_init__(self):  # read-only views: a caller's array stays writeable
+        for name in ("b_vec", "d_vec", "f_vec", "M", "C"):
+            array = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, np.broadcast_to(array, array.shape))
+
     @property
     def d(self) -> int:
         return self.b_vec.size
 
     @cached_property
-    def _drift_eig(self):
+    def gain(self) -> np.ndarray:
+        """tau C o d d^T, read-only: K(X) = M X + X M^T + gain o X."""
+        gain = self.tau * self.C * np.outer(self.d_vec, self.d_vec)
+        return np.broadcast_to(gain, gain.shape)  # a read-only view
+
+    @cached_property
+    def _drift_basis(self) -> _DriftBasis:
         if not np.array_equal(self.M, self.M.T):
             raise ParamOutOfRange("the drift M is not symmetric")
         w, U = np.linalg.eigh(self.M)
         w.flags.writeable = U.flags.writeable = False  # shared by every caller
-        return w, U
+        return _DriftBasis(w, U)
 
 
 def build_operators(g: Grid2D, T_star: SpatialField, Q_field: SpatialField,
@@ -348,23 +381,16 @@ def build_operators(g: Grid2D, T_star: SpatialField, Q_field: SpatialField,
 
 
 def operators_from_arrays(M, d_vec, f_vec, C, tau) -> SpatialOperators:
-    """Operators built directly from dense matrices (tests, scalar
-    reductions, hand-crafted systems)."""
-    M = np.array(M, dtype=float)
-    d_vec = np.asarray(d_vec, dtype=float)
-    f_vec = np.asarray(f_vec, dtype=float)
-    return SpatialOperators(b_vec=-np.diag(M), d_vec=d_vec, f_vec=f_vec, M=M,
-                            C=np.asarray(C, dtype=float), tau=float(tau))
+    """Operators from dense arrays: tests, scalar reductions, hand-made systems."""
+    return SpatialOperators(-np.diag(M), d_vec, f_vec, M, C, float(tau))
 
 
-def drift_eigenvalues(ops: SpatialOperators) -> tuple[np.ndarray, np.ndarray]:
-    """M = U diag(w) U^T, w ascending, by numpy's eigh, which runs LAPACK's
-    divide-and-conquer syevd (0.06 s at d = 900 on 2 cores, against 0.34 s
-    for the relatively robust syevr), once per operators object, kept on it
-    read-only.  Symmetry of M is a contract: M = A_delta - diag(b) is exactly
-    symmetric on every grid, and a nonsymmetric M is refused with
-    ParamOutOfRange."""
-    return ops._drift_eig
+def drift_eigenvalues(ops: SpatialOperators) -> _DriftBasis:
+    """M's basis (`_DriftBasis`) by numpy's eigh, LAPACK's divide-and-conquer
+    syevd (0.06 s at d = 900 on 2 cores, against 0.34 s for the relatively
+    robust syevr), once per operators object.  M = A_delta - diag(b) is exactly
+    symmetric on every grid; any other M is refused with ParamOutOfRange."""
+    return ops._drift_basis
 
 
 # Per Euler step on 16000 // d paths (2 cores, OpenBLAS 0.3.31), BLAS's drift
@@ -398,8 +424,7 @@ def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
     `_run_paths` describes: a run is bounded by what the sink does with
     them, not by memory, and a sink that drops states keeps fewer.
     """
-    d = ops.d
-    w, _ = drift_eigenvalues(ops)
+    w = drift_eigenvalues(ops).w
     if w[-1] >= 0.0:
         raise UnstableDrift(f"spectral abscissa {w[-1]:.3g} >= 0")
     if cfg.dt > 1.8 / abs(w[0]):
@@ -420,5 +445,5 @@ def simulate_anomaly_field(ops: SpatialOperators, cfg: SimConfig,
         out += amp
         return out
 
-    _run_paths(cfg, np.zeros(d) if y0 is None else y0, step, shape=(d,),
+    _run_paths(cfg, np.zeros(ops.d) if y0 is None else y0, step, shape=(ops.d,),
                sink=sink)

@@ -940,7 +940,8 @@ class TestSimulate:
                                                     which, table, dumps):
         """A per-time table that cannot be written, here because a directory
         holds its name (for fast-slow the second table), exits 2 naming it,
-        and no dump of the run is left."""
+        and no dump or table of the run is left: `--out` holds only that
+        directory."""
         lam = _constant_profile_lam(280.0)
         cfg = _write_cfg(tmp_path, _model_section(lam=lam) + _spatial_sections()
                          + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 4\n")
@@ -951,6 +952,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write {out / table}: ")
         assert [name for name in dumps if (out / name).exists()] == []
+        assert [path.name for path in out.iterdir()] == [table]
 
     # pwrite calls: one per path a block, the header and times being written
     # when the dump is made; fast-slow writes a block's fast paths, then its

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import tracemalloc
 from pathlib import Path
 
@@ -275,6 +276,37 @@ def _assert_matches_kronecker(ops):
     assert np.max(np.abs(gamma - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+class TestOneGain:
+    """K's noise gain tau C o d d^T is computed once per operators object,
+    by `SpatialOperators.gain`, however often the RK4 steps, the residual
+    checks and the eigensolves read it."""
+
+    @pytest.fixture
+    def gains(self, monkeypatch):
+        made = []
+        original = sm.SpatialOperators.gain.func
+
+        def counting(ops):
+            made.append(ops)
+            return original(ops)
+
+        gain = functools.cached_property(counting)
+        gain.__set_name__(sm.SpatialOperators, "gain")
+        monkeypatch.setattr(sm.SpatialOperators, "gain", gain)
+        return made
+
+    def test_one_gain_per_integration(self, gains):
+        ops = _random_system(np.random.default_rng(6), 3)
+        ce.integrate_covariance(ops, 1.0, dt=0.1)
+        assert gains == [ops]
+
+    def test_one_gain_per_sweep_point(self, gains):
+        g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4)
+        rep = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, [lam0])
+        assert rep.points[0].applicable
+        assert len(gains) == 1
+
+
 class TestKroneckerOracle:
     """The d x d generalized-Lyapunov solve against the Kronecker LU."""
 
@@ -334,7 +366,8 @@ class TestCertificate:
         requires."""
         rng = np.random.default_rng(7)
         ops = _random_system(rng, 3, multiplicative=False)
-        ops.C[:] = 0.0  # keep K purely Kronecker
+        # Keep K purely Kronecker.
+        ops = dataclasses.replace(ops, C=np.zeros_like(ops.C))
         m_absc = np.max(np.linalg.eigvals(ops.M).real)
         k_absc, route = ce.k_spectral_abscissa(ops)
         assert route == "iterative"

@@ -352,7 +352,7 @@ class TestOperators:
 
     def test_hurwitz(self):
         ops = _default_operators()
-        assert sm.drift_eigenvalues(ops)[0][-1] < 0.0
+        assert sm.drift_eigenvalues(ops).w[-1] < 0.0
 
     def test_drift_eigenvalues_match_the_general_solver(self):
         """A grid's symmetric M gets real ascending eigenvalues, those of
@@ -361,7 +361,8 @@ class TestOperators:
         ops = _default_operators()
         M = ops.M
         general = np.linalg.eigvals(M)
-        w, U = sm.drift_eigenvalues(ops)
+        basis = sm.drift_eigenvalues(ops)
+        w, U = basis.w, basis.U
         assert w.dtype == np.float64
         tol = 1e-12 * np.max(np.abs(general))
         np.testing.assert_allclose(w, np.sort(general.real), rtol=0.0, atol=tol)
@@ -377,6 +378,28 @@ class TestOperators:
         with pytest.raises(ParamOutOfRange, match="symmetric"):
             collect(sm.simulate_anomaly_field, ops,
                     se.SimConfig(dt=1e-3, n_steps=1, n_paths=1))
+
+    def test_operator_arrays_are_read_only(self):
+        """Both constructors store read-only arrays, so what an operators
+        object caches, its gain and its drift basis, cannot go stale; the
+        arrays a caller passed stay writeable."""
+        g = sm.Grid2D(Lx=1.0, Ly=1.0, Nx=4, Ny=4)
+        C = np.eye(g.d)
+        built = sm.build_operators(g, sm.SpatialField.constant(g, 280.0),
+                                   sm.SpatialField.constant(g, DEFAULT.Q),
+                                   DEFAULT, C)
+        M, d_vec, C2 = np.array([[-2.0, 0.5], [0.5, -3.0]]), np.ones(2), np.eye(2)
+        given = sm.operators_from_arrays(M, d_vec, [0.5, 0.5], C2, tau=0.02)
+        for ops in (built, given):
+            for array in (ops.b_vec, ops.d_vec, ops.f_vec, ops.M, ops.C):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+            basis = sm.drift_eigenvalues(ops)
+            for array in (ops.gain, basis.w, basis.U):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+        for array in (C, M, d_vec, C2):
+            array[0] = 7.0  # the caller's own arrays
 
     def test_operators_from_arrays(self):
         M = np.array([[-2.0, 0.5], [0.5, -3.0]])
@@ -505,7 +528,7 @@ class TestAnomalySimulation:
 
     def test_step_guard(self):
         ops = _default_operators()
-        lam_min = sm.drift_eigenvalues(ops)[0][0]
+        lam_min = sm.drift_eigenvalues(ops).w[0]
         cfg = se.SimConfig(dt=2.0 / abs(lam_min), n_steps=1, n_paths=1)
         with pytest.raises(StepTooLarge):
             collect(sm.simulate_anomaly_field, ops, cfg)
