@@ -247,32 +247,14 @@ def cmd_variance_curve(cfg: ExperimentConfig, args, outdir: Path) -> int:
     return EXIT_OK
 
 
-# The optional [sim] keys a command does not read: it refuses them.
-_IGNORED_SIM_KEYS = {
-    "wz-convergence": ("scheme", "drift_form"),
-    "simulate --which fast-slow": ("scheme", "drift_form"),
-    "simulate --which anomaly-0d": ("drift_form",),
-    "simulate --which anomaly-field": ("scheme", "drift_form"),
-}
-
-
-def _refuse_unread_sim_keys(cfg: ExperimentConfig, command: str) -> None:
-    sim = cfg.section("sim")
-    for key in _IGNORED_SIM_KEYS.get(command, ()):
-        if key in sim:
-            raise ConfigError(f"[sim] {key} = {sim[key]} is not read by "
-                              f"{command}")
-
-
 def cmd_wz_convergence(cfg: ExperimentConfig, args, outdir: Path) -> int:
     p = model_params(cfg)
     s = sim_config(cfg, seed_override=args.seed)
-    _refuse_unread_sim_keys(cfg, "wz-convergence")
     x0 = p.Q + args.x0_offset
     try:
         results = sde.wong_zakai_ladder(WZ_TAU_LADDER, args.t, x0, p.Q,
                                         n_paths=s.n_paths, seed=s.seed)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         raise ConfigError(f"--t {args.t!r}, --x0-offset {args.x0_offset!r}, "
                           f"[sim] n_paths = {s.n_paths}: {exc}") from exc
     rows = [(r.tau, r.mc_estimate, r.exact, r.se) for r in results]
@@ -314,7 +296,6 @@ def cmd_simulate(cfg: ExperimentConfig, args, outdir: Path) -> int:
     from each block as the run makes it (`_tracing`), so no run is held."""
     p = model_params(cfg)
     s = sim_config(cfg, seed_override=args.seed)
-    _refuse_unread_sim_keys(cfg, f"simulate --which {args.which}")
     if args.which == "anomaly-field":
         ops = _operators(cfg, p)
         run, d = partial(sm.simulate_anomaly_field, ops), ops.d
@@ -408,8 +389,9 @@ def cmd_counterexample(cfg, args, outdir: Path) -> int:
     try:
         results = [cov.counterexample_trace(args.s, args.c, float(lam))
                    for lam in lam_grid]
-    except ParamOutOfRange as exc:
-        raise ConfigError(f"--s {args.s!r}, --c {args.c!r}: {exc}") from exc
+    except (ParamOutOfRange, OverflowError) as exc:  # or lambda^2 past a float
+        raise ConfigError(f"--s {args.s!r}, --c {args.c!r}, --lambda-max "
+                          f"{args.lambda_max!r}: {exc}") from exc
     rows = [(lam, r.trace, r.d_trace_d_lambda, r.numeric_trace)
             for lam, r in zip(lam_grid, results)]
     _write(outdir, "counterexample.csv", _table(
@@ -459,30 +441,52 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Each command form: its function and the config it reads, {section: keys
+# read, or None for all}; main() refuses any other section or key (`_read_config`).
+_SIM = ("dt", "n_steps", "n_paths", "seed")
+_SPATIAL = dict.fromkeys(("model", "grid", "boundary", "noise"))
 _COMMANDS = {
-    "variance-curve": (cmd_variance_curve, True),
-    "wz-convergence": (cmd_wz_convergence, True),
-    "simulate": (cmd_simulate, True),
-    "spatial-stationary": (cmd_spatial_stationary, True),
-    "monotonicity": (cmd_monotonicity, True),
-    "counterexample": (cmd_counterexample, False),
+    "variance-curve": (cmd_variance_curve, {"model": None, "sweep": None}),
+    "wz-convergence": (cmd_wz_convergence, {"model": None, "sim": _SIM}),
+    "simulate --which fast-slow": (cmd_simulate, {"model": None, "sim": _SIM}),
+    "simulate --which reduced": (
+        cmd_simulate, {"model": None, "sim": _SIM + ("scheme", "drift_form")}),
+    "simulate --which anomaly-0d": (
+        cmd_simulate, {"model": None, "sim": _SIM + ("scheme",)}),
+    "simulate --which anomaly-field": (cmd_simulate, {**_SPATIAL, "sim": _SIM}),
+    "spatial-stationary": (cmd_spatial_stationary, _SPATIAL),
+    "monotonicity": (cmd_monotonicity, {**_SPATIAL, "sweep": None}),
+    "counterexample": (cmd_counterexample, {}),
 }
+
+
+def _read_config(path, form: str, reads: dict):
+    """`path`'s config for `form` (`_COMMANDS`), or None if it reads none.
+    A key of a read section is refused before a section not read."""
+    if bool(reads) != bool(path):
+        raise ConfigError(f"command {form} requires --config" if reads
+                          else f"{form} reads no config, got --config {path}")
+    if not reads:
+        return None
+    cfg = load_config(path)
+    for name, section in sorted(cfg.sections.items(), key=lambda s: s[0] not in reads):
+        if name not in reads:
+            raise ConfigError(f"[{name}] is not read by {form}")
+        for key, value in section.items():
+            if key not in (reads[name] or section):
+                raise ConfigError(f"[{name}] {key} = {value} is not read by {form}")
+    return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    fn, needs_config = _COMMANDS[args.command]
+    form = args.command + (f" --which {args.which}" if args.command == "simulate" else "")
+    fn, reads = _COMMANDS[form]
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
-    outdir = Path(args.out)
     try:
-        cfg = None
-        if needs_config:
-            if not args.config:
-                raise ConfigError(f"command {args.command} requires --config")
-            cfg = load_config(args.config)
-        return fn(cfg, args, outdir)
+        return fn(_read_config(args.config, form, reads), args, Path(args.out))
     except (ConfigError, MemoryError) as exc:  # or an input too large
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,44 +15,36 @@ import numpy as np
 from .errors import ConfigError
 from .model_core import EbmParams
 from .sde_engine import DRIFT_FORMS, SCHEMES, SimConfig
-from .spatial_model import (
-    BoundaryTrace,
-    Grid2D,
-    build_noise_covariance,
-)
-
-_FLOAT = "float"
-_INT = "int"
-_STR = "str"
+from .spatial_model import BoundaryTrace, Grid2D, build_noise_covariance
 
 SCHEMAS = {
     "model": {
-        "beta_min": (_FLOAT, True), "beta_max": (_FLOAT, True),
-        "T_l": (_FLOAT, True), "T_u": (_FLOAT, True),
-        "r0": (_FLOAT, True), "r1": (_FLOAT, True),
-        "Q": (_FLOAT, True), "lambda": (_FLOAT, True), "tau": (_FLOAT, True),
+        "beta_min": (float, True), "beta_max": (float, True),
+        "T_l": (float, True), "T_u": (float, True),
+        "r0": (float, True), "r1": (float, True),
+        "Q": (float, True), "lambda": (float, True), "tau": (float, True),
     },
     "sim": {
-        "dt": (_FLOAT, True), "n_steps": (_INT, True),
-        "n_paths": (_INT, True), "seed": (_INT, False),
-        "scheme": (_STR, False), "drift_form": (_STR, False),
+        "dt": (float, True), "n_steps": (int, True),
+        "n_paths": (int, True), "seed": (int, False),
+        "scheme": (str, False), "drift_form": (str, False),
     },
     "grid": {
-        "Lx": (_FLOAT, True), "Ly": (_FLOAT, True),
-        "Nx": (_INT, True), "Ny": (_INT, True),
+        "Lx": (float, True), "Ly": (float, True),
+        "Nx": (int, True), "Ny": (int, True),
     },
     "noise": {
-        "kernel": (_STR, True), "variance": (_FLOAT, False),
-        "length": (_FLOAT, False),
+        "kernel": (str, True), "variance": (float, False),
+        "length": (float, False),
     },
     "boundary": {
-        "theta": (_FLOAT, False),
-        "left": (_FLOAT, False), "right": (_FLOAT, False),
-        "bottom": (_FLOAT, False), "top": (_FLOAT, False),
+        "theta": (float, False),
+        "left": (float, False), "right": (float, False),
+        "bottom": (float, False), "top": (float, False),
     },
     "sweep": {
-        "lambda_min": (_FLOAT, True), "lambda_max": (_FLOAT, True),
-        "n_points": (_INT, True),
+        "lambda_min": (float, True), "lambda_max": (float, True),
+        "n_points": (int, True),
     },
 }
 
@@ -71,10 +63,10 @@ class ExperimentConfig:
 
 def _parse_value(section, key, kind, raw):
     try:
-        value = {_FLOAT: float, _INT: int, _STR: str}[kind](raw)
+        value = kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {kind}") from exc
-    if kind == _FLOAT and not np.isfinite(value):
+        raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {kind.__name__}") from exc
+    if kind is float and not np.isfinite(value):
         raise ConfigError(f"{section}.{key}: {raw!r} is not a finite number")
     return value
 

@@ -392,6 +392,7 @@ def wong_zakai_ladder(taus, t, x0, Q, n_paths, seed=0) -> list[WongZakaiResult]:
         raise ValueError("t, tau, x0 and Q must be finite, t and tau positive")
     if n_paths < 2:
         raise ValueError(f"a standard error needs n_paths >= 2, got {n_paths!r}")
+    exact = [float(wong_zakai_exact(tau, t, x0, Q)) for tau in taus]  # overflows first
     V, c0 = _wz_functional(taus, t, x0, Q)
     R = np.linalg.qr(V, mode="r")
     eta = gaussian_increments(path_streams(seed, n_paths), R.shape[0], 1,
@@ -401,9 +402,9 @@ def wong_zakai_ladder(taus, t, x0, Q, n_paths, seed=0) -> list[WongZakaiResult]:
     means = [float(np.mean(row)) for row in sq]
     # The spread of sq / mean, as tiny gaps' squared deviations underflow.
     return [WongZakaiResult(
-        mc_estimate=m, exact=float(wong_zakai_exact(tau, t, x0, Q)),
+        mc_estimate=m, exact=e,
         se=float(m * np.std(row / m, ddof=1) / np.sqrt(n_paths)) if m else 0.0,
-        tau=tau, t=t) for row, m, tau in zip(sq, means, taus)]
+        tau=tau, t=t) for row, m, e, tau in zip(sq, means, exact, taus)]
 
 
 def simulate_reduced_sde(p: EbmParams, T0, cfg: SimConfig, *, sink):

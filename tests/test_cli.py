@@ -3,6 +3,8 @@ import gc
 import importlib.util
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -58,6 +60,55 @@ def _spatial_sections(Lx=1.0, Ly=1.0, n=4, theta=280.0, kernel="identity"):
         f"[grid]\nLx = {Lx}\nLy = {Ly}\nNx = {n}\nNy = {n}\n"
         f"[boundary]\ntheta = {theta}\n" + noise
     )
+
+
+def _field_sections(which):
+    """The spatial sections, which `simulate --which anomaly-field` alone of
+    the four simulators reads."""
+    return _spatial_sections() if which == "anomaly-field" else ""
+
+
+# What each command form reads, as the CLI's declaration must read it: the
+# sections, and for [sim] its keys (None: every key of the section).
+_SIM_KEYS = ("dt", "n_steps", "n_paths", "seed")
+_READS = {
+    "variance-curve": {"model": None, "sweep": None},
+    "wz-convergence": {"model": None, "sim": _SIM_KEYS},
+    "simulate --which fast-slow": {"model": None, "sim": _SIM_KEYS},
+    "simulate --which reduced": {
+        "model": None, "sim": _SIM_KEYS + ("scheme", "drift_form")},
+    "simulate --which anomaly-0d": {"model": None, "sim": _SIM_KEYS + ("scheme",)},
+    "simulate --which anomaly-field": {
+        "model": None, "grid": None, "boundary": None, "noise": None,
+        "sim": _SIM_KEYS},
+    "spatial-stationary": dict.fromkeys(("model", "grid", "boundary", "noise")),
+    "monotonicity": dict.fromkeys(("model", "grid", "boundary", "noise", "sweep")),
+    "counterexample": {},
+}
+_LAM0 = _constant_profile_lam(280.0)
+# One small section of each name, with the required keys and [sim] seed.
+_SECTIONS = {
+    "model": _model_section(lam=_LAM0),
+    "grid": "[grid]\nLx = 1.0\nLy = 1.0\nNx = 3\nNy = 3\n",
+    "boundary": "[boundary]\ntheta = 280.0\n",
+    "noise": "[noise]\nkernel = exponential\nlength = 0.5\n",
+    "sim": "[sim]\ndt = 0.001\nn_steps = 10\nn_paths = 4\nseed = 1\n",
+    "sweep": f"[sweep]\nlambda_min = {_LAM0 - 2.0:.17g}\n"
+             f"lambda_max = {_LAM0 + 2.0:.17g}\nn_points = 2\n",
+}
+_EXTRA_SIM_VALUES = {"scheme": "milstein", "drift_form": "stratonovich-corrected"}
+
+
+def _form_argv(form):
+    """A command form's CLI words, with the flags its command requires."""
+    extra = {"wz-convergence": ["--t", "0.5"],
+             "counterexample": ["--s", "0.5", "--c", "0.8", "--n-lambda", "3"]}
+    return form.split() + extra.get(form, [])
+
+
+def _form_config(form):
+    """The smallest config of every section `form` reads."""
+    return "".join(_SECTIONS[name] for name in _READS[form])
 
 
 # Noise-induced instability: the drift M is stable, K is not.
@@ -123,6 +174,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag,value", [
         ("--t", "inf"), ("--t", "1e300"),
         ("--x0-offset", "nan"), ("--x0-offset", "inf"),
+        ("--x0-offset", "1e160"), ("--x0-offset", "-1e160"),
     ])
     def test_wz_refuses_unusable_horizon_or_offset(self, tmp_path, capsys,
                                                    flag, value):
@@ -132,7 +184,7 @@ class TestExitCodes:
             "[sim]\ndt = 0.001\nn_steps = 10\nn_paths = 4\nseed = 1\n"))
         out = tmp_path / "o"
         rc = main(["--config", cfg, "--out", str(out), "wz-convergence",
-                   flag, value])
+                   f"{flag}={value}"])  # "-1e160" alone would read as a flag
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and flag in err
@@ -217,7 +269,7 @@ class TestExitCodes:
     def test_outsized_sim_is_a_config_error(self, tmp_path, capsys, which, sim,
                                             need):
         lam = _constant_profile_lam(280.0)
-        text = (_model_section(lam=lam) + _spatial_sections()
+        text = (_model_section(lam=lam) + _field_sections(which)
                 + "[sim]\ndt = 0.001\nseed = 1\n" + sim)
         out = tmp_path / "o"
         rc = main(["--config", _write_cfg(tmp_path, text), "--out", str(out),
@@ -303,8 +355,9 @@ class TestExitCodes:
         monkeypatch.setattr(sm, "simulate_anomaly_field",
                             lambda *args, **kwargs: simulated.append(args))
         lam = _constant_profile_lam(280.0)
-        text = (_model_section(lam=lam) + _spatial_sections()
-                + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 2\nseed = 4\n")
+        text = _model_section(lam=lam) + _spatial_sections()
+        if command[0] == "simulate":
+            text += "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 2\nseed = 4\n"
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = blocker / "o"
@@ -344,7 +397,9 @@ class TestExitCodes:
         ["--n-lambda", "-1"],
         ["--lambda-min", "-1"],
         ["--lambda-min", "0.35", "--lambda-max", "0", "--n-lambda", "8"],
-    ], ids=["negative-n-lambda", "negative-lambda-min", "reversed-grid"])
+        ["--lambda-min", "1e200", "--lambda-max", "1e200", "--n-lambda", "1"],
+    ], ids=["negative-n-lambda", "negative-lambda-min", "reversed-grid",
+            "lambda-squared-past-float"])
     def test_counterexample_bad_grid_is_a_config_error(self, tmp_path, capsys,
                                                        flags):
         """A descending grid would flip the sign read off np.diff in the
@@ -398,6 +453,88 @@ class TestExitCodes:
         assert rc == EXIT_NUMERICAL
 
 
+class TestConfigReads:
+    """Each command form reads the sections, and the [sim] keys, that its
+    entry of `cli._COMMANDS` declares; any other is refused before anything
+    is written, and a form that reads none refuses --config."""
+
+    def test_the_declaration(self):
+        assert {form: reads for form, (_, reads) in cli._COMMANDS.items()} == _READS
+
+    @pytest.mark.parametrize("form", list(_READS))
+    def test_a_form_runs_on_what_it_reads_and_refuses_the_rest(
+            self, tmp_path, capsys, form):
+        argv, reads = _form_argv(form), _READS[form]
+        if not reads:
+            refused = [(path, f"{form} reads no config, got --config {path}")
+                       for path in (_write_cfg(tmp_path, "".join(_SECTIONS.values())),
+                                    str(tmp_path / "nope.ini"))]
+        else:
+            text = _form_config(form)
+            refused = [(_write_cfg(tmp_path, text + _SECTIONS[name], f"{name}.ini"),
+                        f"[{name}] is not read by {form}")
+                       for name in _SECTIONS if name not in reads]
+            for key, value in _EXTRA_SIM_VALUES.items():
+                if "sim" in reads and key not in reads["sim"]:
+                    sim = _SECTIONS["sim"] + f"{key} = {value}\n"
+                    refused.append((
+                        _write_cfg(tmp_path, text.replace(_SECTIONS["sim"], sim),
+                                   f"{key}.ini"),
+                        f"[sim] {key} = {value} is not read by {form}"))
+        assert refused
+        out = tmp_path / "o"
+        for path, message in refused:
+            assert main(["--config", path, "--out", str(out), *argv]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not out.exists()
+        config = ["--config", _write_cfg(tmp_path, text)] if reads else []
+        assert main([*config, "--out", str(out), *argv]) == EXIT_OK
+        assert any(out.iterdir())
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli():
+    """The README's `## CLI` section."""
+    return _README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _reads_list():
+    """What each command form reads, as the README lists it, from the CLI's
+    declaration."""
+    lines = []
+    for form, (_, reads) in cli._COMMANDS.items():
+        parts = [f"`[{name}]`" + ("" if keys is None else
+                                  " (" + ", ".join(f"`{k}`" for k in keys) + ")")
+                 for name, keys in reads.items()]
+        lines.append(f"- `{form}`: " + (", ".join(parts) if parts
+                                        else "no config; `--config` exits `2`"))
+    return "\n".join(lines) + "\n"
+
+
+class TestReadme:
+    def test_the_cli_example_runs_as_documented(self, tmp_path, monkeypatch):
+        """Each `ini` block of the README's CLI section is the file its first
+        line names, and each `ebmvar` line there exits 0 in their directory."""
+        text = _readme_cli()
+        for block in re.findall(r"```ini\n(.*?)```", text, re.S):
+            name = re.fullmatch(r"# (\S+\.ini)", block.split("\n", 1)[0])[1]
+            (tmp_path / name).write_text(block)
+        lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+                 for line in block.splitlines() if line.startswith("ebmvar ")]
+        assert len(lines) >= 4
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            assert main(shlex.split(line)[1:]) == EXIT_OK, line
+
+    def test_the_config_list_is_the_declaration(self):
+        """The README's list of what each command reads is `_reads_list()`,
+        made from `cli._COMMANDS`; on a mismatch, paste the list it prints."""
+        listed = _reads_list()
+        assert listed in _readme_cli(), listed
+
+
 class TestVarianceCurve:
     def test_outputs(self, tmp_path):
         text = _model_section() + (
@@ -426,8 +563,9 @@ class TestVarianceCurve:
         """Both sweeps compare consecutive forcings, so their grid runs
         upward; on the ice branch a grid from 525 down to 515 would read
         "not monotone" although var_inf rises with lambda."""
+        spatial = _spatial_sections(kernel="exponential")
         err = self._refused(tmp_path, capsys, _model_section()
-                            + _spatial_sections(kernel="exponential")
+                            + (spatial if command == "monotonicity" else "")
                             + "[sweep]\nlambda_min = 525.0\nlambda_max = 515.0\n"
                               "n_points = 5\n", command)
         assert err.startswith("config error: need sweep.lambda_min <= "
@@ -943,7 +1081,7 @@ class TestSimulate:
         and no dump or table of the run is left: `--out` holds only that
         directory."""
         lam = _constant_profile_lam(280.0)
-        cfg = _write_cfg(tmp_path, _model_section(lam=lam) + _spatial_sections()
+        cfg = _write_cfg(tmp_path, _model_section(lam=lam) + _field_sections(which)
                          + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 4\n")
         out = tmp_path / "o"
         (out / table).mkdir(parents=True)
@@ -983,7 +1121,7 @@ class TestSimulate:
         monkeypatch.setattr(os, "pwrite", failing)
         monkeypatch.setattr(se, "_DRAW_NORMALS", 2 * 3 * 16 * 9)  # d = 9
         lam = _constant_profile_lam(280.0)
-        text = (_model_section(lam=lam) + _spatial_sections()
+        text = (_model_section(lam=lam) + _field_sections(which)
                 + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 16\nseed = 4\n")
         out = tmp_path / "o"
         before = threading.enumerate()
@@ -1027,7 +1165,7 @@ class TestSimulate:
 
             monkeypatch.setattr(module, fn, recording)
         lam = _constant_profile_lam(280.0)
-        cfg = _write_cfg(tmp_path, _model_section(lam=lam) + _spatial_sections()
+        cfg = _write_cfg(tmp_path, _model_section(lam=lam) + _field_sections(which)
                          + "[sim]\ndt = 0.001\nn_steps = 20\nn_paths = 16\n")
         out = tmp_path / "o"
         argv = ["--config", cfg, "--out", str(out), "simulate", "--which", which]
@@ -1468,20 +1606,14 @@ class TestNumpyOnly:
     def test_no_command_loads_scipy(self, tmp_path):
         """`import ebmvar.cli` and every command, each on a tiny config, leave
         no scipy module in sys.modules: the CLI runs on numpy alone."""
-        lam0 = _constant_profile_lam(280.0)
-        cfg = _write_cfg(tmp_path, (
-            _model_section(lam=lam0) + _spatial_sections(n=3, kernel="exponential")
-            + "[sim]\ndt = 0.001\nn_steps = 10\nn_paths = 4\nseed = 1\n"
-            + f"[sweep]\nlambda_min = {lam0 - 2.0:.17g}\n"
-              f"lambda_max = {lam0 + 2.0:.17g}\nn_points = 2\n"))
-        commands = [["spatial-stationary"], ["monotonicity"],
-                    ["wz-convergence", "--t", "0.5"], ["variance-curve"]]
-        commands += [["simulate", "--which", which] for which in
-                     ("fast-slow", "reduced", "anomaly-0d", "anomaly-field")]
-        argvs = [["--config", cfg, "--out", str(tmp_path / str(i)), *c]
-                 for i, c in enumerate(commands)]
-        argvs.append(["--out", str(tmp_path / "ce"), "counterexample",
-                      "--s", "0.5", "--c", "0.8", "--n-lambda", "3"])
+        argvs = []
+        for i, form in enumerate(_READS):
+            config = []
+            if _READS[form]:
+                config = ["--config", _write_cfg(tmp_path, _form_config(form),
+                                                 f"{i}.ini")]
+            argvs.append([*config, "--out", str(tmp_path / str(i)),
+                          *_form_argv(form)])
         env = dict(os.environ,
                    PYTHONPATH=str(Path(ebmvar.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
