@@ -114,8 +114,7 @@ else:
             g, Q_field, lam, bd, p).values.sum())
     elif layer == "sweep-point":
         C = noise()
-        run = lambda: ce.monotonicity_sweep(g, Q_field, bd, p, C,
-                                            [lam]).points[0].trace
+        run = lambda: ce.monotonicity_sweep(g, Q_field, bd, p, C, lam).trace
     else:
         prof = sm.solve_equilibrium_profile(g, Q_field, lam, bd, p)
         if layer == "operators":

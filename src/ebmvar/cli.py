@@ -183,12 +183,27 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _sweep_verdicts(points):
+    """A monotonicity sweep's verdicts: each point's CSV cell, and the
+    sweep's.  A point is entrywise positive when it is applicable and every
+    entry of dGamma/dlambda is > 0; the sweep is when every applicable point
+    is, and non-applicable when none is."""
+    cells = ["non-applicable" if not pt.applicable
+             else "entrywise-positive" if pt.min_diff_entry > 0.0 else "mixed"
+             for pt in points]
+    if "mixed" in cells:
+        return cells, "not monotone"
+    if "entrywise-positive" in cells:
+        return cells, "entrywise positive"
+    return cells, "non-applicable"
+
+
 def _parallel_map(fn, items, threads):
-    """[fn(x) for x in items] on min(threads, len(items)) threads.  Worker k
-    computes items k, k + n, k + 2n, ...: a fixed share, so every worker
-    runs, however quickly an item finishes, and no result depends on the
-    timing.  The exception of the first failing item is raised."""
-    n = min(threads, len(items))
+    """[fn(x) for x in items] on n = min(threads, len(items), cores) threads.
+    Worker k computes items k, k + n, k + 2n, ...: a fixed share, so every
+    worker runs, however quickly an item finishes, and no result depends on
+    the timing or on n.  The exception of the first failing item is raised."""
+    n = min(threads, len(items), os.cpu_count() or 1)
     if n <= 1:
         return [fn(it) for it in items]
     results, errors = [None] * len(items), {}
@@ -351,22 +366,19 @@ def cmd_monotonicity(cfg: ExperimentConfig, args, outdir: Path) -> int:
     grid, theta, C, Q_field = _spatial_setup(cfg, p)
     lam_grid = sweep_grid(cfg)
 
-    def run(lam):
-        return cov.monotonicity_sweep(grid, Q_field, theta, p, C,
-                                      [lam]).points[0]
-
-    points = _parallel_map(run, list(lam_grid), args.threads)
-    rows = [(pt.lam, pt.applicable, pt.trace, pt.min_diff_entry,
-             "entrywise-positive" if pt.entrywise_positive
-             else "non-applicable" if not pt.applicable else "mixed", pt.note)
-            for pt in points]
+    points = _parallel_map(
+        partial(cov.monotonicity_sweep, grid, Q_field, theta, p, C),
+        list(lam_grid), args.threads)
+    cells, verdict = _sweep_verdicts(points)
+    rows = [(pt.lam, pt.applicable, pt.trace, pt.min_diff_entry, cell, pt.note)
+            for pt, cell in zip(points, cells)]
     _write(outdir, "monotonicity_sweep.csv", _table(
         "lambda,applicable,trace,min_dgamma_entry,verdict,note",
         list(zip(*rows))))
     hypothesis_notes = sorted({pt.note for pt in points if pt.note})
     summary = {
         "command": "monotonicity",
-        "verdict": cov.SweepReport(points).verdict,
+        "verdict": verdict,
         "n_points": len(points),
         "n_applicable": sum(1 for pt in points if pt.applicable),
         "hypothesis_violations": hypothesis_notes,

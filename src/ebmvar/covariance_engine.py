@@ -379,29 +379,27 @@ class SweepPoint:
     note: str = ""
     trace: float | None = None
     min_diff_entry: float | None = None
-    entrywise_positive: bool | None = None
     sensitivity_positive: bool | None = None
 
 
-@dataclass
-class SweepReport:
-    """The points of a monotonicity sweep, with its overall verdict."""
+def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
+                       p: EbmParams, C: np.ndarray, lam: float) -> SweepPoint:
+    """Entrywise forcing-monotonicity of the stationary covariance at one
+    forcing, read off its exact forcing derivative
+    `covariance_derivative(ops, D u)`, u the elliptic sensitivity
+    (`profile_sensitivity`).  The certificate, Gamma, u and dGamma/dlambda
+    all come from the one eigendecomposition of the symmetric drift.  The
+    point keeps its row only (`SweepPoint`), so a sweep's memory does not
+    grow with its points.
 
-    points: list[SweepPoint]
-
-    @property
-    def verdict(self) -> str:
-        applicable = [p for p in self.points if p.applicable]
-        if not applicable:
-            return "non-applicable"
-        if all(p.entrywise_positive for p in applicable):
-            return "entrywise positive"
-        return "not monotone"
-
-
-def _sweep_point(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
-                 p: EbmParams, C: np.ndarray, lam: float) -> SweepPoint:
-    """One forcing of `monotonicity_sweep`, reduced to its row."""
+    The point is applicable only when the equilibrium profile lies strictly
+    inside the ice-sensitive band at every node, the noise covariance C is
+    entrywise nonnegative, and the point's certificate finds K Hurwitz
+    (`require_hurwitz`) and the coercivity b = r1 - Q beta'(T*) >= 0 at
+    every node (`coercivity_ok`); otherwise it is flagged and no verdict is
+    asserted there.
+    """
+    lam = float(lam)
     try:
         T_star = solve_equilibrium_profile(g, Q_field, lam, theta, p)
         ops = build_operators(g, T_star, Q_field, p, C)
@@ -426,29 +424,7 @@ def _sweep_point(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
     return SweepPoint(
         lam=lam, applicable=not why, note="; ".join(why), trace=trace,
         min_diff_entry=min_entry,
-        entrywise_positive=None if why else bool(min_entry > 0.0),
         sensitivity_positive=bool(np.min(u) > 0.0))
-
-
-def monotonicity_sweep(g: Grid2D, Q_field: SpatialField, theta: BoundaryTrace,
-                       p: EbmParams, C: np.ndarray,
-                       lambda_grid) -> SweepReport:
-    """Entrywise forcing-monotonicity of the stationary covariance, read off
-    its exact forcing derivative `covariance_derivative(ops, D u)`, u the
-    elliptic sensitivity (`profile_sensitivity`).  The certificate, Gamma, u
-    and dGamma/dlambda all come from the one eigendecomposition of the
-    symmetric drift.  A point keeps its row only (`SweepPoint`), so the
-    sweep's memory does not grow with its points.
-
-    A grid point is applicable only when the equilibrium profile lies
-    strictly inside the ice-sensitive band at every node, the noise
-    covariance C is entrywise nonnegative, and the point's certificate finds
-    K Hurwitz (`require_hurwitz`) and the coercivity b = r1 - Q beta'(T*) >= 0
-    at every node (`coercivity_ok`); otherwise the point is flagged and no
-    verdict is asserted there.
-    """
-    return SweepReport([_sweep_point(g, Q_field, theta, p, C, float(lam))
-                        for lam in lambda_grid])
 
 
 @dataclass

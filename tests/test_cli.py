@@ -1375,6 +1375,27 @@ class TestMonotonicity:
             outs.append((out / "monotonicity_sweep.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_negative_derivative_entry_is_not_monotone(self, tmp_path,
+                                                         monkeypatch, threads):
+        """With dGamma/dlambda stubbed to hold a negative entry, every point
+        of the benchmark's smoke sweep is applicable but mixed, and the sweep
+        is not monotone."""
+        monkeypatch.setattr(cov, "covariance_derivative",
+                            lambda ops, df: -np.eye(ops.d))
+        lam0 = _constant_profile_lam(280.0)
+        text = (_model_section(lam=lam0) + _spatial_sections(kernel="exponential")
+                + f"[sweep]\nlambda_min = {lam0 - 4.0:.17g}\n"
+                  f"lambda_max = {lam0 + 4.0:.17g}\nn_points = 2\n")
+        out = tmp_path / "o"
+        assert main(["--config", _write_cfg(tmp_path, text), "--threads",
+                     threads, "--out", str(out), "monotonicity"]) == EXIT_OK
+        rows = (out / "monotonicity_sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["mixed"] * 2
+        summary = json.loads((out / "monotonicity_summary.json").read_text())
+        assert summary["verdict"] == "not monotone"
+        assert summary["n_applicable"] == 2
+
     def test_non_hurwitz_point_is_a_hypothesis_violation(self, tmp_path):
         """A point where K is not Hurwitz is flagged with the certificate's
         refusal, not as a solver error."""
@@ -1406,6 +1427,31 @@ class TestMonotonicity:
         summary = json.loads((out / "monotonicity_summary.json").read_text())
         assert summary["hypothesis_violations"] == [
             "profile leaves the ice-sensitive band"]
+
+
+class TestParallelMap:
+    def test_the_pool_is_capped_at_the_core_count(self, monkeypatch):
+        """More threads than cores start one worker per core: with
+        `threading.Thread` an inline stub, 10 000 items on 10**6 threads make
+        at most os.cpu_count() workers, and the results keep their order."""
+        made = []
+
+        class InlineThread:
+            def __init__(self, target, args):
+                self.target, self.args = target, args
+                made.append(self)
+
+            def start(self):
+                self.target(*self.args)
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(cli.threading, "Thread", InlineThread)
+        items = list(range(10_000))
+        assert cli._parallel_map(lambda x: x * x, items, 10**6) == [
+            x * x for x in items]
+        assert len(made) <= (os.cpu_count() or 1)
 
 
 class TestCounterexample:

@@ -302,8 +302,7 @@ class TestOneGain:
 
     def test_one_gain_per_sweep_point(self, gains):
         g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4)
-        rep = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, [lam0])
-        assert rep.points[0].applicable
+        assert ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lam0).applicable
         assert len(gains) == 1
 
 
@@ -532,9 +531,8 @@ class TestMonotonicitySweep:
     def test_ice_band_entrywise_positive(self):
         g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4)
         lams = np.linspace(lam0 - 5.0, lam0 + 5.0, 3)
-        rep = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lams)
-        assert rep.verdict == "entrywise positive"
-        for p in rep.points:
+        for lam in lams:
+            p = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lam)
             assert p.applicable
             assert p.min_diff_entry > 0.0
             ops = _ops_at(g, Q_field, bd, noise, p.lam)
@@ -550,7 +548,7 @@ class TestMonotonicitySweep:
         """dGamma/dlambda against central differences of the stationary
         solve at lambda +- 1e-4 lambda, on the unit square."""
         g, bd, Q_field, lam0, noise, ops = _default_setup(nx=nx, ny=nx)
-        p = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, [lam0]).points[0]
+        p = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lam0)
         assert p.applicable
         dgamma = _dgamma(ops)
         assert p.min_diff_entry == np.min(dgamma)
@@ -564,7 +562,7 @@ class TestMonotonicitySweep:
         """At d = 16: dGamma/dlambda = -K^-1 vec(tau C o (f' f^T + f f'^T)),
         with f' = D u and u from the explicit Jacobian of the profile."""
         g, bd, Q_field, lam0, noise, ops = _default_setup(nx=5, ny=5)
-        p = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, [lam0]).points[0]
+        p = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lam0)
         J = _laplacian_by_stencil(g) - np.diag(DEFAULT.r1 - Q_field.values * DEFAULT.slope)
         u = np.linalg.solve(J, -np.ones(g.d))
         f_df = np.outer(ops.f_vec, ops.d_vec * u)
@@ -605,8 +603,9 @@ class TestMonotonicitySweep:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4)
         lams = np.linspace(lam0 - 5.0, lam0 + 5.0, 3)
-        rep = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lams)
-        assert rep.verdict == "entrywise positive"
+        points = [ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lam)
+                  for lam in lams]
+        assert all(pt.applicable and pt.min_diff_entry > 0.0 for pt in points)
         assert counts == {"newton": 3, "assemble": 0, "abscissa": 3, "eigh": 3}
 
     def test_memory_is_flat_in_the_point_count(self):
@@ -618,18 +617,17 @@ class TestMonotonicitySweep:
             lams = np.linspace(lam0 - 4.0, lam0 + 4.0, n)
             tracemalloc.start()
             try:
-                rep = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lams)
+                points = [ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lam)
+                          for lam in lams]
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert rep.verdict == "entrywise positive"
+            assert all(pt.applicable and pt.min_diff_entry > 0.0 for pt in points)
         assert abs(peaks[5] - peaks[1]) <= g.d * g.d * 8, peaks
 
     def test_warm_plateau_flagged_flat(self):
         g, bd, Q_field, lam0, noise, _ = _default_setup(nx=4, ny=4, theta=305.0)
-        rep = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, [lam0])
-        assert rep.verdict == "non-applicable"
-        p = rep.points[0]
+        p = ce.monotonicity_sweep(g, Q_field, bd, DEFAULT, noise, lam0)
         assert not p.applicable
         assert "band" in p.note
         # On the plateau the noise amplitude is forcing-independent, so the
