@@ -202,13 +202,18 @@ def _parallel_map(fn, items, threads):
     """[fn(x) for x in items] on n = min(threads, len(items), cores) threads.
     Worker k computes items k, k + n, k + 2n, ...: a fixed share, so every
     worker runs, however quickly an item finishes, and no result depends on
-    the timing or on n.  The exception of the first failing item is raised."""
+    the timing or on n.  No worker begins before all have started, so all
+    are alive at once and each keeps its own thread ident (a finished
+    thread's ident can be reused).  The exception of the first failing item
+    is raised."""
     n = min(threads, len(items), os.cpu_count() or 1)
     if n <= 1:
         return [fn(it) for it in items]
     results, errors = [None] * len(items), {}
+    all_started = threading.Event()
 
     def work(k):
+        all_started.wait()
         for i in range(k, len(items), n):
             try:
                 results[i] = fn(items[i])
@@ -217,8 +222,11 @@ def _parallel_map(fn, items, threads):
                 return
 
     workers = [threading.Thread(target=work, args=(k,)) for k in range(n)]
-    for worker in workers:
-        worker.start()
+    try:
+        for worker in workers:
+            worker.start()
+    finally:
+        all_started.set()
     for worker in workers:
         worker.join()
     if errors:

@@ -1375,9 +1375,8 @@ class TestMonotonicity:
             outs.append((out / "monotonicity_sweep.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_a_negative_derivative_entry_is_not_monotone(self, tmp_path,
-                                                         monkeypatch, threads):
+                                                         monkeypatch):
         """With dGamma/dlambda stubbed to hold a negative entry, every point
         of the benchmark's smoke sweep is applicable but mixed, and the sweep
         is not monotone."""
@@ -1388,8 +1387,8 @@ class TestMonotonicity:
                 + f"[sweep]\nlambda_min = {lam0 - 4.0:.17g}\n"
                   f"lambda_max = {lam0 + 4.0:.17g}\nn_points = 2\n")
         out = tmp_path / "o"
-        assert main(["--config", _write_cfg(tmp_path, text), "--threads",
-                     threads, "--out", str(out), "monotonicity"]) == EXIT_OK
+        assert main(["--config", _write_cfg(tmp_path, text), "--out",
+                     str(out), "monotonicity"]) == EXIT_OK
         rows = (out / "monotonicity_sweep.csv").read_text().splitlines()[1:]
         assert [row.split(",")[4] for row in rows] == ["mixed"] * 2
         summary = json.loads((out / "monotonicity_summary.json").read_text())
@@ -1424,16 +1423,20 @@ class TestMonotonicity:
         lines = (out / "monotonicity_sweep.csv").read_text().splitlines()
         assert [line.split(",")[-1] for line in lines[1:]] == [
             "profile leaves the ice-sensitive band"] * 3
+        assert [line.split(",")[4] for line in lines[1:]] == [
+            "non-applicable"] * 3
         summary = json.loads((out / "monotonicity_summary.json").read_text())
         assert summary["hypothesis_violations"] == [
             "profile leaves the ice-sensitive band"]
+        assert summary["verdict"] == "non-applicable"
 
 
 class TestParallelMap:
     def test_the_pool_is_capped_at_the_core_count(self, monkeypatch):
         """More threads than cores start one worker per core: with
         `threading.Thread` an inline stub, 10 000 items on 10**6 threads make
-        at most os.cpu_count() workers, and the results keep their order."""
+        at most os.cpu_count() workers, and the results keep their order.
+        The stub runs its worker at join(), when every worker has started."""
         made = []
 
         class InlineThread:
@@ -1442,16 +1445,37 @@ class TestParallelMap:
                 made.append(self)
 
             def start(self):
-                self.target(*self.args)
+                pass
 
             def join(self):
-                pass
+                self.target(*self.args)
 
         monkeypatch.setattr(cli.threading, "Thread", InlineThread)
         items = list(range(10_000))
         assert cli._parallel_map(lambda x: x * x, items, 10**6) == [
             x * x for x in items]
         assert len(made) <= (os.cpu_count() or 1)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
+    def test_no_worker_begins_before_all_have_started(self, monkeypatch):
+        """Every worker is alive while any item runs, so no two workers can
+        share a thread ident: here each start() returns 50 ms after its
+        thread starts, long after a worker that began at once had finished."""
+        started, seen = [], []
+
+        class SlowStart(threading.Thread):
+            def start(self):
+                super().start()
+                threading.Event().wait(0.05)
+                started.append(self)
+
+        def fn(x):
+            seen.append(len(started))
+            return x
+
+        monkeypatch.setattr(cli.threading, "Thread", SlowStart)
+        assert cli._parallel_map(fn, [0, 1], 2) == [0, 1]
+        assert seen == [2, 2]
 
 
 class TestCounterexample:
